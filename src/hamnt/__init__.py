@@ -1,7 +1,7 @@
 """Codes in Hamming graphs H(m,q): neighbour sets, the wreath-product
 automorphism group and its action, pre-codeword structure, setwise
-stabilizer search, neighbour-transitivity verification, and the
-doubled-vector binary family."""
+stabilizer search, neighbour-transitivity verification, the
+doubled-vector binary family, and the structural lemma suite."""
 
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      ImageInCodeError, LemmaViolationError, MinDistanceError,
@@ -23,11 +23,13 @@ from .code_model import (Code, EquivalenceWitness, code_to_text,
 from .precodeword import (PreReport, c_of_pi, pre_codewords,
                           pre_for_neighbour, verify_pre_structure)
 from .transitivity import (CASE2, CASE3, VERDICT_FIXED, VERDICT_NONFIXING,
-                           VIOLATION, ClassificationReport, classify_theorem,
+                           VIOLATION, ClassificationReport, StabilizerAnalysis,
+                           analyze_stabilizer, classify_theorem,
                            is_neighbour_transitive, neighbour_orbits,
                            setwise_stabilizer)
 from .family_codes import (FamilyInstance, FamilyReport, build_family,
                            verify_family)
+from .lemmas import LemmaSuiteReport, run_lemma_suite
 from .reporting import ClauseResult
 
 __version__ = "0.1.0"
@@ -46,9 +48,11 @@ __all__ = [
     "PreReport", "pre_codewords", "pre_for_neighbour", "c_of_pi",
     "verify_pre_structure",
     "ClassificationReport", "setwise_stabilizer", "is_neighbour_transitive",
-    "neighbour_orbits", "classify_theorem", "VERDICT_FIXED",
-    "VERDICT_NONFIXING", "CASE2", "CASE3", "VIOLATION",
+    "neighbour_orbits", "classify_theorem", "StabilizerAnalysis",
+    "analyze_stabilizer", "VERDICT_FIXED", "VERDICT_NONFIXING", "CASE2",
+    "CASE3", "VIOLATION",
     "FamilyInstance", "FamilyReport", "build_family", "verify_family",
+    "LemmaSuiteReport", "run_lemma_suite",
     "ClauseResult",
     "SchemeMismatchError", "FeasibilityError", "CodeFormatError",
     "HypothesisError", "MinDistanceError", "NotACodewordError",

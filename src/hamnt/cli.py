@@ -12,145 +12,19 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 
-from .code_model import Code, is_code_automorphism, is_linear_binary, read_code_file
+from .code_model import is_linear_binary, read_code_file
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      LemmaViolationError)
-from .family_codes import build_family, verify_family
-from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme,
-                           common_neighbours, distance, enumerate_triples,
-                           neighbours)
-from .precodeword import verify_pre_structure
-from .reporting import ClauseResult, all_clauses_pass, format_clauses_text
-from .transitivity import (VIOLATION, classify_theorem, setwise_stabilizer)
-from .wreath_group import (DEFAULT_GROUP_CAP, GeneratorSet,
-                           automorphism_to_text, enumerate_full_group,
-                           group_order, orbit)
-
-#: Bound on the (alpha, y) pairs given the full pre-codeword structure check
-#: during a lemma sweep; purely a runtime guard, the count is reported.
-MAX_PRE_VERIFICATIONS = 40
-
-
-@dataclass(frozen=True)
-class LemmaSuiteReport:
-    m: int
-    q: int
-    seed: int
-    checks: tuple[ClauseResult, ...]
-
-    @cached_property
-    def all_pass(self) -> bool:
-        return all_clauses_pass(self.checks)
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "q": self.q, "seed": self.seed,
-                "checks": [c.to_json() for c in self.checks],
-                "all_pass": self.all_pass}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LemmaSuiteReport":
-        return cls(m=data["m"], q=data["q"], seed=data["seed"],
-                   checks=tuple(ClauseResult.from_json(c) for c in data["checks"]))
-
-
-def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list[Code]:
-    verts = list(scheme.vertices())
-    codes = []
-    if scheme.q == 2 and scheme.m >= 4 and scheme.m % 2 == 0:
-        codes.append(build_family(scheme.m).C)
-    while len(codes) < count:
-        size = min(rng.choice((2, 3)), len(verts))
-        codes.append(Code(scheme, rng.sample(verts, size)))
-    return codes
-
-
-def run_lemma_suite(m: int, q: int, seed: int = 0,
-                    group_cap: int = DEFAULT_GROUP_CAP,
-                    enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> LemmaSuiteReport:
-    """Exhaustive small-scheme checks of the structural lemmas.
-
-    Runs: the two-common-neighbours law over every distance-2 pair; the
-    one-orbit law for triples under the full group; the implication
-    "fixes the code => stabilizes its neighbour set" for every group
-    element on sampled codes; and the full pre-codeword structure on
-    every (alpha, y) neighbour-stabilizer witness discovered on the way.
-    """
-    scheme = HammingScheme(m, q)
-    if scheme.vertex_count > enumeration_cap:
-        raise FeasibilityError(
-            f"{scheme} has {scheme.vertex_count} vertices, over the "
-            f"enumeration cap {enumeration_cap}",
-            required=scheme.vertex_count, cap=enumeration_cap)
-    order = group_order(scheme)
-    if order > group_cap:
-        raise FeasibilityError(
-            f"full group of {scheme} has order {order}, over the group cap {group_cap}",
-            required=order, cap=group_cap)
-
-    checks = []
-
-    pairs = 0
-    size2_ok = True
-    verts = list(scheme.vertices())
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if distance(u, v) == 2:
-                pairs += 1
-                if len(common_neighbours(u, v)) != 2:
-                    size2_ok = False
-    checks.append(ClauseResult(
-        "two_common_neighbours", size2_ok, f"{pairs} distance-2 pairs"))
-
-    triples = [(t.alpha, t.nu, t.beta) for t in enumerate_triples(scheme, enumeration_cap)]
-    group = list(enumerate_full_group(scheme, group_cap))
-    if triples:
-        base = triples[0]
-        reached = {(x.apply(base[0]), x.apply(base[1]), x.apply(base[2])) for x in group}
-        checks.append(ClauseResult(
-            "triples_single_orbit", reached == set(triples),
-            f"orbit {len(reached)} of {len(triples)} triples under {len(group)} elements"))
-    else:
-        checks.append(ClauseResult("triples_single_orbit", True,
-                                   "no triples exist at m = 1"))
-
-    rng = random.Random(seed)
-    codes = _sample_codes(scheme, rng, 6)
-    implication_ok = True
-    aut_count = 0
-    witnesses = []  # (code, alpha, y) with y stabilizing G1(C), alpha^y not in C
-    for code in codes:
-        nbr_set = set(code.neighbour_set)
-        for x in group:
-            if is_code_automorphism(code, x):
-                aut_count += 1
-                if {x.apply(v) for v in nbr_set} != nbr_set:
-                    implication_ok = False
-        if code.min_distance >= 3 and nbr_set:
-            for x in setwise_stabilizer(code.neighbour_set, scheme, group_cap):
-                for alpha in code.words:
-                    if x.apply(alpha) not in code:
-                        witnesses.append((code, alpha, x))
-    checks.append(ClauseResult(
-        "code_automorphisms_stabilize_neighbours", implication_ok,
-        f"{aut_count} code automorphisms over {len(codes)} sampled codes"))
-
-    verified = 0
-    pre_ok = True
-    for code, alpha, y in witnesses[:MAX_PRE_VERIFICATIONS]:
-        report = verify_pre_structure(code, alpha, y)
-        verified += 1
-        if not report.all_pass:
-            pre_ok = False
-    checks.append(ClauseResult(
-        "pre_structure_on_witnesses", pre_ok,
-        f"verified {verified} of {len(witnesses)} discovered (alpha, y) pairs"))
-
-    return LemmaSuiteReport(m=m, q=q, seed=seed, checks=tuple(checks))
+from .family_codes import verify_family
+from .hamming_core import neighbours
+from .lemmas import run_lemma_suite
+from .reporting import format_clauses_text
+from .transitivity import VIOLATION, analyze_stabilizer, classify_theorem
+# unused here, but perfbench's tracer self-test checks that tracing rebinds it
+from .transitivity import setwise_stabilizer  # noqa: F401
+from .wreath_group import DEFAULT_GROUP_CAP, automorphism_to_text
 
 
 # -- command implementations -------------------------------------------------
@@ -169,12 +43,8 @@ def cmd_family(args, out, err) -> int:
     if args.m < 4 or args.m % 2 != 0:
         print("m must be even and >= 4", file=err)
         return 2
-    try:
-        report = verify_family(args.m, exhaustive=args.exhaustive,
-                               group_cap=args.resolved_group_cap)
-    except FeasibilityError as exc:
-        print(f"feasibility: {exc}", file=err)
-        return 2
+    report = verify_family(args.m, exhaustive=args.exhaustive,
+                           group_cap=args.resolved_group_cap)
     order = "" if report.stabilizer_order is None else \
         f"\n  stabilizer order: {report.stabilizer_order}"
     text = (f"family m={report.m} exhaustive={report.exhaustive}\n"
@@ -185,18 +55,8 @@ def cmd_family(args, out, err) -> int:
 
 
 def cmd_classify(args, out, err) -> int:
-    try:
-        code = read_code_file(args.input)
-        report = classify_theorem(code, group_cap=args.resolved_group_cap)
-    except (CodeFormatError, OSError) as exc:
-        print(f"cannot read code: {exc}", file=err)
-        return 2
-    except HypothesisError as exc:
-        print(f"hypothesis error: {exc}", file=err)
-        return 2
-    except FeasibilityError as exc:
-        print(f"feasibility: {exc}", file=err)
-        return 2
+    report = classify_theorem(read_code_file(args.input),
+                              group_cap=args.resolved_group_cap)
     witness = automorphism_to_text(report.witness) if report.witness else "-"
     text = (f"delta: {report.delta}\nverdict: {report.verdict}\n"
             f"witness: {witness}\ntheorem_case: {report.theorem_case or '-'}\n"
@@ -207,15 +67,8 @@ def cmd_classify(args, out, err) -> int:
 
 
 def cmd_lemmas(args, out, err) -> int:
-    try:
-        report = run_lemma_suite(args.m, args.q, seed=args.seed,
-                                 group_cap=args.resolved_group_cap)
-    except FeasibilityError as exc:
-        print(f"feasibility: {exc}", file=err)
-        return 2
-    except LemmaViolationError as exc:
-        print(f"lemma violated: {exc}", file=err)
-        return 1
+    report = run_lemma_suite(args.m, args.q, seed=args.seed,
+                             group_cap=args.resolved_group_cap)
     text = (f"lemma suite on H({report.m},{report.q}) seed={report.seed}\n"
             f"{format_clauses_text(report.checks)}\n"
             f"  all checks pass: {report.all_pass}")
@@ -224,11 +77,7 @@ def cmd_lemmas(args, out, err) -> int:
 
 
 def cmd_analyze(args, out, err) -> int:
-    try:
-        code = read_code_file(args.input)
-    except (CodeFormatError, OSError) as exc:
-        print(f"cannot read code: {exc}", file=err)
-        return 2
+    code = read_code_file(args.input)
     delta = code.min_distance
     nbrs = code.neighbour_set
     union = set()
@@ -252,34 +101,20 @@ def cmd_analyze(args, out, err) -> int:
 
 
 def cmd_stabilizer(args, out, err) -> int:
-    try:
-        code = read_code_file(args.input)
-    except (CodeFormatError, OSError) as exc:
-        print(f"cannot read code: {exc}", file=err)
-        return 2
-    nbrs = code.neighbour_set
-    if not nbrs:
+    code = read_code_file(args.input)
+    if not code.neighbour_set:
         print("neighbour set is empty; nothing to stabilize", file=err)
         return 2
-    try:
-        stab = setwise_stabilizer(nbrs, code.scheme, args.resolved_group_cap)
-    except FeasibilityError as exc:
-        print(f"feasibility: {exc}", file=err)
-        return 2
-    fixing = all(code.image(x) == code for x in stab)
-    first_nonfixing = None
-    if not fixing:
-        first_nonfixing = next(x for x in stab if code.image(x) != code)
-    transitive = orbit(GeneratorSet(code.scheme, tuple(stab)), nbrs[0]) == nbrs
+    analysis = analyze_stabilizer(code, args.resolved_group_cap)
+    first = analysis.first_nonfixing
     data = {
         "m": code.scheme.m,
         "q": code.scheme.q,
-        "neighbour_count": len(nbrs),
-        "stabilizer_order": len(stab),
-        "fixes_code": fixing,
-        "transitive_on_neighbours": transitive,
-        "first_nonfixing": automorphism_to_text(first_nonfixing)
-                           if first_nonfixing else None,
+        "neighbour_count": len(code.neighbour_set),
+        "stabilizer_order": len(analysis.stabilizer),
+        "fixes_code": first is None,
+        "transitive_on_neighbours": analysis.transitive_on_neighbours,
+        "first_nonfixing": automorphism_to_text(first) if first else None,
     }
     text = "\n".join(f"{k}: {v}" for k, v in data.items())
     _emit(data, text, args.format, out)
@@ -343,15 +178,31 @@ def main(argv=None, out=None, err=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.group_cap is not None:
-        cap = args.group_cap
-    else:
-        cap = int(os.environ.get("HNT_GROUP_CAP", DEFAULT_GROUP_CAP))
+    cap = args.group_cap
+    if cap is None:
+        env = os.environ.get("HNT_GROUP_CAP", str(DEFAULT_GROUP_CAP))
+        try:
+            cap = int(env)
+        except ValueError:
+            print(f"HNT_GROUP_CAP must be an integer, got {env!r}", file=err)
+            return 2
     if cap <= 0:
         print("group cap must be positive", file=err)
         return 2
     args.resolved_group_cap = cap
-    return _COMMANDS[args.command](args, out, err)
+    # the one map from errors to exit codes; see errors.py
+    try:
+        return _COMMANDS[args.command](args, out, err)
+    except (CodeFormatError, OSError) as exc:
+        print(f"cannot read code: {exc}", file=err)
+    except HypothesisError as exc:
+        print(f"hypothesis error: {exc}", file=err)
+    except FeasibilityError as exc:
+        print(f"feasibility: {exc}", file=err)
+    except LemmaViolationError as exc:
+        print(f"lemma violated: {exc}", file=err)
+        return 1
+    return 2
 
 
 if __name__ == "__main__":

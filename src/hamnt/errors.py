@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI:
-  * HypothesisError / FeasibilityError / format errors -> usage (2)
+Exit-code mapping, applied once in `hamnt.cli.main`:
+  * HypothesisError / FeasibilityError / format and file errors -> usage (2)
   * LemmaViolationError -> mathematical falsification (1)
 """
 

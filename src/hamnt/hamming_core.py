@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CodeFormatError, FeasibilityError, SchemeMismatchError
+from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
+                     SchemeMismatchError)
 
 #: Default bound on q^m for exhaustive vertex sweeps.
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -29,9 +30,9 @@ class HammingScheme:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"word length m must be >= 1, got {self.m}")
+            raise HypothesisError(f"word length m must be >= 1, got {self.m}")
         if self.q < 2:
-            raise ValueError(f"alphabet size q must be >= 2, got {self.q}")
+            raise HypothesisError(f"alphabet size q must be >= 2, got {self.q}")
 
     @property
     def vertex_count(self) -> int:
@@ -159,6 +160,15 @@ def _distance_two(v: Vertex) -> list[Vertex]:
     return out
 
 
+def check_enumeration_cap(scheme: HammingScheme, enumeration_cap: int) -> None:
+    """Raise FeasibilityError when q^m exceeds the enumeration cap."""
+    if scheme.vertex_count > enumeration_cap:
+        raise FeasibilityError(
+            f"{scheme} has {scheme.vertex_count} vertices, over the "
+            f"enumeration cap {enumeration_cap}",
+            required=scheme.vertex_count, cap=enumeration_cap)
+
+
 def enumerate_triples(scheme: HammingScheme,
                       enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Triple]:
     """Yield every triple (alpha, nu, beta) of the scheme.
@@ -166,11 +176,7 @@ def enumerate_triples(scheme: HammingScheme,
     Order: alpha, then beta, then nu, each lexicographic.  The number of
     triples is q^m * C(m,2) * (q-1)^2 * 2.
     """
-    if scheme.vertex_count > enumeration_cap:
-        raise FeasibilityError(
-            f"{scheme} has {scheme.vertex_count} vertices, over the "
-            f"enumeration cap {enumeration_cap}",
-            required=scheme.vertex_count, cap=enumeration_cap)
+    check_enumeration_cap(scheme, enumeration_cap)
 
     def gen():
         for alpha in scheme.vertices():

@@ -19,13 +19,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .code_model import Code, stabilizes_set
-from .errors import (FeasibilityError, HypothesisError, MinDistanceError,
-                     SchemeMismatchError)
+from .code_model import Code, is_code_automorphism, stabilizes_set
+from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
-                           group_order, orbit)
+                           check_group_cap, enumerate_full_group, orbit)
 
 VERDICT_FIXED = "FIXED"
 VERDICT_NONFIXING = "NONFIXING_WITNESS"
@@ -71,12 +70,7 @@ class ClassificationReport:
 def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
                        group_cap: int = DEFAULT_GROUP_CAP) -> list[Automorphism]:
     """All automorphisms mapping the vertex set onto itself, canonical order."""
-    order = group_order(scheme)
-    if order > group_cap:
-        raise FeasibilityError(
-            f"full group of {scheme} has order {order}, over the group cap {group_cap}",
-            required=order, cap=group_cap)
-
+    check_group_cap(scheme, group_cap)
     vs = list(vertices)
     for v in vs:
         if v.scheme != scheme:
@@ -86,7 +80,6 @@ def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
     n = len(words)
     if n == 0:
         # everything stabilizes the empty set
-        from .wreath_group import enumerate_full_group
         return list(enumerate_full_group(scheme, group_cap))
 
     # bitmask of candidate targets per (position, symbol)
@@ -161,6 +154,30 @@ def neighbour_orbits(code: Code, gens: GeneratorSet) -> list[tuple[Vertex, ...]]
     return cells
 
 
+@dataclass(frozen=True)
+class StabilizerAnalysis:
+    """The neighbour-set stabilizer of a code and what it does to the code."""
+
+    stabilizer: list[Automorphism]
+    first_nonfixing: Automorphism | None
+    transitive_on_neighbours: bool
+
+
+def analyze_stabilizer(code: Code,
+                       group_cap: int = DEFAULT_GROUP_CAP) -> StabilizerAnalysis:
+    """Stabilizer of Gamma_1(C), its first element (canonical order) that
+    moves C, and whether it is transitive on Gamma_1(C).
+
+    The stabilizer is listed element by element, so the orbit of the least
+    neighbour is just its set of images.  Needs a non-empty neighbour set.
+    """
+    nbrs = code.neighbour_set
+    stab = setwise_stabilizer(nbrs, code.scheme, group_cap)
+    first = next((x for x in stab if not is_code_automorphism(code, x)), None)
+    transitive = {x.apply(nbrs[0]) for x in stab} == set(nbrs)
+    return StabilizerAnalysis(stab, first, transitive)
+
+
 def classify_theorem(code: Code,
                      group_cap: int = DEFAULT_GROUP_CAP) -> ClassificationReport:
     """Analyze one code against the delta >= 3 trichotomy.
@@ -180,30 +197,17 @@ def classify_theorem(code: Code,
         raise MinDistanceError(
             f"classification needs minimum distance >= 3, code has {delta}")
     scheme = code.scheme
-    stab = setwise_stabilizer(code.neighbour_set, scheme, group_cap)
-
-    witness = None
-    for x in stab:
-        if code.image(x) != code:
-            witness = x
-            break
-
-    nbrs = code.neighbour_set
-    transitive = orbit(GeneratorSet(scheme, tuple(stab)), nbrs[0]) == nbrs
-
+    analysis = analyze_stabilizer(code, group_cap)
+    witness = analysis.first_nonfixing
     if witness is None:
-        return ClassificationReport(
-            delta=int(delta), verdict=VERDICT_FIXED, witness=None,
-            theorem_case=None, stabilizer_order=len(stab),
-            transitive_on_neighbours=transitive)
-
-    if delta == 4 and scheme.q == 2 and scheme.m % 2 == 0:
-        case = CASE2
+        verdict, case = VERDICT_FIXED, None
+    elif delta == 4 and scheme.q == 2 and scheme.m % 2 == 0:
+        verdict, case = VERDICT_NONFIXING, CASE2
     elif delta == 3 and (scheme.m * (scheme.q - 1)) % 2 == 0:
-        case = CASE3
+        verdict, case = VERDICT_NONFIXING, CASE3
     else:
-        case = VIOLATION
+        verdict, case = VERDICT_NONFIXING, VIOLATION
     return ClassificationReport(
-        delta=int(delta), verdict=VERDICT_NONFIXING, witness=witness,
-        theorem_case=case, stabilizer_order=len(stab),
-        transitive_on_neighbours=transitive)
+        delta=int(delta), verdict=verdict, witness=witness, theorem_case=case,
+        stabilizer_order=len(analysis.stabilizer),
+        transitive_on_neighbours=analysis.transitive_on_neighbours)

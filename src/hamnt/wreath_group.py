@@ -154,13 +154,19 @@ def group_order(scheme: HammingScheme) -> int:
     return math.factorial(scheme.q) ** scheme.m * math.factorial(scheme.m)
 
 
-def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_CAP):
-    """Yield all (q!)^m * m! automorphisms once, in canonical order."""
+def check_group_cap(scheme: HammingScheme, group_cap: int) -> int:
+    """The full group's order; FeasibilityError when it exceeds the group cap."""
     order = group_order(scheme)
     if order > group_cap:
         raise FeasibilityError(
             f"full group of {scheme} has order {order}, over the group cap {group_cap}",
             required=order, cap=group_cap)
+    return order
+
+
+def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_CAP):
+    """Yield all (q!)^m * m! automorphisms once, in canonical order."""
+    check_group_cap(scheme, group_cap)
     perms = list(itertools.permutations(range(scheme.q)))
 
     def gen():

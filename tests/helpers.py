@@ -103,3 +103,27 @@ def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
             gens.append(Automorphism.from_coord_perm(
                 scheme, [(i + 1) % m for i in range(m)]))
     return GeneratorSet(scheme, tuple(gens))
+
+
+def brute_classify(code: Code):
+    """Oracle for the stabilizer analysis, filtering the raw full group.
+
+    Returns (witness, order, transitive): the canonical-first (sigma, gs)
+    that stabilizes the neighbour set but moves the code (None if there is
+    none), the stabilizer order, and whether the images of the least
+    neighbour cover the neighbour set.
+    """
+    q = code.scheme.q
+    words = {w.entries for w in code.words}
+    nbrs = {w[:i] + (c,) + w[i + 1:] for w in words
+            for i in range(len(w)) for c in range(q) if c != w[i]} - words
+    least = min(nbrs)
+    witness, order, images = None, 0, set()
+    for sigma, gs in raw_full_group(code.scheme.m, q):
+        if {raw_apply(sigma, gs, v) for v in nbrs} != nbrs:
+            continue
+        order += 1
+        images.add(raw_apply(sigma, gs, least))
+        if witness is None and {raw_apply(sigma, gs, w) for w in words} != words:
+            witness = (sigma, gs)
+    return witness, order, images == nbrs

@@ -1,10 +1,15 @@
 import io
 import json
+import random
 
-from hamnt import Code, HammingScheme, write_code_file
-from hamnt.cli import LemmaSuiteReport, main, run_lemma_suite
+import pytest
+
+from hamnt import (Code, HammingScheme, LemmaSuiteReport, run_lemma_suite,
+                   write_code_file)
+from hamnt.cli import main
 from hamnt.family_codes import build_family
-from hamnt.transitivity import CASE2
+from hamnt.transitivity import CASE2, VERDICT_FIXED
+from helpers import random_code_min_distance
 
 
 def run(argv):
@@ -143,6 +148,30 @@ def test_stabilizer_command(tmp_path):
     assert data["first_nonfixing"].startswith("perm=[0,1,2,3]")
 
 
+def test_stabilizer_command_agrees_with_classify(tmp_path):
+    rng = random.Random(11)
+    h33 = HammingScheme(3, 3)
+    codes = [build_family(4).C,
+             Code.from_entries(HammingScheme(5, 2), [[0] * 5, [1] * 5])]
+    codes += [random_code_min_distance(rng, h33, rng.choice((2, 3)), 3)
+              for _ in range(10)]
+    transitive = set()
+    for i, c in enumerate(codes):
+        path = tmp_path / f"c{i}.code"
+        write_code_file(c, path)
+        _, out, _ = run(["classify", "--input", str(path), "--format", "json"])
+        classified = json.loads(out)
+        code, out, _ = run(["stabilizer", "--input", str(path), "--format", "json"])
+        assert code == 0
+        stab = json.loads(out)
+        assert stab["first_nonfixing"] == classified["witness"]
+        assert stab["fixes_code"] == (classified["verdict"] == VERDICT_FIXED)
+        assert stab["transitive_on_neighbours"] == classified["transitive_on_neighbours"]
+        assert stab["stabilizer_order"] == classified["stabilizer_order"]
+        transitive.add(stab["transitive_on_neighbours"])
+    assert transitive == {True, False}
+
+
 def test_group_cap_env_override(tmp_path, monkeypatch):
     path = tmp_path / "family4.code"
     write_code_file(build_family(4).C, path)
@@ -158,3 +187,19 @@ def test_group_cap_env_override(tmp_path, monkeypatch):
 def test_unknown_command_exits_2():
     code, _, _ = run(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, group_cap_env", [
+    (["lemmas", "--m", "0", "--q", "2"], None),
+    (["lemmas", "--m", "2", "--q", "1"], None),
+    (["family", "--m", "4"], "abc"),
+])
+def test_bad_input_is_one_line_usage_error(argv, group_cap_env, monkeypatch):
+    if group_cap_env is None:
+        monkeypatch.delenv("HNT_GROUP_CAP", raising=False)
+    else:
+        monkeypatch.setenv("HNT_GROUP_CAP", group_cap_env)
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1

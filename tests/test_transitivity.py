@@ -10,8 +10,8 @@ from hamnt import (CASE2, VERDICT_FIXED, VERDICT_NONFIXING, VIOLATION,
                    is_neighbour_transitive, neighbour_orbits,
                    setwise_stabilizer, stabilizes_set, translation, weight)
 from hamnt.family_codes import build_family
-from helpers import (brute_stabilizer_order, random_automorphism,
-                     random_code_min_distance)
+from helpers import (brute_classify, brute_stabilizer_order,
+                     random_automorphism, random_code_min_distance)
 
 H42 = HammingScheme(4, 2)
 H22 = HammingScheme(2, 2)
@@ -178,6 +178,26 @@ def test_classify_never_violation_h33_sample():
         report = classify_theorem(code)
         assert report.theorem_case != VIOLATION
         assert report.delta == 3
+
+
+def test_classify_matches_brute_force_classifier():
+    h42 = [Code(H42, pair) for pair in itertools.combinations(H42.vertices(), 2)]
+    h42 = [c for c in h42 if c.min_distance >= 3]
+    assert len(h42) == 40
+    rng = random.Random(11)
+    h33 = HammingScheme(3, 3)
+    sample = [random_code_min_distance(rng, h33, rng.choice((2, 3)), 3)
+              for _ in range(30)]
+    transitive = []
+    for code in h42 + sample:
+        report = classify_theorem(code)
+        w = report.witness
+        got = None if w is None else (w.coord_perm, w.alphabet_perms)
+        assert (got, report.stabilizer_order, report.transitive_on_neighbours) \
+            == brute_classify(code)
+        transitive.append(report.transitive_on_neighbours)
+    # the sample exercises both transitivity verdicts
+    assert True in transitive[40:] and False in transitive[40:]
 
 
 def test_delta3_case_realized_in_h33():
