@@ -9,16 +9,16 @@ from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      SchemeMismatchError)
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Triple,
                            Vertex, common_neighbours, distance,
-                           enumerate_triples, neighbours, vertex_from_text,
-                           vertex_to_text, weight)
+                           enumerate_triples, neighbours, shell,
+                           vertex_from_text, vertex_to_text, weight)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
                            closure, conjugate, enumerate_full_group,
-                           group_order, orbit, translation)
+                           group_order, maps_into, orbit, translation)
 from .code_model import (Code, EquivalenceWitness, code_to_text,
                          find_equivalence, is_code_automorphism,
                          is_linear_binary, parse_code_text, read_code_file,
-                         shell, stabilizes_set, translation_subgroup,
+                         stabilizes_set, translation_subgroup,
                          write_code_file)
 from .precodeword import (PreReport, c_of_pi, pre_codewords,
                           pre_for_neighbour, verify_pre_structure)
@@ -36,12 +36,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HammingScheme", "Vertex", "Triple", "distance", "weight", "neighbours",
-    "common_neighbours", "enumerate_triples", "vertex_to_text",
+    "common_neighbours", "enumerate_triples", "shell", "vertex_to_text",
     "vertex_from_text", "DEFAULT_ENUMERATION_CAP",
     "Automorphism", "GeneratorSet", "translation", "enumerate_full_group",
-    "closure", "orbit", "conjugate", "group_order", "automorphism_to_text",
-    "automorphism_from_text", "DEFAULT_GROUP_CAP",
-    "Code", "EquivalenceWitness", "shell", "stabilizes_set",
+    "maps_into", "closure", "orbit", "conjugate", "group_order",
+    "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
+    "Code", "EquivalenceWitness", "stabilizes_set",
     "is_code_automorphism", "is_linear_binary", "translation_subgroup",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",
     "write_code_file",

@@ -37,12 +37,6 @@ def _emit(report_json: dict, text: str, fmt: str, out) -> None:
 
 
 def cmd_family(args, out, err) -> int:
-    if args.m is None:
-        print("family needs --m", file=err)
-        return 2
-    if args.m < 4 or args.m % 2 != 0:
-        print("m must be even and >= 4", file=err)
-        return 2
     report = verify_family(args.m, exhaustive=args.exhaustive,
                            group_cap=args.resolved_group_cap)
     order = "" if report.stabilizer_order is None else \
@@ -102,9 +96,6 @@ def cmd_analyze(args, out, err) -> int:
 
 def cmd_stabilizer(args, out, err) -> int:
     code = read_code_file(args.input)
-    if not code.neighbour_set:
-        print("neighbour set is empty; nothing to stabilize", file=err)
-        return 2
     analysis = analyze_stabilizer(code, args.resolved_group_cap)
     first = analysis.first_nonfixing
     data = {
@@ -135,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)s; env HNT_GROUP_CAP overrides)")
 
     p = sub.add_parser("family", help="build and verify one doubled-vector family member")
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="also compare the full neighbour-set stabilizer")
     add_common(p)

@@ -19,7 +19,7 @@ from .errors import CodeFormatError, SchemeMismatchError
 from .hamming_core import (HammingScheme, Vertex, distance, neighbours,
                            vertex_from_text, vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           enumerate_full_group, translation)
+                           maps_into, translation)
 
 
 class Code:
@@ -87,25 +87,6 @@ class EquivalenceWitness:
     y: Automorphism
 
 
-def shell(alpha: Vertex, radius: int) -> tuple[Vertex, ...]:
-    """All vertices at distance exactly radius from alpha, sorted.
-
-    Size is C(m, radius) * (q-1)^radius.
-    """
-    scheme = alpha.scheme
-    if not 0 <= radius <= scheme.m:
-        raise ValueError(f"radius {radius} outside 0..{scheme.m}")
-    others = [[c for c in range(scheme.q) if c != e] for e in alpha.entries]
-    out = []
-    for positions in itertools.combinations(range(scheme.m), radius):
-        for values in itertools.product(*(others[i] for i in positions)):
-            entries = list(alpha.entries)
-            for i, c in zip(positions, values):
-                entries[i] = c
-            out.append(Vertex(scheme, tuple(entries)))
-    return tuple(sorted(out))
-
-
 def stabilizes_set(vertices: Iterable[Vertex], x: Automorphism) -> bool:
     """True iff x maps the vertex set onto itself."""
     vs = set(vertices)
@@ -161,10 +142,8 @@ def find_equivalence(code: Code, other: Code,
         raise SchemeMismatchError("codes from different schemes")
     if len(code) != len(other):
         return None
-    for y in enumerate_full_group(code.scheme, group_cap):
-        if code.image(y) == other:
-            return EquivalenceWitness(y)
-    return None
+    y = next(maps_into(code, other, code.scheme, group_cap), None)
+    return None if y is None else EquivalenceWitness(y)
 
 
 # -- shared code file format ------------------------------------------------
@@ -205,7 +184,10 @@ def code_to_text(code: Code) -> str:
 
 
 def read_code_file(path) -> Code:
-    return parse_code_text(Path(path).read_text())
+    try:
+        return parse_code_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def write_code_file(code: Code, path) -> None:

@@ -35,6 +35,7 @@ from functools import cached_property
 from itertools import permutations, product
 
 from .code_model import Code, is_code_automorphism, stabilizes_set
+from .errors import HypothesisError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            check_enumeration_cap)
 from .reporting import ClauseResult, all_clauses_pass
@@ -87,7 +88,7 @@ class FamilyReport:
 
 def _check_m(m: int):
     if m < 4 or m % 2 != 0:
-        raise ValueError("m must be even and >= 4")
+        raise HypothesisError("m must be even and >= 4")
 
 
 def _doubled(scheme: HammingScheme, beta: tuple[int, ...]) -> Vertex:

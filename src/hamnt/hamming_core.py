@@ -11,8 +11,9 @@ here is safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      SchemeMismatchError)
@@ -142,31 +143,46 @@ def common_neighbours(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
     return tuple(sorted(shared))
 
 
-def _distance_two(v: Vertex) -> list[Vertex]:
-    scheme = v.scheme
+def shell(alpha: Vertex, radius: int) -> tuple[Vertex, ...]:
+    """All vertices at distance exactly radius from alpha, sorted.
+
+    Size is C(m, radius) * (q-1)^radius.
+    """
+    scheme = alpha.scheme
+    if not 0 <= radius <= scheme.m:
+        raise ValueError(f"radius {radius} outside 0..{scheme.m}")
+    others = [[c for c in range(scheme.q) if c != e] for e in alpha.entries]
     out = []
-    for i, j in itertools.combinations(range(scheme.m), 2):
-        for a in range(scheme.q):
-            if a == v.entries[i]:
-                continue
-            for b in range(scheme.q):
-                if b == v.entries[j]:
-                    continue
-                entries = list(v.entries)
-                entries[i] = a
-                entries[j] = b
-                out.append(Vertex(scheme, tuple(entries)))
-    out.sort()
-    return out
+    for positions in itertools.combinations(range(scheme.m), radius):
+        for values in itertools.product(*(others[i] for i in positions)):
+            entries = list(alpha.entries)
+            for i, c in zip(positions, values):
+                entries[i] = c
+            out.append(Vertex(scheme, tuple(entries)))
+    return tuple(sorted(out))
 
 
-def check_enumeration_cap(scheme: HammingScheme, enumeration_cap: int) -> None:
-    """Raise FeasibilityError when q^m exceeds the enumeration cap."""
-    if scheme.vertex_count > enumeration_cap:
+def check_cap(ln_size: float, exact: Callable[[], int], cap: int,
+              message: str) -> int:
+    """The size exact() returns; FeasibilityError when it exceeds cap.
+
+    ln_size, the size's natural log, decides first: a size over 100 digits
+    and over e * cap is neither built nor printed, only shown as 10^k.
+    """
+    if ln_size > max(math.log(max(cap, 1)) + 1, 100 * math.log(10)):
         raise FeasibilityError(
-            f"{scheme} has {scheme.vertex_count} vertices, over the "
-            f"enumeration cap {enumeration_cap}",
-            required=scheme.vertex_count, cap=enumeration_cap)
+            message.format(size=f"about 10^{ln_size / math.log(10):.0f}"), cap=cap)
+    size = exact()
+    if size > cap:
+        raise FeasibilityError(message.format(size=size), required=size, cap=cap)
+    return size
+
+
+def check_enumeration_cap(scheme: HammingScheme, enumeration_cap: int) -> int:
+    """q^m; FeasibilityError when it exceeds the enumeration cap."""
+    return check_cap(
+        scheme.m * math.log(scheme.q), lambda: scheme.vertex_count, enumeration_cap,
+        f"{scheme} has {{size}} vertices, over the enumeration cap {enumeration_cap}")
 
 
 def enumerate_triples(scheme: HammingScheme,
@@ -179,8 +195,10 @@ def enumerate_triples(scheme: HammingScheme,
     check_enumeration_cap(scheme, enumeration_cap)
 
     def gen():
+        if scheme.m < 2:
+            return  # no two vertices are at distance 2
         for alpha in scheme.vertices():
-            for beta in _distance_two(alpha):
+            for beta in shell(alpha, 2):
                 for nu in common_neighbours(alpha, beta):
                     yield Triple(alpha, nu, beta)
 

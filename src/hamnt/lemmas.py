@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .code_model import Code, is_code_automorphism, stabilizes_set
+from .code_model import Code, stabilizes_set
 from .family_codes import build_family
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme,
                            check_enumeration_cap, common_neighbours, distance,
@@ -16,7 +16,7 @@ from .precodeword import verify_pre_structure
 from .reporting import ClauseResult, all_clauses_pass
 from .transitivity import setwise_stabilizer
 from .wreath_group import (DEFAULT_GROUP_CAP, check_group_cap,
-                           enumerate_full_group)
+                           enumerate_full_group, maps_into)
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
 #: during a lemma sweep; purely a runtime guard, the count is reported.
@@ -63,10 +63,11 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
 
     Runs: the two-common-neighbours law over every distance-2 pair; the
     one-orbit law for triples under the full group; the implication
-    "fixes the code => stabilizes its neighbour set" for every group
-    element on sampled codes; and the full pre-codeword structure on
-    every (alpha, y) neighbour-stabilizer witness discovered on the way.
-    The full group is streamed once, feeding both group-wide checks.
+    "fixes the code => stabilizes its neighbour set" for every element of
+    Aut(C) on sampled codes; and the full pre-codeword structure on every
+    (alpha, y) neighbour-stabilizer witness discovered on the way.  The
+    full group is streamed once, for the triple orbit; Aut(C) comes from
+    the search maps_into(C, C).
     """
     scheme = HammingScheme(m, q)
     check_enumeration_cap(scheme, enumeration_cap)
@@ -82,25 +83,21 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
 
     triples = [(t.alpha, t.nu, t.beta) for t in enumerate_triples(scheme, enumeration_cap)]
     codes = _sample_codes(scheme, random.Random(seed), 6)
-    reached = set()
-    implication_ok = True
-    aut_count = 0
-    for x in enumerate_full_group(scheme, group_cap):
-        if triples:
-            alpha, nu, beta = triples[0]
-            reached.add((x.apply(alpha), x.apply(nu), x.apply(beta)))
-        for code in codes:
-            if is_code_automorphism(code, x):
-                aut_count += 1
-                if not stabilizes_set(code.neighbour_set, x):
-                    implication_ok = False
     if triples:
+        alpha, nu, beta = triples[0]
+        reached = {(x.apply(alpha), x.apply(nu), x.apply(beta))
+                   for x in enumerate_full_group(scheme, group_cap)}
         checks.append(ClauseResult(
             "triples_single_orbit", reached == set(triples),
             f"orbit {len(reached)} of {len(triples)} triples under {order} elements"))
     else:
         checks.append(ClauseResult("triples_single_orbit", True,
                                    "no triples exist at m = 1"))
+    implication_ok, aut_count = True, 0
+    for code in codes:
+        for x in maps_into(code, code, scheme, group_cap):
+            aut_count += 1
+            implication_ok = implication_ok and stabilizes_set(code.neighbour_set, x)
     checks.append(ClauseResult(
         "code_automorphisms_stabilize_neighbours", implication_ok,
         f"{aut_count} code automorphisms over {len(codes)} sampled codes"))

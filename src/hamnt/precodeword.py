@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .code_model import Code, shell, stabilizes_set
+from .code_model import Code, stabilizes_set
 from .errors import (ImageInCodeError, LemmaViolationError, MinDistanceError,
                      NotACodewordError, NotNeighbourStabilizerError,
                      SchemeMismatchError)
-from .hamming_core import Vertex, distance, neighbours, vertex_to_text
+from .hamming_core import Vertex, distance, neighbours, shell, vertex_to_text
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import Automorphism, automorphism_to_text
 

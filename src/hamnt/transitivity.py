@@ -1,21 +1,8 @@
-"""Setwise stabilizers, neighbour transitivity, and the trichotomy classifier.
-
-The stabilizer of a vertex set S in the full group is found by exhaustive
-search with pruning: the outer loop runs over coordinate permutations
-sigma in lexicographic order; for each sigma a backtracking search
-assigns the per-coordinate alphabet permutations g_0, g_1, ... in
-coordinate order.  A partial assignment (g_0..g_k) pins the image of
-every s in S on the positions sigma(0)..sigma(k); each s keeps a bitmask
-of the members of S still compatible with its partial image, and a branch
-dies as soon as some mask empties.  Since every group element is a
-bijection, mapping S into S already means mapping it onto S, so the leaf
-test is just "every mask non-empty".  The leaves appear exactly in the
-canonical enumeration order of the full group.
-"""
+"""Setwise stabilizers (by `wreath_group.maps_into`), neighbour
+transitivity, and the trichotomy classifier."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,7 +11,7 @@ from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
-                           check_group_cap, enumerate_full_group, orbit)
+                           check_group_cap, maps_into, orbit)
 
 VERDICT_FIXED = "FIXED"
 VERDICT_NONFIXING = "NONFIXING_WITNESS"
@@ -70,49 +57,8 @@ class ClassificationReport:
 def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
                        group_cap: int = DEFAULT_GROUP_CAP) -> list[Automorphism]:
     """All automorphisms mapping the vertex set onto itself, canonical order."""
-    check_group_cap(scheme, group_cap)
     vs = list(vertices)
-    for v in vs:
-        if v.scheme != scheme:
-            raise SchemeMismatchError("set member from a different scheme")
-    words = sorted({v.entries for v in vs})
-    m, q = scheme.m, scheme.q
-    n = len(words)
-    if n == 0:
-        # everything stabilizes the empty set
-        return list(enumerate_full_group(scheme, group_cap))
-
-    # bitmask of candidate targets per (position, symbol)
-    full = (1 << n) - 1
-    pos_val = [[0] * q for _ in range(m)]
-    for t, w in enumerate(words):
-        for p, c in enumerate(w):
-            pos_val[p][c] |= 1 << t
-    perms = list(itertools.permutations(range(q)))
-
-    result: list[Automorphism] = []
-    for sigma in itertools.permutations(range(m)):
-        chosen: list[tuple[int, ...]] = []
-
-        def search(depth: int, masks: list[int]):
-            if depth == m:
-                result.append(Automorphism(scheme, tuple(chosen), sigma))
-                return
-            pv = pos_val[sigma[depth]]
-            for g in perms:
-                nxt = []
-                for s, w in enumerate(words):
-                    nm = masks[s] & pv[g[w[depth]]]
-                    if not nm:
-                        break
-                    nxt.append(nm)
-                else:
-                    chosen.append(g)
-                    search(depth + 1, nxt)
-                    chosen.pop()
-
-        search(0, [full] * n)
-    return result
+    return list(maps_into(vs, vs, scheme, group_cap))
 
 
 def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
@@ -169,9 +115,12 @@ def analyze_stabilizer(code: Code,
     moves C, and whether it is transitive on Gamma_1(C).
 
     The stabilizer is listed element by element, so the orbit of the least
-    neighbour is just its set of images.  Needs a non-empty neighbour set.
+    neighbour is just its set of images.  Checks the group cap first.
     """
+    check_group_cap(code.scheme, group_cap)
     nbrs = code.neighbour_set
+    if not nbrs:
+        raise HypothesisError("neighbour set is empty; nothing to stabilize")
     stab = setwise_stabilizer(nbrs, code.scheme, group_cap)
     first = next((x for x in stab if not is_code_automorphism(code, x)), None)
     transitive = {x.apply(nbrs[0]) for x in stab} == set(nbrs)

@@ -14,6 +14,17 @@ apply(y, apply(x, v)).
 The canonical enumeration order used everywhere (full-group enumeration,
 stabilizer output, witness selection) is lexicographic over sigma's
 images, then lexicographic over the tuple of alphabet-permutation images.
+
+One search, maps_into, finds the automorphisms mapping a vertex set S
+into a vertex set T: setwise stabilizers (T = S), code automorphisms and
+code equivalences.  It loops over sigma in lexicographic order; for each,
+a backtrack assigns g_0, g_1, ... in coordinate order.  A partial
+assignment (g_0..g_k) pins the image of every s in S on the positions
+sigma(0)..sigma(k); each s keeps a bitmask of the members of T still
+compatible with it, and a branch dies when some mask empties.  A leaf
+(every mask non-empty) maps S into T, onto T when |S| = |T|, as x is a
+bijection.  The leaves appear in the canonical order.  The group cap is
+checked at the call.
 """
 
 from __future__ import annotations
@@ -22,9 +33,10 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import CodeFormatError, FeasibilityError, SchemeMismatchError
-from .hamming_core import HammingScheme, Vertex
+from .hamming_core import HammingScheme, Vertex, check_cap
 
 #: Default bound on (q!)^m * m! for full-group sweeps.
 DEFAULT_GROUP_CAP = 10**8
@@ -156,12 +168,10 @@ def group_order(scheme: HammingScheme) -> int:
 
 def check_group_cap(scheme: HammingScheme, group_cap: int) -> int:
     """The full group's order; FeasibilityError when it exceeds the group cap."""
-    order = group_order(scheme)
-    if order > group_cap:
-        raise FeasibilityError(
-            f"full group of {scheme} has order {order}, over the group cap {group_cap}",
-            required=order, cap=group_cap)
-    return order
+    return check_cap(
+        scheme.m * math.lgamma(scheme.q + 1) + math.lgamma(scheme.m + 1),
+        lambda: group_order(scheme), group_cap,
+        f"full group of {scheme} has order {{size}}, over the group cap {group_cap}")
 
 
 def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_CAP):
@@ -173,6 +183,57 @@ def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_C
         for sigma in itertools.permutations(range(scheme.m)):
             for gs in itertools.product(perms, repeat=scheme.m):
                 yield Automorphism(scheme, gs, sigma)
+
+    return gen()
+
+
+def maps_into(source: Iterable[Vertex], target: Iterable[Vertex],
+              scheme: HammingScheme,
+              group_cap: int = DEFAULT_GROUP_CAP) -> Iterator[Automorphism]:
+    """Yield every automorphism x with source^x within target, canonical
+    order, by the search above: lazily, one sigma at a time."""
+    check_group_cap(scheme, group_cap)
+    words, targets = [], []
+    for vertices, entries in ((source, words), (target, targets)):
+        vs = set(vertices)
+        if any(v.scheme != scheme for v in vs):
+            raise SchemeMismatchError("set member from a different scheme")
+        entries.extend(sorted(v.entries for v in vs))
+    m, q = scheme.m, scheme.q
+    n = len(words)
+
+    # bitmask of candidate targets per (position, symbol)
+    full = (1 << len(targets)) - 1
+    pos_val = [[0] * q for _ in range(m)]
+    for t, w in enumerate(targets):
+        for p, c in enumerate(w):
+            pos_val[p][c] |= 1 << t
+    perms = list(itertools.permutations(range(q)))
+
+    def gen():
+        for sigma in itertools.permutations(range(m)):
+            found: list[Automorphism] = []
+            chosen: list[tuple[int, ...]] = []
+
+            def search(depth: int, masks: list[int]):
+                if depth == m:
+                    found.append(Automorphism(scheme, tuple(chosen), sigma))
+                    return
+                pv = pos_val[sigma[depth]]
+                for g in perms:
+                    nxt = []
+                    for s, w in enumerate(words):
+                        nm = masks[s] & pv[g[w[depth]]]
+                        if not nm:
+                            break
+                        nxt.append(nm)
+                    else:
+                        chosen.append(g)
+                        search(depth + 1, nxt)
+                        chosen.pop()
+
+            search(0, [full] * n)
+            yield from found
 
     return gen()
 

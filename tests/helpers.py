@@ -83,6 +83,15 @@ def brute_stabilizer_order(scheme: HammingScheme, vertex_set) -> int:
     return count
 
 
+def brute_maps_into(scheme: HammingScheme, source, target) -> list:
+    """Oracle: every raw (sigma, gs) mapping source into target, filtered
+    from the raw full group in its canonical order."""
+    words = {v.entries for v in source}
+    allowed = {v.entries for v in target}
+    return [(sigma, gs) for sigma, gs in raw_full_group(scheme.m, scheme.q)
+            if {raw_apply(sigma, gs, w) for w in words} <= allowed]
+
+
 def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
     """Standard generators of the full group: S_q on coordinate 0 plus S_m."""
     m, q = scheme.m, scheme.q

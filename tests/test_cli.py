@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamnt import (Code, HammingScheme, LemmaSuiteReport, run_lemma_suite,
                    write_code_file)
@@ -193,13 +195,49 @@ def test_unknown_command_exits_2():
     (["lemmas", "--m", "0", "--q", "2"], None),
     (["lemmas", "--m", "2", "--q", "1"], None),
     (["family", "--m", "4"], "abc"),
+    (["classify", "--input", b"\xff\xfe"], None),
+    # sizes too long to print exactly, over the caps
+    (["family", "--m", "20000"], None),
+    (["lemmas", "--m", "20000", "--q", "2"], None),
+    (["classify", "--input", b"3 200000\n1,2,3\n4,5,6\n"], None),
 ])
-def test_bad_input_is_one_line_usage_error(argv, group_cap_env, monkeypatch):
+def test_bad_input_is_one_line_usage_error(argv, group_cap_env, monkeypatch, tmp_path):
+    """A bytes item of argv is written to a file and replaced by its path."""
     if group_cap_env is None:
         monkeypatch.delenv("HNT_GROUP_CAP", raising=False)
     else:
         monkeypatch.setenv("HNT_GROUP_CAP", group_cap_env)
-    code, out, err = run(argv)
+    path = tmp_path / "input.code"
+    for item in argv:
+        if isinstance(item, bytes):
+            path.write_bytes(item)
+    code, out, err = run([str(path) if isinstance(a, bytes) else a for a in argv])
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+@st.composite
+def code_files(draw):
+    """Arbitrary bytes, or an 'm q' header with m, q <= 4, random words and
+    sometimes one junk line."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    m, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, max(q - 1, 0)), min_size=m, max_size=m)
+    lines = [f"{m} {q}"] + ["".join(map(str, w)) for w in draw(st.lists(word, max_size=4))]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text("0123 ,#x", max_size=5)))
+    return "\n".join(lines).encode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=code_files(), command=st.sampled_from(("classify", "stabilizer", "analyze")))
+def test_cli_fuzz_exit_codes(data, command, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.code"
+    path.write_bytes(data)
+    code, out, err = run([command, "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "VIOLATION" in out

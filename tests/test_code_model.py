@@ -12,7 +12,7 @@ from hamnt import (Automorphism, Code, EquivalenceWitness, HammingScheme,
                    translation, translation_subgroup, write_code_file)
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
-from helpers import random_automorphism, random_code
+from helpers import brute_maps_into, random_automorphism, random_code
 
 H42 = HammingScheme(4, 2)
 H33 = HammingScheme(3, 3)
@@ -168,6 +168,24 @@ def test_find_equivalence():
     assert find_equivalence(Code.from_entries(H42, [[0, 0, 0, 0]]), REP4) is None
 
 
+def test_find_equivalence_matches_brute_force_filter():
+    # canonical-first witness against the raw full-group filter; the second
+    # code is a moved copy of the first or a random code of the same size
+    rng = random.Random(44)
+    found = set()
+    for scheme in (H33, H42, HammingScheme(2, 4)):
+        for i in range(10):
+            size = rng.randrange(1, 4)
+            code = random_code(rng, scheme, size)
+            other = (code.image(random_automorphism(rng, scheme)) if i % 2
+                     else random_code(rng, scheme, size))
+            w = find_equivalence(code, other)
+            witness = None if w is None else (w.y.coord_perm, w.y.alphabet_perms)
+            assert witness == next(iter(brute_maps_into(scheme, code, other)), None)
+            found.add(w is None)
+    assert found == {True, False}
+
+
 def test_code_file_round_trip(tmp_path):
     path = tmp_path / "code.txt"
     write_code_file(FAMILY6, path)
@@ -188,6 +206,10 @@ def test_code_file_comments_and_errors(tmp_path):
         parse_code_text("4 2\n00002\n")
     with pytest.raises(CodeFormatError):
         parse_code_text("4 2\n0202\n")
+    path = tmp_path / "binary.code"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(CodeFormatError, match="not UTF-8"):
+        read_code_file(path)
 
 
 def test_code_file_wide_alphabet():

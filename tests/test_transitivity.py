@@ -25,6 +25,10 @@ def test_stabilizer_of_everything_is_full_group():
     assert len(stab) == 8
 
 
+def test_stabilizer_of_empty_set_is_full_group():
+    assert setwise_stabilizer([], H22) == list(enumerate_full_group(H22))
+
+
 def test_stabilizer_family_m4_matches_brute_force():
     nbrs = INST4.C.neighbour_set
     stab = setwise_stabilizer(nbrs, H42)

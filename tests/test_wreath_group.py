@@ -6,9 +6,11 @@ from hamnt import (Automorphism, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, automorphism_from_text,
                    automorphism_to_text, closure, conjugate, distance,
                    enumerate_full_group, enumerate_triples, group_order,
-                   orbit, translation)
+                   maps_into, orbit, translation)
 from hamnt.family_codes import build_family
-from helpers import full_group_generators, random_automorphism
+from hamnt.hamming_core import check_enumeration_cap
+from hamnt.wreath_group import check_group_cap
+from helpers import brute_maps_into, full_group_generators, random_automorphism
 
 H32 = HammingScheme(3, 2)
 H33 = HammingScheme(3, 3)
@@ -134,6 +136,53 @@ def test_enumerate_full_group_canonical_order():
 def test_enumerate_full_group_cap():
     with pytest.raises(FeasibilityError):
         enumerate_full_group(HammingScheme(12, 5))
+
+
+def test_cap_checks_print_short_sizes_exactly_and_never_build_huge_ones():
+    with pytest.raises(FeasibilityError, match=r"^full group of H\(10,2\) has order "
+                       r"3715891200, over the group cap 1000$"):
+        check_group_cap(HammingScheme(10, 2), 1000)
+    with pytest.raises(FeasibilityError, match=r"^full group of H\(3,200000\) has order "
+                       r"about 10\^\d+, over the group cap 100000000$") as info:
+        check_group_cap(HammingScheme(3, 200000), 10**8)
+    assert info.value.required is None
+    with pytest.raises(FeasibilityError, match=r"^H\(20000,2\) has about 10\^6021 vertices"):
+        check_enumeration_cap(HammingScheme(20000, 2), 10**7)
+    # a long size near the cap is decided exactly
+    assert check_enumeration_cap(HammingScheme(400, 2), 2**400) == 2**400
+    with pytest.raises(FeasibilityError) as info:
+        check_enumeration_cap(HammingScheme(400, 2), 2**400 - 1)
+    assert info.value.required == 2**400
+
+
+def test_maps_into_matches_brute_force_filter():
+    # S into T with S != T: T a moved copy of S plus extra vertices, or random
+    rng = random.Random(33)
+    nonempty = set()
+    for scheme in (H33, H42, HammingScheme(2, 4)):
+        verts = list(scheme.vertices())
+        for i in range(12):
+            source = rng.sample(verts, rng.randrange(1, 4))
+            if i % 2:
+                y = random_automorphism(rng, scheme)
+                target = {y.apply(v) for v in source}
+                target.update(rng.sample(verts, rng.randrange(0, 3)))
+            else:
+                target = set(rng.sample(verts, rng.randrange(1, 5)))
+            if target == set(source):
+                continue
+            found = [(x.coord_perm, x.alphabet_perms)
+                     for x in maps_into(source, target, scheme)]
+            assert found == brute_maps_into(scheme, source, target)
+            nonempty.add(bool(found))
+    assert nonempty == {True, False}
+
+
+def test_maps_into_cap_and_scheme_are_checked_at_the_call():
+    with pytest.raises(FeasibilityError):
+        maps_into([H42.zero()], [H42.zero()], H42, group_cap=10)
+    with pytest.raises(SchemeMismatchError):
+        maps_into([H32.zero()], [H42.zero()], H42)
 
 
 def test_closure_empty_and_translations():
