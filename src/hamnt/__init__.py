@@ -17,7 +17,8 @@ from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            group_order, maps_into, orbit, translation)
 from .code_model import (Code, EquivalenceWitness, code_to_text,
                          find_equivalence, is_code_automorphism,
-                         is_linear_binary, parse_code_text, read_code_file,
+                         is_linear_binary, neighbourhoods_disjoint,
+                         parse_code_text, read_code_file,
                          stabilizes_set, translation_subgroup,
                          write_code_file)
 from .precodeword import (PreReport, c_of_pi, pre_codewords,
@@ -42,7 +43,8 @@ __all__ = [
     "maps_into", "closure", "orbit", "conjugate", "group_order",
     "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
     "Code", "EquivalenceWitness", "stabilizes_set",
-    "is_code_automorphism", "is_linear_binary", "translation_subgroup",
+    "is_code_automorphism", "is_linear_binary", "neighbourhoods_disjoint",
+    "translation_subgroup",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",
     "write_code_file",
     "PreReport", "pre_codewords", "pre_for_neighbour", "c_of_pi",

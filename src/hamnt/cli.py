@@ -14,11 +14,11 @@ import math
 import os
 import sys
 
-from .code_model import is_linear_binary, read_code_file
+from .code_model import (is_linear_binary, neighbourhoods_disjoint,
+                         read_code_file)
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      LemmaViolationError)
 from .family_codes import verify_family
-from .hamming_core import neighbours
 from .lemmas import run_lemma_suite
 from .reporting import format_clauses_text
 from .transitivity import VIOLATION, analyze_stabilizer, classify_theorem
@@ -73,21 +73,14 @@ def cmd_lemmas(args, out, err) -> int:
 def cmd_analyze(args, out, err) -> int:
     code = read_code_file(args.input)
     delta = code.min_distance
-    nbrs = code.neighbour_set
-    union = set()
-    total = 0
-    for w in code.words:
-        nbhd = neighbours(w)
-        total += len(nbhd)
-        union.update(nbhd)
     data = {
         "m": code.scheme.m,
         "q": code.scheme.q,
         "size": len(code),
         "delta": None if delta == math.inf else int(delta),
-        "neighbour_count": len(nbrs),
+        "neighbour_count": len(code.neighbour_set),
         "linear_binary": is_linear_binary(code),
-        "neighbourhoods_disjoint": total == len(union),
+        "neighbourhoods_disjoint": neighbourhoods_disjoint(code),
     }
     text = "\n".join(f"{k}: {v}" for k, v in data.items())
     _emit(data, text, args.format, out)

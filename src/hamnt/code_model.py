@@ -103,6 +103,19 @@ def is_code_automorphism(code: Code, x: Automorphism) -> bool:
     return all(x.apply(w) in code for w in code.words)
 
 
+def neighbourhoods_disjoint(code: Code) -> bool:
+    """True iff the codewords' neighbourhoods are pairwise disjoint.
+
+    Their sizes add up to len(C) * m * (q-1); their union is Gamma_1(C)
+    plus the codewords adjacent to another codeword (none unless delta = 1).
+    """
+    m, q = code.scheme.m, code.scheme.q
+    adjacent = 0
+    if code.min_distance == 1:
+        adjacent = sum(any(distance(u, v) == 1 for v in code.words) for u in code.words)
+    return len(code) * m * (q - 1) == len(code.neighbour_set) + adjacent
+
+
 def is_linear_binary(code: Code) -> bool:
     """True iff q=2, the zero vertex is a codeword and C is closed under +."""
     if code.scheme.q != 2 or len(code) == 0:

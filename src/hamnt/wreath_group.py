@@ -17,13 +17,17 @@ images, then lexicographic over the tuple of alphabet-permutation images.
 
 One search, maps_into, finds the automorphisms mapping a vertex set S
 into a vertex set T: setwise stabilizers (T = S), code automorphisms and
-code equivalences.  It loops over sigma in lexicographic order; for each,
-a backtrack assigns g_0, g_1, ... in coordinate order.  A partial
-assignment (g_0..g_k) pins the image of every s in S on the positions
-sigma(0)..sigma(k); each s keeps a bitmask of the members of T still
-compatible with it, and a branch dies when some mask empties.  A leaf
-(every mask non-empty) maps S into T, onto T when |S| = |T|, as x is a
-bijection.  The leaves appear in the canonical order.  The group cap is
+code equivalences.  A backtrack chooses sigma inside the search: depth k
+picks the image position p = sigma(k) among the positions still free
+(ascending), then g_k.  Every s in S keeps a bitmask of the members of T
+that agree with its image on the positions sigma(0)..sigma(k); the mask
+depends only on the prefix s[:k+1], so one mask is kept per distinct
+source prefix, and a branch dies when some mask empties.  Every sigma
+with a given prefix thus shares that prefix's pruning.  A leaf (every
+mask non-empty) maps S into T, onto T when |S| = |T|, as x is a
+bijection.  sigma(0) is the first key of the canonical order and the
+search fixes it first, so the leaves of each sigma(0) block are sorted
+and yielded before the next block is searched.  The group cap is
 checked at the call.
 """
 
@@ -74,6 +78,17 @@ class Automorphism:
             if not _is_perm(g, q):
                 raise ValueError(f"alphabet perm {g} is not a permutation of 0..{q-1}")
 
+    @classmethod
+    def _trusted(cls, scheme: HammingScheme, alphabet_perms: tuple[tuple[int, ...], ...],
+                 coord_perm: tuple[int, ...]) -> "Automorphism":
+        """An element from fields that are valid by construction: tuples of
+        permutations of the right sizes.  Skips __post_init__."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "scheme", scheme)
+        object.__setattr__(x, "alphabet_perms", alphabet_perms)
+        object.__setattr__(x, "coord_perm", coord_perm)
+        return x
+
     # -- group operations ------------------------------------------------
 
     @classmethod
@@ -104,7 +119,7 @@ class Automorphism:
         g1, g2 = self.alphabet_perms, other.alphabet_perms
         tau = tuple(s2[s1[i]] for i in range(m))
         h = tuple(tuple(g2[s1[i]][g1[i][a]] for a in range(q)) for i in range(m))
-        return Automorphism(self.scheme, h, tau)
+        return Automorphism._trusted(self.scheme, h, tau)
 
     __mul__ = compose
 
@@ -114,7 +129,7 @@ class Automorphism:
         h: list[tuple[int, ...] | None] = [None] * m
         for i in range(m):
             h[self.coord_perm[i]] = _invert(self.alphabet_perms[i])
-        return Automorphism(self.scheme, tuple(h), sinv)
+        return Automorphism._trusted(self.scheme, tuple(h), sinv)
 
     def conjugated_by(self, y: "Automorphism") -> "Automorphism":
         """y^-1 * self * y."""
@@ -182,7 +197,7 @@ def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_C
     def gen():
         for sigma in itertools.permutations(range(scheme.m)):
             for gs in itertools.product(perms, repeat=scheme.m):
-                yield Automorphism(scheme, gs, sigma)
+                yield Automorphism._trusted(scheme, gs, sigma)
 
     return gen()
 
@@ -191,7 +206,7 @@ def maps_into(source: Iterable[Vertex], target: Iterable[Vertex],
               scheme: HammingScheme,
               group_cap: int = DEFAULT_GROUP_CAP) -> Iterator[Automorphism]:
     """Yield every automorphism x with source^x within target, canonical
-    order, by the search above: lazily, one sigma at a time."""
+    order, by the search above: lazily, one sigma(0) block at a time."""
     check_group_cap(scheme, group_cap)
     words, targets = [], []
     for vertices, entries in ((source, words), (target, targets)):
@@ -200,40 +215,60 @@ def maps_into(source: Iterable[Vertex], target: Iterable[Vertex],
             raise SchemeMismatchError("set member from a different scheme")
         entries.extend(sorted(v.entries for v in vs))
     m, q = scheme.m, scheme.q
-    n = len(words)
+    perms = list(itertools.permutations(range(q)))
 
-    # bitmask of candidate targets per (position, symbol)
-    full = (1 << len(targets)) - 1
+    # pos_val[p][c]: bitmask of the targets t with t[p] == c; rows[p] pairs
+    # each alphabet permutation g with pos_val[p][g(c)] for every symbol c
     pos_val = [[0] * q for _ in range(m)]
     for t, w in enumerate(targets):
         for p, c in enumerate(w):
             pos_val[p][c] |= 1 << t
-    perms = list(itertools.permutations(range(q)))
+    rows = [[(g, [pv[g[c]] for c in range(q)]) for g in perms] for pv in pos_val]
+    # per depth k, the distinct source prefixes w[:k+1] as (parent, symbol):
+    # parent indexes the prefixes w[:k] of the depth before
+    levels, index = [], {(): 0}
+    for k in range(m):
+        level: dict[tuple[int, ...], tuple[int, int]] = {}
+        for w in words:
+            level.setdefault(w[:k + 1], (index[w[:k]], w[k]))
+        levels.append(tuple(level.values()))
+        index = {prefix: i for i, prefix in enumerate(level)}
 
     def gen():
-        for sigma in itertools.permutations(range(m)):
-            found: list[Automorphism] = []
-            chosen: list[tuple[int, ...]] = []
+        sigma: list[int] = []
+        chosen: list[tuple[int, ...]] = []
+        leaves: list[tuple] = []  # (sigma, gs) of the current sigma(0) block
 
-            def search(depth: int, masks: list[int]):
-                if depth == m:
-                    found.append(Automorphism(scheme, tuple(chosen), sigma))
-                    return
-                pv = pos_val[sigma[depth]]
-                for g in perms:
-                    nxt = []
-                    for s, w in enumerate(words):
-                        nm = masks[s] & pv[g[w[depth]]]
-                        if not nm:
-                            break
-                        nxt.append(nm)
+        def branch(depth: int, p: int, free: list[int], masks: list[int]):
+            # sigma(depth) = p; try every g_depth, then every sigma(depth + 1)
+            level = levels[depth]
+            sigma.append(p)
+            for g, row in rows[p]:
+                nxt = []
+                for parent, c in level:
+                    nm = masks[parent] & row[c]
+                    if not nm:
+                        break
+                    nxt.append(nm)
+                else:
+                    chosen.append(g)
+                    if free:
+                        for i, r in enumerate(free):
+                            branch(depth + 1, r, free[:i] + free[i + 1:], nxt)
                     else:
-                        chosen.append(g)
-                        search(depth + 1, nxt)
-                        chosen.pop()
+                        leaves.append((tuple(sigma), tuple(chosen)))
+                    chosen.pop()
+            sigma.pop()
 
-            search(0, [full] * n)
-            yield from found
+        trusted = Automorphism._trusted
+        for p0 in range(m):
+            branch(0, p0, [r for r in range(m) if r != p0], [(1 << len(targets)) - 1])
+            leaves.sort()
+            # the elements of one sigma share one images tuple
+            shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for images, gs in leaves:
+                yield trusted(scheme, gs, shared.setdefault(images, images))
+            leaves.clear()
 
     return gen()
 

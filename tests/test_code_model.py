@@ -7,12 +7,13 @@ import pytest
 from hamnt import (Automorphism, Code, EquivalenceWitness, HammingScheme,
                    SchemeMismatchError, closure, code_to_text, distance,
                    enumerate_full_group, find_equivalence,
-                   is_code_automorphism, is_linear_binary, neighbours,
-                   parse_code_text, read_code_file, shell, stabilizes_set,
+                   is_code_automorphism, is_linear_binary,
+                   neighbourhoods_disjoint, neighbours, parse_code_text, read_code_file, shell, stabilizes_set,
                    translation, translation_subgroup, write_code_file)
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
-from helpers import brute_maps_into, random_automorphism, random_code
+from helpers import (brute_maps_into, brute_neighbours, random_automorphism,
+                     random_code)
 
 H42 = HammingScheme(4, 2)
 H33 = HammingScheme(3, 3)
@@ -58,6 +59,24 @@ def test_neighbour_set_disjoint_union_when_delta_ge_3():
         assert code.min_distance >= 3
         total = sum(len(neighbours(w)) for w in code.words)
         assert total == len(code.neighbour_set)
+
+
+def test_neighbourhoods_disjoint_matches_union_count():
+    # oracle: the neighbourhoods' sizes add up to the size of their union
+    rng = random.Random(44)
+    seen = set()
+    for scheme in (H33, H42, HammingScheme(2, 4)):
+        for _ in range(60):
+            code = random_code(rng, scheme, rng.randrange(1, 6))
+            nbhds = [brute_neighbours(w) for w in code.words]
+            expected = sum(map(len, nbhds)) == len(set().union(*nbhds))
+            assert neighbourhoods_disjoint(code) == expected
+            seen.add((min(code.min_distance, 3), scheme.q == 2, expected))
+    # delta 1 both ways (adjacent binary words have disjoint neighbourhoods),
+    # delta 2 never disjoint, delta >= 3 always
+    assert seen == {(1, True, True), (1, True, False), (1, False, False),
+                    (2, True, False), (2, False, False),
+                    (3, True, True), (3, False, True)}
 
 
 def test_shell_examples():

@@ -62,6 +62,15 @@ def test_verify_family_m4_exhaustive():
     assert len(report.clauses) == 7
 
 
+def test_verify_family_m8_exhaustive():
+    # the full check of the stabilizer N_U >| (S_2 wr S_4) at the frontier
+    report = verify_family(8, exhaustive=True)
+    assert report.all_pass
+    assert report.stabilizer_order == 6144
+    clause = report.clauses[-1]
+    assert clause.clause == "stabilizer_matches_expected" and clause.passed
+
+
 def test_verify_family_m6_non_exhaustive():
     report = verify_family(6)
     assert report.all_pass

@@ -22,6 +22,32 @@ def test_automorphism_validation():
         Automorphism(H32, ((0, 1), (0, 1), (0, 0)), (0, 1, 2))
     with pytest.raises(ValueError):
         Automorphism(H32, ((0, 1),) * 3, (0, 1, 1))
+    with pytest.raises(ValueError):
+        Automorphism(H32, ((0, 1),) * 2, (0, 1, 2))
+    with pytest.raises(ValueError):
+        Automorphism(H32, ((0, 1),) * 3, (0, 1))
+    with pytest.raises(ValueError):
+        Automorphism(H33, ((0, 1),) * 3, (0, 1, 2))
+    # lists are accepted and stored as tuples
+    x = Automorphism(H32, [[1, 0], [0, 1], [0, 1]], [2, 0, 1])
+    assert x == Automorphism(H32, ((1, 0), (0, 1), (0, 1)), (2, 0, 1))
+
+
+def test_unvalidated_results_equal_validated_elements():
+    # compose, inverse, the search and the full enumeration build their
+    # results without validation; each must be == and hash-equal to the
+    # validated element with the same fields
+    rng = random.Random(8)
+    for scheme in (H32, H33, HammingScheme(2, 4)):
+        made = list(enumerate_full_group(scheme))
+        verts = list(scheme.vertices())
+        made += maps_into(rng.sample(verts, 3), rng.sample(verts, 6), scheme)
+        for _ in range(30):
+            x, y = random_automorphism(rng, scheme), random_automorphism(rng, scheme)
+            made += [x.compose(y), x.inverse(), x.conjugated_by(y)]
+        for z in made:
+            checked = Automorphism(scheme, z.alphabet_perms, z.coord_perm)
+            assert z == checked and hash(z) == hash(checked)
 
 
 def test_apply_identity():
@@ -176,6 +202,28 @@ def test_maps_into_matches_brute_force_filter():
             assert found == brute_maps_into(scheme, source, target)
             nonempty.add(bool(found))
     assert nonempty == {True, False}
+
+
+def test_stabilizer_search_matches_brute_force_filter():
+    # S = T, full element lists in order: seeded sets of 1-12 vertices, the
+    # sets that keep many sigmas alive, and m = 1 (one block of depth 1)
+    rng = random.Random(34)
+    cases = []
+    for scheme in (HammingScheme(5, 2), H33, HammingScheme(2, 4)):
+        verts = list(scheme.vertices())
+        cases += [(scheme, rng.sample(verts, size)) for size in (1, 2, 3, 5, 8, 12)]
+    cases += [(H42, []), (H42, list(H42.vertices())),
+              (H42, build_family(4).C.neighbour_set)]
+    H13 = HammingScheme(1, 3)
+    cases += [(H13, vs) for vs in ([], [H13.vertex([1])],
+                                   [H13.vertex([0]), H13.vertex([2])],
+                                   list(H13.vertices()))]
+    orders = set()
+    for scheme, vs in cases:
+        found = [(x.coord_perm, x.alphabet_perms) for x in maps_into(vs, vs, scheme)]
+        assert found == brute_maps_into(scheme, vs, vs)
+        orders.add(len(found))
+    assert {1, 2, 6, 192, 384} <= orders
 
 
 def test_maps_into_cap_and_scheme_are_checked_at_the_call():
