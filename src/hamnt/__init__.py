@@ -1,7 +1,8 @@
 """Codes in Hamming graphs H(m,q): neighbour sets, the wreath-product
 automorphism group and its action, pre-codeword structure, setwise
-stabilizer search, neighbour-transitivity verification, the
-doubled-vector binary family, and the structural lemma suite."""
+stabilizer search, stabilizer chains (order and strong generators),
+neighbour-transitivity verification, the doubled-vector binary family,
+and the structural lemma suite."""
 
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      ImageInCodeError, LemmaViolationError, MinDistanceError,
@@ -15,9 +16,11 @@ from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
                            closure, conjugate, enumerate_full_group,
                            group_order, maps_into, orbit, translation)
+from .chain import StabilizerChain, schreier_sims, stabilizer_chain
 from .code_model import (Code, EquivalenceWitness, code_to_text,
                          find_equivalence, is_code_automorphism,
-                         is_linear_binary, neighbourhoods_disjoint,
+                         is_linear_binary, neighbour_count,
+                         neighbourhoods_disjoint,
                          parse_code_text, read_code_file,
                          stabilizes_set, translation_subgroup,
                          write_code_file)
@@ -41,9 +44,11 @@ __all__ = [
     "vertex_from_text", "DEFAULT_ENUMERATION_CAP",
     "Automorphism", "GeneratorSet", "translation", "enumerate_full_group",
     "maps_into", "closure", "orbit", "conjugate", "group_order",
+    "StabilizerChain", "stabilizer_chain", "schreier_sims",
     "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
     "Code", "EquivalenceWitness", "stabilizes_set",
-    "is_code_automorphism", "is_linear_binary", "neighbourhoods_disjoint",
+    "is_code_automorphism", "is_linear_binary", "neighbour_count",
+    "neighbourhoods_disjoint",
     "translation_subgroup",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",
     "write_code_file",

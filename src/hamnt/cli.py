@@ -14,8 +14,8 @@ import math
 import os
 import sys
 
-from .code_model import (is_linear_binary, neighbourhoods_disjoint,
-                         read_code_file)
+from .code_model import (is_linear_binary, neighbour_count,
+                         neighbourhoods_disjoint, read_code_file)
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      LemmaViolationError)
 from .family_codes import verify_family
@@ -78,7 +78,7 @@ def cmd_analyze(args, out, err) -> int:
         "q": code.scheme.q,
         "size": len(code),
         "delta": None if delta == math.inf else int(delta),
-        "neighbour_count": len(code.neighbour_set),
+        "neighbour_count": neighbour_count(code),
         "linear_binary": is_linear_binary(code),
         "neighbourhoods_disjoint": neighbourhoods_disjoint(code),
     }
@@ -95,7 +95,7 @@ def cmd_stabilizer(args, out, err) -> int:
         "m": code.scheme.m,
         "q": code.scheme.q,
         "neighbour_count": len(code.neighbour_set),
-        "stabilizer_order": len(analysis.stabilizer),
+        "stabilizer_order": analysis.order,
         "fixes_code": first is None,
         "transitive_on_neighbours": analysis.transitive_on_neighbours,
         "first_nonfixing": automorphism_to_text(first) if first else None,

@@ -16,8 +16,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CodeFormatError, SchemeMismatchError
-from .hamming_core import (HammingScheme, Vertex, distance, neighbours,
-                           vertex_from_text, vertex_to_text)
+from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
+                           check_cap, distance, neighbours, vertex_from_text,
+                           vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            maps_into, translation)
 
@@ -103,12 +104,32 @@ def is_code_automorphism(code: Code, x: Automorphism) -> bool:
     return all(x.apply(w) in code for w in code.words)
 
 
+def neighbour_count(code: Code) -> int:
+    """|Gamma_1(C)|, building Gamma_1(C) only when delta < 3.
+
+    The codewords' neighbourhoods hold len(C) * m * (q-1) vertices in all;
+    when delta >= 3 they are disjoint and hold no codeword, so that total
+    is the answer.  Otherwise the total is checked against the enumeration
+    cap before Gamma_1(C) is built.
+    """
+    total = len(code) * code.scheme.m * (code.scheme.q - 1)
+    if code.min_distance >= 3:
+        return total
+    check_cap(math.log(total), lambda: total, DEFAULT_ENUMERATION_CAP,
+              f"the neighbourhoods of {len(code)} codewords of {code.scheme} hold "
+              f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    return len(code.neighbour_set)
+
+
 def neighbourhoods_disjoint(code: Code) -> bool:
     """True iff the codewords' neighbourhoods are pairwise disjoint.
 
-    Their sizes add up to len(C) * m * (q-1); their union is Gamma_1(C)
-    plus the codewords adjacent to another codeword (none unless delta = 1).
+    They are when delta >= 3.  Otherwise: their sizes add up to
+    len(C) * m * (q-1); their union is Gamma_1(C) plus the codewords
+    adjacent to another codeword (none unless delta = 1).
     """
+    if code.min_distance >= 3:
+        return True
     m, q = code.scheme.m, code.scheme.q
     adjacent = 0
     if code.min_distance == 1:

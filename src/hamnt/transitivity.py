@@ -1,4 +1,5 @@
-"""Setwise stabilizers (by `wreath_group.maps_into`), neighbour
+"""Setwise stabilizers (element lists by `wreath_group.maps_into`,
+stabilizer chains by `chain.stabilizer_chain`), neighbour
 transitivity, and the trichotomy classifier."""
 
 from __future__ import annotations
@@ -6,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .chain import stabilizer_chain
 from .code_model import Code, is_code_automorphism, stabilizes_set
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
@@ -104,40 +106,47 @@ def neighbour_orbits(code: Code, gens: GeneratorSet) -> list[tuple[Vertex, ...]]
 class StabilizerAnalysis:
     """The neighbour-set stabilizer of a code and what it does to the code."""
 
-    stabilizer: list[Automorphism]
+    order: int
+    generators: tuple[Automorphism, ...]
     first_nonfixing: Automorphism | None
     transitive_on_neighbours: bool
 
 
 def analyze_stabilizer(code: Code,
                        group_cap: int = DEFAULT_GROUP_CAP) -> StabilizerAnalysis:
-    """Stabilizer of Gamma_1(C), its first element (canonical order) that
-    moves C, and whether it is transitive on Gamma_1(C).
+    """Stabilizer of Gamma_1(C) (order and strong generators), its first
+    element (canonical order) that moves C, and whether it is transitive
+    on Gamma_1(C).
 
-    The stabilizer is listed element by element, so the orbit of the least
-    neighbour is just its set of images.  Checks the group cap first.
+    The stabilizer fixes C iff every strong generator does; otherwise the
+    first non-fixing element comes from the lazy canonical-order search.
+    Transitivity is the orbit of the least neighbour under the strong
+    generators.  Checks the group cap first.
     """
     check_group_cap(code.scheme, group_cap)
     nbrs = code.neighbour_set
     if not nbrs:
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
-    stab = setwise_stabilizer(nbrs, code.scheme, group_cap)
-    first = next((x for x in stab if not is_code_automorphism(code, x)), None)
-    transitive = {x.apply(nbrs[0]) for x in stab} == set(nbrs)
-    return StabilizerAnalysis(stab, first, transitive)
+    chain = stabilizer_chain(nbrs, code.scheme, group_cap)
+    first = None
+    if not all(is_code_automorphism(code, x) for x in chain.generators):
+        first = next(x for x in maps_into(nbrs, nbrs, code.scheme, group_cap)
+                     if not is_code_automorphism(code, x))
+    transitive = orbit(GeneratorSet(code.scheme, chain.generators), nbrs[0]) == nbrs
+    return StabilizerAnalysis(chain.order, chain.generators, first, transitive)
 
 
 def classify_theorem(code: Code,
                      group_cap: int = DEFAULT_GROUP_CAP) -> ClassificationReport:
     """Analyze one code against the delta >= 3 trichotomy.
 
-    Computes the setwise stabilizer of the neighbour set; if every element
-    fixes the code the verdict is FIXED, otherwise the first non-fixing
-    element in canonical order is reported together with the parameter
-    case it falls under.  A non-fixing witness whose parameters fit
-    neither allowed case is tagged VIOLATION: that would falsify the
-    trichotomy and is treated by callers as a failed assertion, never as
-    a crash.
+    Computes the setwise stabilizer of the neighbour set as a stabilizer
+    chain; if every element fixes the code the verdict is FIXED,
+    otherwise the first non-fixing element in canonical order is reported
+    together with the parameter case it falls under.  A non-fixing
+    witness whose parameters fit neither allowed case is tagged
+    VIOLATION: that would falsify the trichotomy and is treated by
+    callers as a failed assertion, never as a crash.
     """
     delta = code.min_distance
     if len(code) <= 1:
@@ -158,5 +167,5 @@ def classify_theorem(code: Code,
         verdict, case = VERDICT_NONFIXING, VIOLATION
     return ClassificationReport(
         delta=int(delta), verdict=verdict, witness=witness, theorem_case=case,
-        stabilizer_order=len(analysis.stabilizer),
+        stabilizer_order=analysis.order,
         transitive_on_neighbours=analysis.transitive_on_neighbours)

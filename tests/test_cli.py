@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamnt import (Code, HammingScheme, LemmaSuiteReport, run_lemma_suite,
+from hamnt import (Code, HammingScheme, LemmaSuiteReport, neighbour_count,
+                   neighbourhoods_disjoint, parse_code_text, run_lemma_suite,
                    write_code_file)
 from hamnt.cli import main
 from hamnt.family_codes import build_family
@@ -150,6 +151,33 @@ def test_stabilizer_command(tmp_path):
     assert data["first_nonfixing"].startswith("perm=[0,1,2,3]")
 
 
+def test_stabilizer_command_one_word_code(tmp_path):
+    # the stabilizer of the vertex 0000 in H(4,4): S_3 wr S_4, 31,104 elements
+    path = tmp_path / "zero.code"
+    path.write_text("4 4\n0000\n")
+    code, out, _ = run(["stabilizer", "--input", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert "stabilizer_order: 31104" in lines
+    assert "fixes_code: True" in lines
+    assert "transitive_on_neighbours: True" in lines
+
+
+def test_analyze_by_arithmetic_when_delta_at_least_3(tmp_path):
+    # |G1(C)| = |C| m (q-1) when delta >= 3; the neighbour set is not built
+    text = "3 200000\n1,2,3\n4,5,6\n"
+    path = tmp_path / "huge.code"
+    path.write_text(text)
+    code, out, err = run(["analyze", "--input", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "m: 3", "q: 200000", "size: 2", "delta: 3", "neighbour_count: 1199994",
+        "linear_binary: False", "neighbourhoods_disjoint: True"]
+    huge = parse_code_text(text)
+    assert (neighbour_count(huge), neighbourhoods_disjoint(huge)) == (1199994, True)
+    assert "neighbour_set" not in vars(huge)
+
+
 def test_stabilizer_command_agrees_with_classify(tmp_path):
     rng = random.Random(11)
     h33 = HammingScheme(3, 3)
@@ -200,6 +228,10 @@ def test_unknown_command_exits_2():
     (["family", "--m", "20000"], None),
     (["lemmas", "--m", "20000", "--q", "2"], None),
     (["classify", "--input", b"3 200000\n1,2,3\n4,5,6\n"], None),
+    # delta = 1: 2 * 3 * 1999999 neighbours to build, over the enumeration cap
+    (["analyze", "--input", b"3 2000000\n0,0,0\n0,0,1\n"], None),
+    # the default group cap refuses the exhaustive check at m = 10
+    (["family", "--m", "10", "--exhaustive"], None),
 ])
 def test_bad_input_is_one_line_usage_error(argv, group_cap_env, monkeypatch, tmp_path):
     """A bytes item of argv is written to a file and replaced by its path."""

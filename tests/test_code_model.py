@@ -8,7 +8,8 @@ from hamnt import (Automorphism, Code, EquivalenceWitness, HammingScheme,
                    SchemeMismatchError, closure, code_to_text, distance,
                    enumerate_full_group, find_equivalence,
                    is_code_automorphism, is_linear_binary,
-                   neighbourhoods_disjoint, neighbours, parse_code_text, read_code_file, shell, stabilizes_set,
+                   neighbour_count, neighbourhoods_disjoint, neighbours,
+                   parse_code_text, read_code_file, shell, stabilizes_set,
                    translation, translation_subgroup, write_code_file)
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
@@ -71,6 +72,7 @@ def test_neighbourhoods_disjoint_matches_union_count():
             nbhds = [brute_neighbours(w) for w in code.words]
             expected = sum(map(len, nbhds)) == len(set().union(*nbhds))
             assert neighbourhoods_disjoint(code) == expected
+            assert neighbour_count(code) == len(set().union(*nbhds) - set(code.words))
             seen.add((min(code.min_distance, 3), scheme.q == 2, expected))
     # delta 1 both ways (adjacent binary words have disjoint neighbourhoods),
     # delta 2 never disjoint, delta >= 3 always

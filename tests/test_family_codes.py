@@ -71,6 +71,18 @@ def test_verify_family_m8_exhaustive():
     assert clause.clause == "stabilizer_matches_expected" and clause.passed
 
 
+@pytest.mark.parametrize("m, group_cap", [(10, 10**10), (12, 10**13)])
+def test_verify_family_exhaustive_beyond_default_cap(m, group_cap):
+    # N_U >| (S_2 wr S_h), order 2^h * 2^h * h!: 122,880 and 2,949,120
+    h = m // 2
+    order = 2**h * 2**h * math.factorial(h)
+    report = verify_family(m, exhaustive=True, group_cap=group_cap)
+    assert report.all_pass
+    assert report.stabilizer_order == order
+    assert report.clauses[-1].detail == \
+        f"search order {order}, closure of stab_gens order {order}"
+
+
 def test_verify_family_m6_non_exhaustive():
     report = verify_family(6)
     assert report.all_pass

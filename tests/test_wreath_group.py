@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,11 +7,13 @@ from hamnt import (Automorphism, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, automorphism_from_text,
                    automorphism_to_text, closure, conjugate, distance,
                    enumerate_full_group, enumerate_triples, group_order,
-                   maps_into, orbit, translation)
+                   maps_into, orbit, schreier_sims, stabilizer_chain,
+                   translation)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
-from helpers import brute_maps_into, full_group_generators, random_automorphism
+from helpers import (brute_maps_into, brute_stabilizer_order,
+                     full_group_generators, random_automorphism, raw_apply)
 
 H32 = HammingScheme(3, 2)
 H33 = HammingScheme(3, 3)
@@ -226,11 +229,55 @@ def test_stabilizer_search_matches_brute_force_filter():
     assert {1, 2, 6, 192, 384} <= orders
 
 
+def test_stabilizer_chain_matches_brute_force_filter():
+    # seeded sets, the empty set and the whole vertex set
+    rng = random.Random(35)
+    cases = []
+    for scheme in (H33, H42, HammingScheme(2, 4), HammingScheme(5, 2)):
+        verts = list(scheme.vertices())
+        cases += [(scheme, rng.sample(verts, size)) for size in (1, 2, 3, 5, 8)]
+        cases += [(scheme, []), (scheme, verts)]
+    orders = set()
+    for scheme, vs in cases:
+        chain = stabilizer_chain(vs, scheme)
+        assert chain.order == brute_stabilizer_order(scheme, vs)
+        target = {v.entries for v in vs}
+        for x in chain.generators:
+            assert {raw_apply(x.coord_perm, x.alphabet_perms, w) for w in target} == target
+        assert set(closure(GeneratorSet(scheme, chain.generators))) == \
+            set(maps_into(vs, vs, scheme))
+        # each generator extends its level's orbit, so at least doubles the
+        # group generated before it
+        assert len(chain.generators) <= math.log2(chain.order)
+        orders.add(chain.order)
+    assert {1, 2, 1152, 1296, 3840} <= orders
+
+
+def test_schreier_sims_matches_closure():
+    rng = random.Random(36)
+    for scheme in (H32, H33, H42, HammingScheme(2, 4), HammingScheme(1, 3)):
+        for _ in range(8):
+            gens = GeneratorSet(scheme, tuple(random_automorphism(rng, scheme)
+                                              for _ in range(rng.randint(1, 3))))
+            chain = schreier_sims(gens)
+            elements = set(closure(gens))
+            assert chain.order == len(elements)
+            assert set(closure(GeneratorSet(scheme, chain.generators))) == elements
+        assert schreier_sims(full_group_generators(scheme)).order == group_order(scheme)
+        assert schreier_sims(GeneratorSet(scheme, ())).order == 1
+    assert schreier_sims(full_group_generators(HammingScheme(6, 3))).order == \
+        group_order(HammingScheme(6, 3))
+
+
 def test_maps_into_cap_and_scheme_are_checked_at_the_call():
     with pytest.raises(FeasibilityError):
         maps_into([H42.zero()], [H42.zero()], H42, group_cap=10)
+    with pytest.raises(FeasibilityError):
+        stabilizer_chain([H42.zero()], H42, group_cap=10)
     with pytest.raises(SchemeMismatchError):
         maps_into([H32.zero()], [H42.zero()], H42)
+    with pytest.raises(SchemeMismatchError):
+        stabilizer_chain([H32.zero()], H42)
 
 
 def test_closure_empty_and_translations():
