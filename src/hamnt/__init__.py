@@ -15,7 +15,8 @@ from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Triple,
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
                            closure, conjugate, enumerate_full_group,
-                           group_order, maps_into, orbit, translation)
+                           full_group_generators, group_order, maps_into,
+                           orbit, translation)
 from .chain import StabilizerChain, schreier_sims, stabilizer_chain
 from .code_model import (Code, EquivalenceWitness, code_to_text,
                          find_equivalence, is_code_automorphism,
@@ -43,7 +44,8 @@ __all__ = [
     "common_neighbours", "enumerate_triples", "shell", "vertex_to_text",
     "vertex_from_text", "DEFAULT_ENUMERATION_CAP",
     "Automorphism", "GeneratorSet", "translation", "enumerate_full_group",
-    "maps_into", "closure", "orbit", "conjugate", "group_order",
+    "full_group_generators", "maps_into", "closure", "orbit", "conjugate",
+    "group_order",
     "StabilizerChain", "stabilizer_chain", "schreier_sims",
     "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
     "Code", "EquivalenceWitness", "stabilizes_set",

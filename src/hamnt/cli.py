@@ -9,6 +9,8 @@ Exit codes (stable across output formats):
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -145,6 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built on the first main() call and reused by later ones.
+_shared_parser = functools.cache(build_parser)
+
 _COMMANDS = {
     "family": cmd_family,
     "classify": cmd_classify,
@@ -157,9 +162,10 @@ _COMMANDS = {
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors to sys.stderr and help to sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     cap = args.group_cap

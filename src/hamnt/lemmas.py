@@ -1,4 +1,7 @@
-"""The structural lemma suite: exhaustive checks on one small scheme H(m,q)."""
+"""The structural lemma suite: exhaustive checks on one small scheme H(m,q).
+
+The triple orbit and the code automorphisms come from generators and
+stabilizer chains (module chain); no clause lists the full group."""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from .chain import schreier_sims, stabilizer_chain
 from .code_model import Code, stabilizes_set
 from .family_codes import build_family
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme,
@@ -16,7 +20,7 @@ from .precodeword import verify_pre_structure
 from .reporting import ClauseResult, all_clauses_pass
 from .transitivity import setwise_stabilizer
 from .wreath_group import (DEFAULT_GROUP_CAP, check_group_cap,
-                           enumerate_full_group, maps_into)
+                           full_group_generators)
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
 #: during a lemma sweep; purely a runtime guard, the count is reported.
@@ -63,11 +67,14 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
 
     Runs: the two-common-neighbours law over every distance-2 pair; the
     one-orbit law for triples under the full group; the implication
-    "fixes the code => stabilizes its neighbour set" for every element of
-    Aut(C) on sampled codes; and the full pre-codeword structure on every
-    (alpha, y) neighbour-stabilizer witness discovered on the way.  The
-    full group is streamed once, for the triple orbit; Aut(C) comes from
-    the search maps_into(C, C).
+    "fixes the code => stabilizes its neighbour set" on Aut(C) for sampled
+    codes; and the full pre-codeword structure on every (alpha, y)
+    neighbour-stabilizer witness discovered on the way.  No clause streams
+    the full group.  The triple orbit is taken under the standard
+    generators, which Schreier-Sims certifies to generate the full group.
+    Aut(C) is the stabilizer chain of C; the elements stabilizing a set
+    form a subgroup, so checking its strong generators covers every
+    element, and the chain orders give the count.
     """
     scheme = HammingScheme(m, q)
     check_enumeration_cap(scheme, enumeration_cap)
@@ -84,20 +91,32 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     triples = [(t.alpha, t.nu, t.beta) for t in enumerate_triples(scheme, enumeration_cap)]
     codes = _sample_codes(scheme, random.Random(seed), 6)
     if triples:
-        alpha, nu, beta = triples[0]
-        reached = {(x.apply(alpha), x.apply(nu), x.apply(beta))
-                   for x in enumerate_full_group(scheme, group_cap)}
+        # a triple as the 3m entries of its vertices; x = (g, sigma) maps
+        # entry k*m + i to k*m + sigma(i), relabelled by g_i
+        flat = [tuple([e for v in t for e in v.entries]) for t in triples]
+        gens = full_group_generators(scheme)
+        acts = [[(x.alphabet_perms[i], k * m + i)
+                 for k in range(3) for i in x.inverse().coord_perm]
+                for x in gens.generators]
+        reached, frontier = {flat[0]}, [flat[0]]
+        while frontier:
+            new = {tuple([g[t[j]] for g, j in act])
+                   for t in frontier for act in acts} - reached
+            reached |= new
+            frontier = list(new)
+        certified = schreier_sims(gens).order == order
         checks.append(ClauseResult(
-            "triples_single_orbit", reached == set(triples),
+            "triples_single_orbit", certified and reached == set(flat),
             f"orbit {len(reached)} of {len(triples)} triples under {order} elements"))
     else:
         checks.append(ClauseResult("triples_single_orbit", True,
                                    "no triples exist at m = 1"))
     implication_ok, aut_count = True, 0
     for code in codes:
-        for x in maps_into(code, code, scheme, group_cap):
-            aut_count += 1
-            implication_ok = implication_ok and stabilizes_set(code.neighbour_set, x)
+        aut = stabilizer_chain(code.words, scheme, group_cap)
+        aut_count += aut.order
+        implication_ok = implication_ok and all(
+            stabilizes_set(code.neighbour_set, x) for x in aut.generators)
     checks.append(ClauseResult(
         "code_automorphisms_stabilize_neighbours", implication_ok,
         f"{aut_count} code automorphisms over {len(codes)} sampled codes"))

@@ -32,18 +32,17 @@ search fixes it first, so the leaves of each sigma(0) block are sorted
 and yielded before the next block is searched.  The group cap is
 checked at the call.
 
-The element lists of maps_into serve setwise_stabilizer, find_equivalence,
-the lemma suite and the canonical-first witness of the stabilizer
-analysis.  Where only a subgroup's order and generators are needed, a
-stabilizer chain gives them without listing the elements.  It works in
-the faithful action on the m*q points (position, symbol), point p*q + c,
-where x maps (i, c) to (sigma(i), g_i(c)); a chain element is a tuple of
-point images.  The base is the m blocks {(k, c) : c < q}.  Level k holds
-the transversal of block k's images under the pointwise stabilizer of
-blocks 0..k-1, and the order is the product of the transversal sizes
-(Seress, Permutation Group Algorithms, 2003, ch. 4).  Two builders share
-one orbit/transversal helper (_grow) and the sifting of _sift, in the
-module chain:
+The element lists of maps_into serve setwise_stabilizer, find_equivalence
+and the canonical-first witness of the stabilizer analysis.  Where only a
+subgroup's order and generators are needed, a stabilizer chain gives them
+without listing the elements.  It works in the faithful action on the
+m*q points (position, symbol), point p*q + c, where x maps (i, c) to
+(sigma(i), g_i(c)); a chain element is a tuple of point images.  The
+base is the m blocks {(k, c) : c < q}.  Level k holds the transversal of
+block k's images under the pointwise stabilizer of blocks 0..k-1, and
+the order is the product of the transversal sizes (Seress, Permutation
+Group Algorithms, 2003, ch. 4).  Two builders share one orbit/transversal
+helper (_grow) and the sifting of _sift, in the module chain:
 
 * stabilizer_chain(S), the setwise stabilizer of S by Sims' backtrack:
   the search above with S = T (_pruning_model, _narrow, _leaves), levels
@@ -51,10 +50,14 @@ module chain:
   of the subgroup found so far does not reach gets a search for one
   element fixing blocks 0..k-1 pointwise and moving block k there; each
   element found is a new strong generator.  The group cap is checked at
-  the call.  family --exhaustive and the stabilizer analysis of classify
-  and stabilizer use it.
+  the call.  family --exhaustive, the stabilizer analysis of classify
+  and stabilizer, and Aut(C) in the lemma suite use it.
 * schreier_sims(gens), the group gens generate, by deterministic
-  Schreier-Sims; the family's clause 7 compares the two orders.
+  Schreier-Sims; the family's clause 7 compares the two orders, and the
+  lemma suite certifies full_group_generators with it.
+
+enumerate_full_group, which streams every element, has no caller in the
+package; the tests use it as an oracle.
 """
 
 from __future__ import annotations
@@ -205,6 +208,28 @@ def translation(alpha: Vertex) -> Automorphism:
 def group_order(scheme: HammingScheme) -> int:
     """Order of the full automorphism group: (q!)^m * m!."""
     return math.factorial(scheme.q) ** scheme.m * math.factorial(scheme.m)
+
+
+def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
+    """Standard generators of the full group: S_q on coordinate 0 plus S_m."""
+    m, q = scheme.m, scheme.q
+    ident = tuple(range(q))
+    gens = []
+    swap01 = (1, 0) + tuple(range(2, q))
+    gens.append(Automorphism(scheme, (swap01,) + (ident,) * (m - 1),
+                             tuple(range(m))))
+    if q > 2:
+        cycle = tuple((i + 1) % q for i in range(q))
+        gens.append(Automorphism(scheme, (cycle,) + (ident,) * (m - 1),
+                                 tuple(range(m))))
+    if m > 1:
+        images = list(range(m))
+        images[0], images[1] = images[1], images[0]
+        gens.append(Automorphism.from_coord_perm(scheme, images))
+        if m > 2:
+            gens.append(Automorphism.from_coord_perm(
+                scheme, [(i + 1) % m for i in range(m)]))
+    return GeneratorSet(scheme, tuple(gens))
 
 
 def check_group_cap(scheme: HammingScheme, group_cap: int) -> int:

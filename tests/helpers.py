@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from hamnt import Automorphism, Code, GeneratorSet, HammingScheme, Vertex
+from hamnt import Automorphism, Code, HammingScheme, Vertex
 
 
 def random_automorphism(rng: random.Random, scheme: HammingScheme) -> Automorphism:
@@ -90,28 +90,6 @@ def brute_maps_into(scheme: HammingScheme, source, target) -> list:
     allowed = {v.entries for v in target}
     return [(sigma, gs) for sigma, gs in raw_full_group(scheme.m, scheme.q)
             if {raw_apply(sigma, gs, w) for w in words} <= allowed]
-
-
-def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
-    """Standard generators of the full group: S_q on coordinate 0 plus S_m."""
-    m, q = scheme.m, scheme.q
-    ident = tuple(range(q))
-    gens = []
-    swap01 = (1, 0) + tuple(range(2, q))
-    gens.append(Automorphism(scheme, (swap01,) + (ident,) * (m - 1),
-                             tuple(range(m))))
-    if q > 2:
-        cycle = tuple((i + 1) % q for i in range(q))
-        gens.append(Automorphism(scheme, (cycle,) + (ident,) * (m - 1),
-                                 tuple(range(m))))
-    if m > 1:
-        images = list(range(m))
-        images[0], images[1] = images[1], images[0]
-        gens.append(Automorphism.from_coord_perm(scheme, images))
-        if m > 2:
-            gens.append(Automorphism.from_coord_perm(
-                scheme, [(i + 1) % m for i in range(m)]))
-    return GeneratorSet(scheme, tuple(gens))
 
 
 def brute_classify(code: Code):

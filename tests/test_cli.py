@@ -232,6 +232,8 @@ def test_unknown_command_exits_2():
     (["analyze", "--input", b"3 2000000\n0,0,0\n0,0,1\n"], None),
     # the default group cap refuses the exhaustive check at m = 10
     (["family", "--m", "10", "--exhaustive"], None),
+    # and the lemma suite at m = 9, q = 2 (order 185,794,560)
+    (["lemmas", "--m", "9", "--q", "2"], None),
 ])
 def test_bad_input_is_one_line_usage_error(argv, group_cap_env, monkeypatch, tmp_path):
     """A bytes item of argv is written to a file and replaced by its path."""
@@ -273,3 +275,14 @@ def test_cli_fuzz_exit_codes(data, command, tmp_path_factory):
     assert "Traceback" not in err
     if code == 1:
         assert "VIOLATION" in out
+
+
+def test_argparse_output_goes_to_callers_streams(capsys):
+    code, out, err = run(["classify"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hamnt classify")
+    assert "the following arguments are required: --input" in err
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hamnt")
+    assert capsys.readouterr() == ("", "")

@@ -6,14 +6,14 @@ import pytest
 from hamnt import (Automorphism, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, automorphism_from_text,
                    automorphism_to_text, closure, conjugate, distance,
-                   enumerate_full_group, enumerate_triples, group_order,
-                   maps_into, orbit, schreier_sims, stabilizer_chain,
-                   translation)
+                   enumerate_full_group, enumerate_triples,
+                   full_group_generators, group_order, maps_into, orbit,
+                   schreier_sims, stabilizer_chain, translation)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
 from helpers import (brute_maps_into, brute_stabilizer_order,
-                     full_group_generators, random_automorphism, raw_apply)
+                     random_automorphism, raw_apply)
 
 H32 = HammingScheme(3, 2)
 H33 = HammingScheme(3, 3)
