@@ -1,8 +1,9 @@
 """Codes in Hamming graphs H(m,q): neighbour sets, the wreath-product
 automorphism group and its action, pre-codeword structure, setwise
-stabilizer search, stabilizer chains (order and strong generators),
-neighbour-transitivity verification, the doubled-vector binary family,
-and the structural lemma suite."""
+stabilizer search, stabilizer chains (order, strong generators and
+the least element outside a subgroup), neighbour-transitivity
+verification, the doubled-vector binary family, and the structural
+lemma suite."""
 
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
                      ImageInCodeError, LemmaViolationError, MinDistanceError,
@@ -17,7 +18,8 @@ from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            closure, conjugate, enumerate_full_group,
                            full_group_generators, group_order, maps_into,
                            orbit, translation)
-from .chain import StabilizerChain, schreier_sims, stabilizer_chain
+from .chain import (StabilizerChain, fixes_entries, least_outside,
+                    schreier_sims, stabilizer_chain)
 from .code_model import (Code, EquivalenceWitness, code_to_text,
                          find_equivalence, is_code_automorphism,
                          is_linear_binary, neighbour_count,
@@ -46,7 +48,8 @@ __all__ = [
     "Automorphism", "GeneratorSet", "translation", "enumerate_full_group",
     "full_group_generators", "maps_into", "closure", "orbit", "conjugate",
     "group_order",
-    "StabilizerChain", "stabilizer_chain", "schreier_sims",
+    "StabilizerChain", "stabilizer_chain", "schreier_sims", "least_outside",
+    "fixes_entries",
     "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
     "Code", "EquivalenceWitness", "stabilizes_set",
     "is_code_automorphism", "is_linear_binary", "neighbour_count",

@@ -1,14 +1,15 @@
 """Setwise stabilizers (element lists by `wreath_group.maps_into`,
 stabilizer chains by `chain.stabilizer_chain`), neighbour
-transitivity, and the trichotomy classifier."""
+transitivity, and the trichotomy classifier, whose witness is the least
+element of a chain outside Aut(C) (`chain.least_outside`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chain import stabilizer_chain
-from .code_model import Code, is_code_automorphism, stabilizes_set
+from .chain import fixes_entries, least_outside, stabilizer_chain
+from .code_model import Code, stabilizes_set
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
@@ -119,7 +120,8 @@ def analyze_stabilizer(code: Code,
     on Gamma_1(C).
 
     The stabilizer fixes C iff every strong generator does; otherwise the
-    first non-fixing element comes from the lazy canonical-order search.
+    first non-fixing element is the chain's least element outside Aut(C),
+    which lies in the stabilizer because C determines Gamma_1(C).
     Transitivity is the orbit of the least neighbour under the strong
     generators.  Checks the group cap first.
     """
@@ -128,10 +130,8 @@ def analyze_stabilizer(code: Code,
     if not nbrs:
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
     chain = stabilizer_chain(nbrs, code.scheme, group_cap)
-    first = None
-    if not all(is_code_automorphism(code, x) for x in chain.generators):
-        first = next(x for x in maps_into(nbrs, nbrs, code.scheme, group_cap)
-                     if not is_code_automorphism(code, x))
+    first = least_outside(chain, fixes_entries([w.entries for w in code.words],
+                                               code.scheme.q))
     transitive = orbit(GeneratorSet(code.scheme, chain.generators), nbrs[0]) == nbrs
     return StabilizerAnalysis(chain.order, chain.generators, first, transitive)
 

@@ -32,10 +32,10 @@ search fixes it first, so the leaves of each sigma(0) block are sorted
 and yielded before the next block is searched.  The group cap is
 checked at the call.
 
-The element lists of maps_into serve setwise_stabilizer, find_equivalence
-and the canonical-first witness of the stabilizer analysis.  Where only a
-subgroup's order and generators are needed, a stabilizer chain gives them
-without listing the elements.  It works in the faithful action on the
+The element lists of maps_into serve setwise_stabilizer and
+find_equivalence.  Where only a subgroup's order and generators, or its
+least element outside a subgroup, are needed, a stabilizer chain gives
+them without listing the elements.  It works in the faithful action on the
 m*q points (position, symbol), point p*q + c, where x maps (i, c) to
 (sigma(i), g_i(c)); a chain element is a tuple of point images.  The
 base is the m blocks {(k, c) : c < q}.  Level k holds the transversal of
@@ -55,6 +55,11 @@ helper (_grow) and the sifting of _sift, in the module chain:
 * schreier_sims(gens), the group gens generate, by deterministic
   Schreier-Sims; the family's clause 7 compares the two orders, and the
   lemma suite certifies full_group_generators with it.
+
+least_outside(chain, inside) gives the stabilizer analysis its witness,
+the canonical-first element of G \\ Aut(C): it re-bases G by Schreier-Sims
+onto levels keyed by sigma(0..m-1), then by the block images, and descends
+by least key (Seress 2003, ch. 4 and 9).
 
 enumerate_full_group, which streams every element, has no caller in the
 package; the tests use it as an oracle.

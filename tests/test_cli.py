@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamnt import (Code, HammingScheme, LemmaSuiteReport, neighbour_count,
+from hamnt import (Code, HammingScheme, LemmaSuiteReport,
+                   automorphism_to_text, neighbour_count,
                    neighbourhoods_disjoint, parse_code_text, run_lemma_suite,
-                   write_code_file)
+                   translation, write_code_file)
 from hamnt.cli import main
 from hamnt.family_codes import build_family
 from hamnt.transitivity import CASE2, VERDICT_FIXED
@@ -80,6 +81,46 @@ def test_classify_fixed_code(tmp_path):
     code, out, _ = run(["classify", "--input", str(path)])
     assert code == 0
     assert "verdict: FIXED" in out
+
+
+def binary_span(rows) -> Code:
+    """The binary linear code spanned by the rows of a generator matrix."""
+    words = {tuple([0] * len(rows[0]))}
+    for row in rows:
+        words |= {tuple(a ^ b for a, b in zip(w, row)) for w in words}
+    return Code.from_entries(HammingScheme(len(rows[0]), 2), words)
+
+
+HAMMING_7_4 = [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+               [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]
+
+
+def test_classify_classic_hamming_codes(tmp_path):
+    # the extended [8,4,4] code: its neighbour set is the 8 cosets of weight 1,
+    # which every translation by an even-weight word preserves
+    extended = binary_span([row + [sum(row) % 2] for row in HAMMING_7_4])
+    hamming = binary_span(HAMMING_7_4)
+    assert (len(extended), extended.min_distance) == (16, 4)
+    assert (len(hamming), hamming.min_distance) == (16, 3)
+    reports = {}
+    for name, code in (("844", extended), ("743", hamming)):
+        path = tmp_path / f"{name}.code"
+        write_code_file(code, path)
+        rc, out, _ = run(["classify", "--input", str(path), "--format", "json"])
+        assert rc == 0
+        reports[name] = json.loads(out)
+        rc, out, _ = run(["stabilizer", "--input", str(path), "--format", "json"])
+        assert rc == 0
+        assert json.loads(out)["first_nonfixing"] == reports[name]["witness"]
+    # the witness is the translation by 00000011
+    shift = translation(extended.scheme.vertex([0] * 6 + [1, 1]))
+    assert reports["844"] == {
+        "delta": 4, "verdict": "NONFIXING_WITNESS", "theorem_case": CASE2,
+        "witness": automorphism_to_text(shift),
+        "stabilizer_order": 5160960, "transitive_on_neighbours": True}
+    assert reports["743"] == {
+        "delta": 3, "verdict": VERDICT_FIXED, "theorem_case": None, "witness": None,
+        "stabilizer_order": 2688, "transitive_on_neighbours": True}
 
 
 def test_classify_small_delta_is_usage_error(tmp_path):

@@ -1,14 +1,18 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import hamnt.chain
 from hamnt import (Automorphism, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, automorphism_from_text,
                    automorphism_to_text, closure, conjugate, distance,
-                   enumerate_full_group, enumerate_triples,
-                   full_group_generators, group_order, maps_into, orbit,
-                   schreier_sims, stabilizer_chain, translation)
+                   enumerate_full_group, enumerate_triples, fixes_entries,
+                   full_group_generators, group_order, least_outside,
+                   maps_into, orbit, schreier_sims, stabilizer_chain,
+                   translation)
+from hamnt.chain import _canonical_levels, _points, _schreier_sims
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
@@ -267,6 +271,52 @@ def test_schreier_sims_matches_closure():
         assert schreier_sims(GeneratorSet(scheme, ())).order == 1
     assert schreier_sims(full_group_generators(HammingScheme(6, 3))).order == \
         group_order(HammingScheme(6, 3))
+
+
+def test_least_outside_matches_brute_force_first():
+    # G = Stab(S) and H = G meet Stab(T): the least element of G \ H is the
+    # first element of the brute-force list of G that moves T
+    rng = random.Random(37)
+    kinds = Counter()
+    for scheme, trials in ((H32, 40), (H42, 40), (HammingScheme(5, 2), 30),
+                           (HammingScheme(2, 3), 40), (H33, 40),
+                           (HammingScheme(4, 3), 8), (HammingScheme(2, 4), 30)):
+        verts = list(scheme.vertices())
+        for _ in range(trials):
+            source = rng.sample(verts, rng.randint(1, 4))
+            target = {v.entries for v in rng.sample(verts, rng.randint(1, 4))}
+            chain = stabilizer_chain(source, scheme)
+            got = least_outside(chain, fixes_entries(target, scheme.q))
+            want = next(((sigma, gs) for sigma, gs in brute_maps_into(scheme, source, source)
+                         if {raw_apply(sigma, gs, w) for w in target} != target), None)
+            assert (got and (got.coord_perm, got.alphabet_perms)) == want
+            kinds["none" if want is None else
+                  "sigma = id" if want[0] == tuple(range(scheme.m)) else "sigma != id"] += 1
+            # re-based and run to the end, Schreier-Sims finds the same order
+            gens = [_points(zip(x.coord_perm, x.alphabet_perms), scheme.q)
+                    for x in chain.generators]
+            _, _, trans = _schreier_sims(gens, scheme.m * scheme.q,
+                                         _canonical_levels(scheme.m, scheme.q))
+            assert math.prod(len(t) for t in trans) == chain.order
+    assert min(kinds.values()) >= 10 and len(kinds) == 3, kinds
+
+
+def test_schreier_sims_stops_at_a_known_order(monkeypatch):
+    scheme = HammingScheme(8, 2)
+    chain = stabilizer_chain(build_family(8).C.neighbour_set, scheme)
+    gens = [_points(zip(x.coord_perm, x.alphabet_perms), 2) for x in chain.generators]
+    levels = _canonical_levels(8, 2)
+    sifts = []
+    real_sift = hamnt.chain._sift
+    monkeypatch.setattr(hamnt.chain, "_sift", lambda *a: sifts.append(1) or real_sift(*a))
+    _, _, full = _schreier_sims(gens, 16, levels)
+    to_the_end = len(sifts)
+    _, _, known = _schreier_sims(gens, 16, levels, chain.order)
+    assert full == known and math.prod(len(t) for t in known) == chain.order
+    # the known order spares the sifts that would prove the chain complete
+    assert len(sifts) - to_the_end < to_the_end / 2
+    with pytest.raises(RuntimeError, match="internal error"):
+        _schreier_sims(gens, 16, levels, 2 * chain.order)
 
 
 def test_maps_into_cap_and_scheme_are_checked_at_the_call():
