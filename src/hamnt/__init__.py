@@ -1,7 +1,7 @@
 """Codes in Hamming graphs H(m,q): neighbour sets, the wreath-product
-automorphism group and its action, pre-codeword structure, setwise
-stabilizer search, stabilizer chains (order, strong generators and
-the least element outside a subgroup), neighbour-transitivity
+automorphism group and its action, pre-codeword structure, one search
+with stabilizer chains behind setwise stabilizers, the least element
+outside a subgroup and code equivalence, neighbour-transitivity
 verification, the doubled-vector binary family, and the structural
 lemma suite."""
 
@@ -16,8 +16,8 @@ from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Triple,
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
                            closure, conjugate, enumerate_full_group,
-                           full_group_generators, group_order, maps_into,
-                           orbit, translation)
+                           full_group_generators, group_order, orbit,
+                           translation)
 from .chain import (StabilizerChain, fixes_entries, least_outside,
                     schreier_sims, stabilizer_chain)
 from .code_model import (Code, EquivalenceWitness, code_to_text,
@@ -46,7 +46,7 @@ __all__ = [
     "common_neighbours", "enumerate_triples", "shell", "vertex_to_text",
     "vertex_from_text", "DEFAULT_ENUMERATION_CAP",
     "Automorphism", "GeneratorSet", "translation", "enumerate_full_group",
-    "full_group_generators", "maps_into", "closure", "orbit", "conjugate",
+    "full_group_generators", "closure", "orbit", "conjugate",
     "group_order",
     "StabilizerChain", "stabilizer_chain", "schreier_sims", "least_outside",
     "fixes_entries",

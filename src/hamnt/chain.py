@@ -1,21 +1,50 @@
-"""Stabilizer chains of subgroups of S_q wr S_m: order, strong generators
-and the least element outside a subgroup, without listing the elements.
-The wreath_group module docstring describes them and their callers.
+"""Stabilizer chains of subgroups of S_q wr S_m, and the search for the
+automorphisms x mapping a vertex set S into a vertex set T.
 
-A level (lo, hi, d) keys an element u by tuple(u[lo:hi]), each point
-divided by d.  Block levels (k*q, (k+1)*q, 1) key by block k's image;
-the canonical levels, (k*q, k*q + 1, q) keyed by sigma(k) for each k and
-then the block levels, order elements canonically."""
+The search (_pruning_model, _narrow, _leaves) is a backtrack: depth k
+picks the image position p = sigma(k) among the positions still free
+(ascending), then g_k.  Each distinct source prefix s[:k+1] keeps a
+bitmask of the members of T that agree with its image on the positions
+sigma(0)..sigma(k).  x is injective, so a branch dies when some mask
+holds fewer targets than its prefix has sources, and every sigma with a
+given prefix shares that prefix's pruning.  A leaf maps S into T, onto
+T when |S| = |T|.
+
+A chain acts on the m*q points (position, symbol), point p*q + c, which
+x maps to sigma(p)*q + g_p(c); an element is a tuple of point images,
+and x followed by y is tuple([y[pt] for pt in x]).  A level (lo, hi, d)
+keys u by tuple(u[lo:hi]), each point divided by d; the block levels
+(k*q, (k+1)*q, 1) key by block k's image.  Level k holds the transversal
+(key -> element) of G^(k), the subgroup fixing the keys of levels
+0..k-1, and the order is the product of the transversal sizes (Seress,
+Permutation Group Algorithms, 2003, ch. 4).  Two builders share _grow
+and _sift: stabilizer_chain(S), by Sims' backtrack over the search with
+S = T on the block levels m-1 down to 0 (each image of block k that the
+subgroup found so far does not reach gets a search for one element
+fixing blocks 0..k-1 pointwise and moving block k there), and
+schreier_sims(gens), by deterministic Schreier-Sims.
+
+The canonical levels, keyed by sigma(0..m-1) and then by the block
+images, compared level by level, are the canonical order.  _rebase
+re-bases a chain onto them by Schreier-Sims.  There the elements sharing
+u's keys at levels 0..k-1 form the coset G^(k) u, and its children
+G^(k+1) t u, t in level k's transversal, are ordered by the key of t u,
+so _walk yields a coset in canonical order (Seress 2003, ch. 4 and 9).
+Every canonical-order answer comes from it: a setwise stabilizer's
+elements (_elements), the least element outside a subgroup
+(least_outside) and the least equivalence (_least_equivalence).
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
+from .errors import SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _invert, _leaves, _narrow, _pruning_model,
-                           check_group_cap)
+                           _invert, check_group_cap)
 
 # Elements are point-image tuples, built as tuple([...]): tuple(generator)
 # raised the peak RSS of a classify sweep by about 1 MB.
@@ -44,6 +73,72 @@ def _block_levels(m: int, q: int) -> list[tuple[int, int, int]]:
 
 def _canonical_levels(m: int, q: int) -> list[tuple[int, int, int]]:
     return [(k * q, k * q + 1, q) for k in range(m)] + _block_levels(m, q)
+
+
+def _pruning_model(source: Iterable[Vertex], target: Iterable[Vertex],
+                   scheme: HammingScheme):
+    """The pruning model of the search: (full, rows, levels).
+
+    full is the bitmask of every target; rows[p] pairs each alphabet
+    permutation g (in lexicographic order) with pos_val[p][g(c)] for every
+    symbol c, where pos_val[p][c] is the bitmask of the targets t with
+    t[p] == c; levels[k] lists the distinct source prefixes w[:k+1] as
+    (parent, symbol, size): parent indexes the prefixes w[:k] of
+    levels[k-1], and size counts the sources with that prefix.
+    """
+    words, targets = [], []
+    for vertices, entries in ((source, words), (target, targets)):
+        vs = set(vertices)
+        if any(v.scheme != scheme for v in vs):
+            raise SchemeMismatchError("set member from a different scheme")
+        entries.extend(sorted(v.entries for v in vs))
+    m, q = scheme.m, scheme.q
+    perms = list(itertools.permutations(range(q)))
+    pos_val = [[0] * q for _ in range(m)]
+    for t, w in enumerate(targets):
+        for p, c in enumerate(w):
+            pos_val[p][c] |= 1 << t
+    rows = [[(g, [pv[g[c]] for c in range(q)]) for g in perms] for pv in pos_val]
+    levels, index = [], {(): 0}
+    for k in range(m):
+        level: dict[tuple[int, ...], list[int]] = {}
+        for w in words:
+            level.setdefault(w[:k + 1], [index[w[:k]], w[k], 0])[2] += 1
+        levels.append(tuple([tuple(node) for node in level.values()]))
+        index = {prefix: i for i, prefix in enumerate(level)}
+    return (1 << len(targets)) - 1, rows, levels
+
+
+def _narrow(level: tuple, row: list[int], masks: list[int]) -> list[int] | None:
+    """The masks of one depth's source prefixes (level) after choosing
+    sigma(depth) = p and g_depth = g, where row is g's row in rows[p];
+    None when one holds fewer targets than its prefix has sources."""
+    nxt = []
+    for parent, c, size in level:
+        nm = masks[parent] & row[c]
+        if nm.bit_count() < size:
+            return None
+        nxt.append(nm)
+    return nxt
+
+
+def _leaves(levels: list, rows: list, free: list[int], masks: list[int],
+            chosen: list):
+    """Yield chosen, the (sigma(d), g_d) of the depths above, completed at
+    every leaf below it that no mask prunes: sigma(d) from free ascending,
+    then g_d.  chosen is the same list each time, changed in place."""
+    if not free:
+        yield chosen
+        return
+    level = levels[len(chosen)]
+    for i, p in enumerate(free):
+        rest = free[:i] + free[i + 1:]
+        for g, row in rows[p]:
+            nxt = _narrow(level, row, masks)
+            if nxt is not None:
+                chosen.append((p, g))
+                yield from _leaves(levels, rows, rest, nxt, chosen)
+                chosen.pop()
 
 
 def _grow(trans: dict, level: tuple[int, int, int], gens: list[tuple[int, ...]]) -> None:
@@ -86,12 +181,13 @@ class StabilizerChain:
         self.scheme = scheme
         self.order = math.prod([len(t) for t in transversals])
         self.generators = tuple([_element(scheme, s) for s in strong])
+        self._strong = strong
 
 
 def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
                      group_cap: int = DEFAULT_GROUP_CAP) -> StabilizerChain:
     """The setwise stabilizer of a vertex set as a stabilizer chain, by
-    Sims' backtrack over the search of maps_into."""
+    Sims' backtrack over the search."""
     check_group_cap(scheme, group_cap)
     vs = list(vertices)
     full, rows, levels = _pruning_model(vs, vs, scheme)
@@ -183,6 +279,42 @@ def schreier_sims(gens: GeneratorSet) -> StabilizerChain:
     return StabilizerChain(gens.scheme, found, transversals)
 
 
+def _rebase(chain: StabilizerChain):
+    """(levels, strong, transversals) of the chain's group re-based onto the
+    canonical levels by Schreier-Sims, stopped at its known order."""
+    m, q = chain.scheme.m, chain.scheme.q
+    levels = _canonical_levels(m, q)
+    _, strong, transversals = _schreier_sims(chain._strong, m * q, levels, chain.order)
+    return levels, strong, transversals
+
+
+def _children(transversal: dict, level: tuple, u: tuple) -> list[tuple[int, ...]]:
+    """t u for each t in a level's transversal, by their keys at the level."""
+    lo, hi, d = level
+    # the key of t u at the level, without building t u
+    ts = sorted(transversal.values(), key=lambda t: [u[pt] // d for pt in t[lo:hi]])
+    return [tuple([u[pt] for pt in t]) for t in ts]
+
+
+def _walk(transversals: list[dict], levels: list, k: int, u: tuple) -> Iterator[tuple]:
+    """Every element of the coset G^(k) u of a chain on the canonical
+    levels, canonical order: the children's elements, child by child."""
+    while k < len(levels) and len(transversals[k]) == 1:
+        k += 1  # G^(k+1) = G^(k)
+    if k == len(levels):
+        yield u
+        return
+    for v in _children(transversals[k], levels[k], u):
+        yield from _walk(transversals, levels, k + 1, v)
+
+
+def _elements(chain: StabilizerChain) -> list[Automorphism]:
+    """Every element of the chain's group, canonical order."""
+    levels, _, transversals = _rebase(chain)
+    ident = tuple(range(chain.scheme.m * chain.scheme.q))
+    return [_element(chain.scheme, u) for u in _walk(transversals, levels, 0, ident)]
+
+
 def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple[int, ...]], bool]:
     """The membership test, on point tuples, of the setwise stabilizer of
     a set of vertices given as entry tuples."""
@@ -195,31 +327,35 @@ def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple
 def least_outside(chain: StabilizerChain,
                   inside: Callable[[tuple[int, ...]], bool]) -> Automorphism | None:
     """The least element, canonical order, of the chain's group G outside
-    its subgroup H = {x in G : inside(x)}, or None when H = G; inside
-    tests a point tuple.
-
-    On the canonical levels, the elements sharing u's keys at levels
-    0..k-1 form the coset G^(k) u; its children G^(k+1) t u, t in level
-    k's transversal, are ordered by the key of t u.  G^(k) lies in H for
-    k >= deep.  Above deep every such coset meets G \\ H, and its least
-    child is the one holding the identity, the least element of the
-    group; at deep a coset lies in H iff u does.  So the search starts at
-    level deep - 1 with u = id, takes the least child not in H there,
-    then least children.
-    """
-    m, q = chain.scheme.m, chain.scheme.q
-    gens = [_points(zip(x.coord_perm, x.alphabet_perms), q) for x in chain.generators]
-    if all(map(inside, gens)):
+    its subgroup H = {x in G : inside(x)} (inside tests a point tuple), or
+    None when H = G.  With G^(k) in H for k >= deep, every coset above
+    deep meets G \\ H and its least child holds the identity, and a coset
+    at deep lies in H iff u does: the answer is the first element below
+    the least child of the identity at level deep - 1 that is not in H."""
+    if all(map(inside, chain._strong)):
         return None
-    levels = _canonical_levels(m, q)
-    _, strong, transversals = _schreier_sims(gens, m * q, levels, chain.order)
+    levels, strong, transversals = _rebase(chain)
     # G^(k) lies in H iff its strong generators do, and then so does G^(k+1)
     deep = sum([not all(map(inside, gens_k)) for gens_k in strong])
-    u = tuple(range(m * q))
-    for k in range(deep - 1, len(levels)):
-        lo, hi, d = levels[k]
-        # the key of t u at level k, without building t u
-        ts = sorted(transversals[k].values(), key=lambda t: [u[pt] // d for pt in t[lo:hi]])
-        children = (tuple([u[pt] for pt in t]) for t in ts)
-        u = next(v for v in children if k >= deep or not inside(v))
-    return _element(chain.scheme, u)
+    ident = tuple(range(chain.scheme.m * chain.scheme.q))
+    u = next(v for v in _children(transversals[deep - 1], levels[deep - 1], ident)
+             if not inside(v))
+    return _element(chain.scheme, next(_walk(transversals, levels, deep, u)))
+
+
+def _least_equivalence(source: Iterable[Vertex], target: Iterable[Vertex],
+                       scheme: HammingScheme,
+                       group_cap: int) -> Automorphism | None:
+    """The least automorphism, canonical order, mapping the vertex set
+    source onto target (a set of the same size), or None.  Any leaf y of
+    the search maps source onto target, and the elements that do form the
+    coset Aut(source) y; its chain is built only once a leaf is found."""
+    check_group_cap(scheme, group_cap)
+    vs = list(source)
+    full, rows, levels = _pruning_model(vs, target, scheme)
+    leaf = next(_leaves(levels, rows, list(range(scheme.m)), [full], []), None)
+    if leaf is None:
+        return None
+    y = _points(leaf, scheme.q)
+    levels, _, transversals = _rebase(stabilizer_chain(vs, scheme, group_cap))
+    return _element(scheme, next(_walk(transversals, levels, 0, y)))

@@ -15,12 +15,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
+from .chain import _least_equivalence
 from .errors import CodeFormatError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            check_cap, distance, neighbours, vertex_from_text,
                            vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           maps_into, translation)
+                           translation)
 
 
 class Code:
@@ -176,7 +177,7 @@ def find_equivalence(code: Code, other: Code,
         raise SchemeMismatchError("codes from different schemes")
     if len(code) != len(other):
         return None
-    y = next(maps_into(code, other, code.scheme, group_cap), None)
+    y = _least_equivalence(code, other, code.scheme, group_cap)
     return None if y is None else EquivalenceWitness(y)
 
 

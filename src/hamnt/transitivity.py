@@ -1,20 +1,20 @@
-"""Setwise stabilizers (element lists by `wreath_group.maps_into`,
-stabilizer chains by `chain.stabilizer_chain`), neighbour
-transitivity, and the trichotomy classifier, whose witness is the least
-element of a chain outside Aut(C) (`chain.least_outside`)."""
+"""Setwise stabilizers (stabilizer chains by `chain.stabilizer_chain`,
+and their elements in canonical order), neighbour transitivity, and the
+trichotomy classifier, whose witness is the least element of a chain
+outside Aut(C) (`chain.least_outside`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chain import fixes_entries, least_outside, stabilizer_chain
+from .chain import _elements, fixes_entries, least_outside, stabilizer_chain
 from .code_model import Code, stabilizes_set
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
-                           check_group_cap, maps_into, orbit)
+                           check_group_cap, orbit)
 
 VERDICT_FIXED = "FIXED"
 VERDICT_NONFIXING = "NONFIXING_WITNESS"
@@ -60,8 +60,7 @@ class ClassificationReport:
 def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
                        group_cap: int = DEFAULT_GROUP_CAP) -> list[Automorphism]:
     """All automorphisms mapping the vertex set onto itself, canonical order."""
-    vs = list(vertices)
-    return list(maps_into(vs, vs, scheme, group_cap))
+    return _elements(stabilizer_chain(vertices, scheme, group_cap))
 
 
 def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:

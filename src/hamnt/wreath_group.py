@@ -15,54 +15,8 @@ The canonical enumeration order used everywhere (full-group enumeration,
 stabilizer output, witness selection) is lexicographic over sigma's
 images, then lexicographic over the tuple of alphabet-permutation images.
 
-One search, maps_into, finds the automorphisms mapping a vertex set S
-into a vertex set T: setwise stabilizers (T = S), code automorphisms and
-code equivalences.  A backtrack chooses sigma inside the search: depth k
-picks the image position p = sigma(k) among the positions still free
-(ascending), then g_k.  Every s in S keeps a bitmask of the members of T
-that agree with its image on the positions sigma(0)..sigma(k); the mask
-depends only on the prefix s[:k+1], so one mask is kept per distinct
-source prefix.  x is injective and maps the sources with that prefix
-into the mask, so a branch dies when some mask holds fewer targets than
-its prefix has sources (when |S| = |T| every mask must match exactly).
-Every sigma with a given prefix thus shares that prefix's pruning.  A
-leaf (no mask pruned) maps S into T, onto T when |S| = |T|, as x is a
-bijection.  sigma(0) is the first key of the canonical order and the
-search fixes it first, so the leaves of each sigma(0) block are sorted
-and yielded before the next block is searched.  The group cap is
-checked at the call.
-
-The element lists of maps_into serve setwise_stabilizer and
-find_equivalence.  Where only a subgroup's order and generators, or its
-least element outside a subgroup, are needed, a stabilizer chain gives
-them without listing the elements.  It works in the faithful action on the
-m*q points (position, symbol), point p*q + c, where x maps (i, c) to
-(sigma(i), g_i(c)); a chain element is a tuple of point images.  The
-base is the m blocks {(k, c) : c < q}.  Level k holds the transversal of
-block k's images under the pointwise stabilizer of blocks 0..k-1, and
-the order is the product of the transversal sizes (Seress, Permutation
-Group Algorithms, 2003, ch. 4).  Two builders share one orbit/transversal
-helper (_grow) and the sifting of _sift, in the module chain:
-
-* stabilizer_chain(S), the setwise stabilizer of S by Sims' backtrack:
-  the search above with S = T (_pruning_model, _narrow, _leaves), levels
-  m-1 down to 0.  At level k each image (p, g) of block k that the orbit
-  of the subgroup found so far does not reach gets a search for one
-  element fixing blocks 0..k-1 pointwise and moving block k there; each
-  element found is a new strong generator.  The group cap is checked at
-  the call.  family --exhaustive, the stabilizer analysis of classify
-  and stabilizer, and Aut(C) in the lemma suite use it.
-* schreier_sims(gens), the group gens generate, by deterministic
-  Schreier-Sims; the family's clause 7 compares the two orders, and the
-  lemma suite certifies full_group_generators with it.
-
-least_outside(chain, inside) gives the stabilizer analysis its witness,
-the canonical-first element of G \\ Aut(C): it re-bases G by Schreier-Sims
-onto levels keyed by sigma(0..m-1), then by the block images, and descends
-by least key (Seress 2003, ch. 4 and 9).
-
-enumerate_full_group, which streams every element, has no caller in the
-package; the tests use it as an oracle.
+Searches and subgroups live in the module chain.  enumerate_full_group
+and closure have no caller in the package; the tests use them as oracles.
 """
 
 from __future__ import annotations
@@ -71,7 +25,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .errors import CodeFormatError, FeasibilityError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex, check_cap
@@ -254,100 +207,6 @@ def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_C
         for sigma in itertools.permutations(range(scheme.m)):
             for gs in itertools.product(perms, repeat=scheme.m):
                 yield Automorphism._trusted(scheme, gs, sigma)
-
-    return gen()
-
-
-def _pruning_model(source: Iterable[Vertex], target: Iterable[Vertex],
-                   scheme: HammingScheme):
-    """The pruning model both searches share: (full, rows, levels).
-
-    full is the bitmask of every target; rows[p] pairs each alphabet
-    permutation g (in lexicographic order) with pos_val[p][g(c)] for every
-    symbol c, where pos_val[p][c] is the bitmask of the targets t with
-    t[p] == c; levels[k] lists the distinct source prefixes w[:k+1] as
-    (parent, symbol, size): parent indexes the prefixes w[:k] of
-    levels[k-1], and size counts the sources with that prefix.
-    """
-    words, targets = [], []
-    for vertices, entries in ((source, words), (target, targets)):
-        vs = set(vertices)
-        if any(v.scheme != scheme for v in vs):
-            raise SchemeMismatchError("set member from a different scheme")
-        entries.extend(sorted(v.entries for v in vs))
-    m, q = scheme.m, scheme.q
-    perms = list(itertools.permutations(range(q)))
-    pos_val = [[0] * q for _ in range(m)]
-    for t, w in enumerate(targets):
-        for p, c in enumerate(w):
-            pos_val[p][c] |= 1 << t
-    rows = [[(g, [pv[g[c]] for c in range(q)]) for g in perms] for pv in pos_val]
-    levels, index = [], {(): 0}
-    for k in range(m):
-        level: dict[tuple[int, ...], list[int]] = {}
-        for w in words:
-            level.setdefault(w[:k + 1], [index[w[:k]], w[k], 0])[2] += 1
-        levels.append(tuple([tuple(node) for node in level.values()]))
-        index = {prefix: i for i, prefix in enumerate(level)}
-    return (1 << len(targets)) - 1, rows, levels
-
-
-def _narrow(level: tuple, row: list[int], masks: list[int]) -> list[int] | None:
-    """The masks of one depth's source prefixes (level) after choosing
-    sigma(depth) = p and g_depth = g, where row is g's row in rows[p];
-    None when one holds fewer targets than its prefix has sources."""
-    nxt = []
-    for parent, c, size in level:
-        nm = masks[parent] & row[c]
-        if nm.bit_count() < size:
-            return None
-        nxt.append(nm)
-    return nxt
-
-
-def _leaves(levels: list, rows: list, free: list[int], masks: list[int],
-            chosen: list):
-    """Yield chosen, the (sigma(d), g_d) of the depths above, completed at
-    every leaf below it that no mask prunes: sigma(d) from free ascending,
-    then g_d.  chosen is the same list each time, changed in place."""
-    if not free:
-        yield chosen
-        return
-    level = levels[len(chosen)]
-    for i, p in enumerate(free):
-        rest = free[:i] + free[i + 1:]
-        for g, row in rows[p]:
-            nxt = _narrow(level, row, masks)
-            if nxt is not None:
-                chosen.append((p, g))
-                yield from _leaves(levels, rows, rest, nxt, chosen)
-                chosen.pop()
-
-
-def maps_into(source: Iterable[Vertex], target: Iterable[Vertex],
-              scheme: HammingScheme,
-              group_cap: int = DEFAULT_GROUP_CAP) -> Iterator[Automorphism]:
-    """Yield every automorphism x with source^x within target, canonical
-    order, by the search above: lazily, one sigma(0) block at a time."""
-    check_group_cap(scheme, group_cap)
-    full, rows, levels = _pruning_model(source, target, scheme)
-    m = scheme.m
-
-    def gen():
-        trusted = Automorphism._trusted
-        for p0 in range(m):
-            free = [r for r in range(m) if r != p0]
-            leaves = []  # (sigma, gs) of the sigma(0) = p0 block
-            for g, row in rows[p0]:
-                nxt = _narrow(levels[0], row, [full])
-                if nxt is not None:
-                    leaves += [tuple(zip(*leaf))
-                               for leaf in _leaves(levels, rows, free, nxt, [(p0, g)])]
-            leaves.sort()
-            # the elements of one sigma share one images tuple
-            shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for images, gs in leaves:
-                yield trusted(scheme, gs, shared.setdefault(images, images))
 
     return gen()
 

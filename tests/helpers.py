@@ -35,6 +35,18 @@ def random_code_min_distance(rng: random.Random, scheme: HammingScheme,
             return code
 
 
+def binary_span(rows) -> Code:
+    """The binary linear code spanned by the rows of a generator matrix."""
+    words = {tuple([0] * len(rows[0]))}
+    for row in rows:
+        words |= {tuple(a ^ b for a, b in zip(w, row)) for w in words}
+    return Code.from_entries(HammingScheme(len(rows[0]), 2), words)
+
+
+HAMMING_7_4 = [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
+               [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]
+
+
 def brute_distance(u: Vertex, v: Vertex) -> int:
     return sum(1 for a, b in zip(u.entries, v.entries) if a != b)
 

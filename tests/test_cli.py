@@ -13,7 +13,7 @@ from hamnt import (Code, HammingScheme, LemmaSuiteReport,
 from hamnt.cli import main
 from hamnt.family_codes import build_family
 from hamnt.transitivity import CASE2, VERDICT_FIXED
-from helpers import random_code_min_distance
+from helpers import HAMMING_7_4, binary_span, random_code_min_distance
 
 
 def run(argv):
@@ -81,18 +81,6 @@ def test_classify_fixed_code(tmp_path):
     code, out, _ = run(["classify", "--input", str(path)])
     assert code == 0
     assert "verdict: FIXED" in out
-
-
-def binary_span(rows) -> Code:
-    """The binary linear code spanned by the rows of a generator matrix."""
-    words = {tuple([0] * len(rows[0]))}
-    for row in rows:
-        words |= {tuple(a ^ b for a, b in zip(w, row)) for w in words}
-    return Code.from_entries(HammingScheme(len(rows[0]), 2), words)
-
-
-HAMMING_7_4 = [[1, 0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 0, 1],
-               [0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1, 1]]
 
 
 def test_classify_classic_hamming_codes(tmp_path):

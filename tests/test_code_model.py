@@ -1,20 +1,24 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from hamnt import (Automorphism, Code, EquivalenceWitness, HammingScheme,
-                   SchemeMismatchError, closure, code_to_text, distance,
+from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, EquivalenceWitness,
+                   HammingScheme, SchemeMismatchError, automorphism_from_text,
+                   automorphism_to_text, closure, code_to_text, distance,
                    enumerate_full_group, find_equivalence,
                    is_code_automorphism, is_linear_binary,
                    neighbour_count, neighbourhoods_disjoint, neighbours,
                    parse_code_text, read_code_file, shell, stabilizes_set,
                    translation, translation_subgroup, write_code_file)
+from hamnt.chain import _leaves, _pruning_model
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
-from helpers import (brute_maps_into, brute_neighbours, random_automorphism,
-                     random_code)
+from helpers import (HAMMING_7_4, binary_span, brute_neighbours,
+                     random_automorphism, random_code, raw_apply,
+                     raw_full_group)
 
 H42 = HammingScheme(4, 2)
 H33 = HammingScheme(3, 3)
@@ -191,20 +195,58 @@ def test_find_equivalence():
 
 def test_find_equivalence_matches_brute_force_filter():
     # canonical-first witness against the raw full-group filter; the second
-    # code is a moved copy of the first or a random code of the same size
+    # code is a moved copy of the first or a random code of the same size.
+    # The search's first leaf maps the code onto the other one; the witness
+    # is the least element of its coset under Aut(code), sometimes not the leaf
     rng = random.Random(44)
-    found = set()
-    for scheme in (H33, H42, HammingScheme(2, 4)):
-        for i in range(10):
-            size = rng.randrange(1, 4)
+    kinds = Counter()
+    for scheme, trials in ((H33, 150), (H42, 150), (HammingScheme(2, 4), 20),
+                           (HammingScheme(5, 2), 150), (HammingScheme(2, 3), 20),
+                           (HammingScheme(4, 3), 30)):
+        for i in range(trials):
+            size = rng.randint(1, 5)
             code = random_code(rng, scheme, size)
-            other = (code.image(random_automorphism(rng, scheme)) if i % 2
+            other = (code.image(random_automorphism(rng, scheme)) if i % 4
                      else random_code(rng, scheme, size))
             w = find_equivalence(code, other)
-            witness = None if w is None else (w.y.coord_perm, w.y.alphabet_perms)
-            assert witness == next(iter(brute_maps_into(scheme, code, other)), None)
-            found.add(w is None)
-    assert found == {True, False}
+            target = {v.entries for v in other}
+            # |code| = |other|, so mapping into other is mapping onto it
+            want = next(((sigma, gs) for sigma, gs in raw_full_group(scheme.m, scheme.q)
+                         if all(raw_apply(sigma, gs, v.entries) in target for v in code)),
+                        None)
+            assert (w and (w.y.coord_perm, w.y.alphabet_perms)) == want
+            if w is None:
+                kinds["none"] += 1
+                continue
+            kinds["sigma = id" if want[0] == tuple(range(scheme.m)) else "sigma != id"] += 1
+            full, rows, levels = _pruning_model(code, other, scheme)
+            leaf = next(_leaves(levels, rows, list(range(scheme.m)), [full], []))
+            kinds["leaf" if tuple(zip(*leaf)) == want else "not the leaf"] += 1
+    # a first leaf that is not least is rare: one moved copy in 30 to 100
+    assert len(kinds) == 5 and min(kinds.values()) >= 2, kinds
+
+
+# find_equivalence witnesses of relabelled images, recorded at commit
+# e130cd6, where the witness was the first element of an element search
+EQUIVALENCE_PINS = [
+    ("perm=[3,6,0,7,1,5,2,4]; g0=[1,0]; g1=[0,1]; g2=[1,0]; g3=[1,0]; "
+     "g4=[0,1]; g5=[1,0]; g6=[0,1]; g7=[0,1]",
+     "perm=[0,1,2,4,6,7,5,3]; g0=[0,1]; g1=[0,1]; g2=[0,1]; g3=[0,1]; "
+     "g4=[0,1]; g5=[0,1]; g6=[0,1]; g7=[0,1]"),
+    ("perm=[7,2,9,0,4,1,8,3,6,5]; g0=[0,1]; g1=[1,0]; g2=[1,0]; g3=[0,1]; "
+     "g4=[1,0]; g5=[0,1]; g6=[0,1]; g7=[1,0]; g8=[1,0]; g9=[0,1]",
+     "perm=[0,1,2,3,4,6,7,8,9,5]; g0=[0,1]; g1=[0,1]; g2=[0,1]; g3=[0,1]; "
+     "g4=[1,0]; g5=[1,0]; g6=[0,1]; g7=[1,0]; g8=[0,1]; g9=[0,1]"),
+]
+
+
+def test_find_equivalence_matches_parent_pins():
+    # the extended Hamming [8,4,4] code and the family's C at m = 10
+    extended = binary_span([row + [sum(row) % 2] for row in HAMMING_7_4])
+    for code, cap, (relabel, witness) in zip(
+            (extended, build_family(10).C), (DEFAULT_GROUP_CAP, 10**15), EQUIVALENCE_PINS):
+        other = code.image(automorphism_from_text(code.scheme, relabel))
+        assert automorphism_to_text(find_equivalence(code, other, cap).y) == witness
 
 
 def test_code_file_round_trip(tmp_path):

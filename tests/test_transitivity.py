@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,9 +7,10 @@ import pytest
 from hamnt import (CASE2, VERDICT_FIXED, VERDICT_NONFIXING, VIOLATION,
                    Automorphism, ClassificationReport, Code, FeasibilityError,
                    GeneratorSet, HammingScheme, HypothesisError,
-                   MinDistanceError, classify_theorem, enumerate_full_group,
-                   is_neighbour_transitive, neighbour_orbits,
-                   setwise_stabilizer, stabilizes_set, translation, weight)
+                   MinDistanceError, automorphism_to_text, classify_theorem,
+                   enumerate_full_group, is_neighbour_transitive,
+                   neighbour_orbits, setwise_stabilizer, stabilizes_set,
+                   translation, weight)
 from hamnt.family_codes import build_family
 from helpers import (brute_classify, brute_stabilizer_order,
                      random_automorphism, random_code_min_distance)
@@ -27,6 +29,23 @@ def test_stabilizer_of_everything_is_full_group():
 
 def test_stabilizer_of_empty_set_is_full_group():
     assert setwise_stabilizer([], H22) == list(enumerate_full_group(H22))
+
+
+# sha256 of the joined automorphism_to_text lines of setwise_stabilizer of
+# the family's neighbour set, recorded at commit e130cd6, where the
+# elements came from an element search
+STABILIZER_PINS = {
+    6: (384, "8bc8b00f0dd15fc9561aee45593714c27ec4480078e0f759115b52be3a1e9a3b"),
+    8: (6144, "41fae9be0861908f72a1fb84c15fef15e2b9890857908ab3b87662d94e5d83c2"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(STABILIZER_PINS))
+def test_family_stabilizer_matches_parent_pins(m):
+    code = build_family(m).C
+    stab = setwise_stabilizer(code.neighbour_set, code.scheme)
+    text = "\n".join(automorphism_to_text(x) for x in stab)
+    assert (len(stab), hashlib.sha256(text.encode()).hexdigest()) == STABILIZER_PINS[m]
 
 
 def test_stabilizer_family_m4_matches_brute_force():

@@ -5,13 +5,13 @@ from collections import Counter
 import pytest
 
 import hamnt.chain
-from hamnt import (Automorphism, FeasibilityError, GeneratorSet,
+from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, automorphism_from_text,
                    automorphism_to_text, closure, conjugate, distance,
-                   enumerate_full_group, enumerate_triples, fixes_entries,
-                   full_group_generators, group_order, least_outside,
-                   maps_into, orbit, schreier_sims, stabilizer_chain,
-                   translation)
+                   enumerate_full_group, enumerate_triples, find_equivalence,
+                   fixes_entries, full_group_generators, group_order,
+                   least_outside, orbit, schreier_sims, setwise_stabilizer,
+                   stabilizer_chain, translation)
 from hamnt.chain import _canonical_levels, _points, _schreier_sims
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
@@ -41,14 +41,16 @@ def test_automorphism_validation():
 
 
 def test_unvalidated_results_equal_validated_elements():
-    # compose, inverse, the search and the full enumeration build their
-    # results without validation; each must be == and hash-equal to the
-    # validated element with the same fields
+    # compose, inverse, the chain's elements and witnesses and the full
+    # enumeration build their results without validation; each must be ==
+    # and hash-equal to the validated element with the same fields
     rng = random.Random(8)
     for scheme in (H32, H33, HammingScheme(2, 4)):
         made = list(enumerate_full_group(scheme))
         verts = list(scheme.vertices())
-        made += maps_into(rng.sample(verts, 3), rng.sample(verts, 6), scheme)
+        made += setwise_stabilizer(rng.sample(verts, 3), scheme)
+        code = Code(scheme, rng.sample(verts, 3))
+        made.append(find_equivalence(code, code.image(random_automorphism(rng, scheme))).y)
         for _ in range(30):
             x, y = random_automorphism(rng, scheme), random_automorphism(rng, scheme)
             made += [x.compose(y), x.inverse(), x.conjugated_by(y)]
@@ -188,32 +190,9 @@ def test_cap_checks_print_short_sizes_exactly_and_never_build_huge_ones():
     assert info.value.required == 2**400
 
 
-def test_maps_into_matches_brute_force_filter():
-    # S into T with S != T: T a moved copy of S plus extra vertices, or random
-    rng = random.Random(33)
-    nonempty = set()
-    for scheme in (H33, H42, HammingScheme(2, 4)):
-        verts = list(scheme.vertices())
-        for i in range(12):
-            source = rng.sample(verts, rng.randrange(1, 4))
-            if i % 2:
-                y = random_automorphism(rng, scheme)
-                target = {y.apply(v) for v in source}
-                target.update(rng.sample(verts, rng.randrange(0, 3)))
-            else:
-                target = set(rng.sample(verts, rng.randrange(1, 5)))
-            if target == set(source):
-                continue
-            found = [(x.coord_perm, x.alphabet_perms)
-                     for x in maps_into(source, target, scheme)]
-            assert found == brute_maps_into(scheme, source, target)
-            nonempty.add(bool(found))
-    assert nonempty == {True, False}
-
-
 def test_stabilizer_search_matches_brute_force_filter():
-    # S = T, full element lists in order: seeded sets of 1-12 vertices, the
-    # sets that keep many sigmas alive, and m = 1 (one block of depth 1)
+    # setwise_stabilizer's full element lists, in order: seeded sets of 1-12
+    # vertices, the sets that keep many sigmas alive, and m = 1 (one block)
     rng = random.Random(34)
     cases = []
     for scheme in (HammingScheme(5, 2), H33, HammingScheme(2, 4)):
@@ -227,7 +206,7 @@ def test_stabilizer_search_matches_brute_force_filter():
                                    list(H13.vertices()))]
     orders = set()
     for scheme, vs in cases:
-        found = [(x.coord_perm, x.alphabet_perms) for x in maps_into(vs, vs, scheme)]
+        found = [(x.coord_perm, x.alphabet_perms) for x in setwise_stabilizer(vs, scheme)]
         assert found == brute_maps_into(scheme, vs, vs)
         orders.add(len(found))
     assert {1, 2, 6, 192, 384} <= orders
@@ -248,8 +227,9 @@ def test_stabilizer_chain_matches_brute_force_filter():
         target = {v.entries for v in vs}
         for x in chain.generators:
             assert {raw_apply(x.coord_perm, x.alphabet_perms, w) for w in target} == target
-        assert set(closure(GeneratorSet(scheme, chain.generators))) == \
-            set(maps_into(vs, vs, scheme))
+        assert {(x.coord_perm, x.alphabet_perms)
+                for x in closure(GeneratorSet(scheme, chain.generators))} == \
+            set(brute_maps_into(scheme, vs, vs))
         # each generator extends its level's orbit, so at least doubles the
         # group generated before it
         assert len(chain.generators) <= math.log2(chain.order)
@@ -319,13 +299,14 @@ def test_schreier_sims_stops_at_a_known_order(monkeypatch):
         _schreier_sims(gens, 16, levels, 2 * chain.order)
 
 
-def test_maps_into_cap_and_scheme_are_checked_at_the_call():
+def test_search_cap_and_scheme_are_checked_at_the_call():
+    code = Code(H42, [H42.zero()])
     with pytest.raises(FeasibilityError):
-        maps_into([H42.zero()], [H42.zero()], H42, group_cap=10)
+        find_equivalence(code, code, group_cap=10)
     with pytest.raises(FeasibilityError):
         stabilizer_chain([H42.zero()], H42, group_cap=10)
     with pytest.raises(SchemeMismatchError):
-        maps_into([H32.zero()], [H42.zero()], H42)
+        find_equivalence(Code(H32, [H32.zero()]), code)
     with pytest.raises(SchemeMismatchError):
         stabilizer_chain([H32.zero()], H42)
 
