@@ -10,19 +10,17 @@ holds fewer targets than its prefix has sources, and every sigma with a
 given prefix shares that prefix's pruning.  A leaf maps S into T, onto
 T when |S| = |T|.
 
-A chain acts on the m*q points (position, symbol), point p*q + c, which
-x maps to sigma(p)*q + g_p(c); an element is a tuple of point images,
-and x followed by y is tuple([y[pt] for pt in x]).  A level (lo, hi, d)
-keys u by tuple(u[lo:hi]), each point divided by d; the block levels
-(k*q, (k+1)*q, 1) key by block k's image.  Level k holds the transversal
-(key -> element) of G^(k), the subgroup fixing the keys of levels
-0..k-1, and the order is the product of the transversal sizes (Seress,
-Permutation Group Algorithms, 2003, ch. 4).  Two builders share _grow
-and _sift: stabilizer_chain(S), by Sims' backtrack over the search with
-S = T on the block levels m-1 down to 0 (each image of block k that the
-subgroup found so far does not reach gets a search for one element
-fixing blocks 0..k-1 pointwise and moving block k there), and
-schreier_sims(gens), by deterministic Schreier-Sims.
+A chain holds elements as their point tuples (module wreath_group).
+A level (lo, hi, d) keys u by tuple(u[lo:hi]), each point divided by
+d; the block levels (k*q, (k+1)*q, 1) key by block k's image.  Level k
+holds the transversal (key -> element) of G^(k), the subgroup fixing
+the keys of levels 0..k-1, and the order is the product of the
+transversal sizes (Seress, Permutation Group Algorithms, 2003, ch. 4).
+Two builders share _grow and _sift: stabilizer_chain(S), by Sims'
+backtrack over the search with S = T on the block levels m-1 down to 0
+(each image of block k that the subgroup found so far does not reach
+gets a search for one element fixing blocks 0..k-1 pointwise and moving
+block k there), and schreier_sims(gens), by deterministic Schreier-Sims.
 
 The canonical levels, keyed by sigma(0..m-1) and then by the block
 images, compared level by level, are the canonical order.  _rebase
@@ -44,22 +42,10 @@ from typing import Callable, Iterable, Iterator
 from .errors import SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _invert, check_group_cap)
+                           _images, _invert, _mover, _points, check_group_cap)
 
 # Elements are point-image tuples, built as tuple([...]): tuple(generator)
 # raised the peak RSS of a classify sweep by about 1 MB.
-
-
-def _points(pairs, q: int) -> tuple[int, ...]:
-    """The point permutation of the (sigma(i), g_i) pairs, i ascending."""
-    return tuple([p * q + gc for p, g in pairs for gc in g])
-
-
-def _element(scheme: HammingScheme, s: tuple[int, ...]) -> Automorphism:
-    m, q = scheme.m, scheme.q
-    return Automorphism._trusted(
-        scheme, tuple([tuple([pt % q for pt in s[i * q:(i + 1) * q]]) for i in range(m)]),
-        tuple([s[i * q] // q for i in range(m)]))
 
 
 def _key(u: tuple[int, ...], level: tuple[int, int, int]) -> tuple[int, ...]:
@@ -180,8 +166,7 @@ class StabilizerChain:
                  transversals: list[dict]):
         self.scheme = scheme
         self.order = math.prod([len(t) for t in transversals])
-        self.generators = tuple([_element(scheme, s) for s in strong])
-        self._strong = strong
+        self.generators = tuple([Automorphism._trusted(scheme, s) for s in strong])
 
 
 def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
@@ -274,8 +259,8 @@ def schreier_sims(gens: GeneratorSet) -> StabilizerChain:
     """The subgroup generated by gens as a stabilizer chain, by the
     deterministic Schreier-Sims algorithm."""
     m, q = gens.scheme.m, gens.scheme.q
-    points = [_points(zip(x.coord_perm, x.alphabet_perms), q) for x in gens.generators]
-    found, _, transversals = _schreier_sims(points, m * q, _block_levels(m, q))
+    found, _, transversals = _schreier_sims([x.points for x in gens.generators],
+                                            m * q, _block_levels(m, q))
     return StabilizerChain(gens.scheme, found, transversals)
 
 
@@ -284,7 +269,8 @@ def _rebase(chain: StabilizerChain):
     canonical levels by Schreier-Sims, stopped at its known order."""
     m, q = chain.scheme.m, chain.scheme.q
     levels = _canonical_levels(m, q)
-    _, strong, transversals = _schreier_sims(chain._strong, m * q, levels, chain.order)
+    _, strong, transversals = _schreier_sims([x.points for x in chain.generators],
+                                             m * q, levels, chain.order)
     return levels, strong, transversals
 
 
@@ -312,16 +298,14 @@ def _elements(chain: StabilizerChain) -> list[Automorphism]:
     """Every element of the chain's group, canonical order."""
     levels, _, transversals = _rebase(chain)
     ident = tuple(range(chain.scheme.m * chain.scheme.q))
-    return [_element(chain.scheme, u) for u in _walk(transversals, levels, 0, ident)]
+    return [Automorphism._trusted(chain.scheme, u) for u in _walk(transversals, levels, 0, ident)]
 
 
 def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple[int, ...]], bool]:
     """The membership test, on point tuples, of the setwise stabilizer of
     a set of vertices given as entry tuples."""
     words = set(entries)
-    # a point's position is pt // q, so sorting the images orders them by position
-    return lambda s: all(tuple([pt % q for pt in sorted([s[i * q + c] for i, c in enumerate(w)])])
-                         in words for w in words)
+    return lambda s: set(_images(_mover(s, q), words)) == words
 
 
 def least_outside(chain: StabilizerChain,
@@ -332,7 +316,7 @@ def least_outside(chain: StabilizerChain,
     deep meets G \\ H and its least child holds the identity, and a coset
     at deep lies in H iff u does: the answer is the first element below
     the least child of the identity at level deep - 1 that is not in H."""
-    if all(map(inside, chain._strong)):
+    if all(inside(x.points) for x in chain.generators):
         return None
     levels, strong, transversals = _rebase(chain)
     # G^(k) lies in H iff its strong generators do, and then so does G^(k+1)
@@ -340,7 +324,7 @@ def least_outside(chain: StabilizerChain,
     ident = tuple(range(chain.scheme.m * chain.scheme.q))
     u = next(v for v in _children(transversals[deep - 1], levels[deep - 1], ident)
              if not inside(v))
-    return _element(chain.scheme, next(_walk(transversals, levels, deep, u)))
+    return Automorphism._trusted(chain.scheme, next(_walk(transversals, levels, deep, u)))
 
 
 def _least_equivalence(source: Iterable[Vertex], target: Iterable[Vertex],
@@ -358,4 +342,4 @@ def _least_equivalence(source: Iterable[Vertex], target: Iterable[Vertex],
         return None
     y = _points(leaf, scheme.q)
     levels, _, transversals = _rebase(stabilizer_chain(vs, scheme, group_cap))
-    return _element(scheme, next(_walk(transversals, levels, 0, y)))
+    return Automorphism._trusted(scheme, next(_walk(transversals, levels, 0, y)))

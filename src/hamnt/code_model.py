@@ -3,7 +3,9 @@
 A Code stores its words sorted and deduplicated and is immutable; the
 derived quantities (minimum distance, neighbour set) are cached on first
 use.  Codes are stored extensionally even when they happen to be linear:
-linearity is detected, never declared.
+linearity is detected, never declared.  "x fixes a vertex set" has one
+rule, stabilizes_set, which acts on entry tuples (module wreath_group);
+is_code_automorphism is that rule on the code's words.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            check_cap, distance, neighbours, vertex_from_text,
                            vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           translation)
+                           _images, translation)
 
 
 class Code:
@@ -91,18 +93,19 @@ class EquivalenceWitness:
 
 def stabilizes_set(vertices: Iterable[Vertex], x: Automorphism) -> bool:
     """True iff x maps the vertex set onto itself."""
-    vs = set(vertices)
-    for v in vs:
+    words = set()
+    for v in vertices:
         if v.scheme != x.scheme:
             raise SchemeMismatchError("set member from a different scheme")
-    return {x.apply(v) for v in vs} == vs
+        words.add(v.entries)
+    return set(_images(x._moves, words)) == words
 
 
 def is_code_automorphism(code: Code, x: Automorphism) -> bool:
     """True iff x fixes the code setwise (x belongs to Aut(C))."""
     if x.scheme != code.scheme:
         raise SchemeMismatchError("automorphism from a different scheme")
-    return all(x.apply(w) in code for w in code.words)
+    return stabilizes_set(code.words, x)
 
 
 def neighbour_count(code: Code) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import product
 
 from .chain import schreier_sims, stabilizer_chain
 from .code_model import Code, is_code_automorphism, stabilizes_set
@@ -122,12 +122,11 @@ def _column_swap(scheme: HammingScheme) -> Automorphism:
     return Automorphism.from_coord_perm(scheme, images)
 
 
-def build_family(m: int,
-                 enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> FamilyInstance:
+def build_family(m: int) -> FamilyInstance:
     """Construct U, C, the generator sets, and the non-fixing witness."""
     _check_m(m)
     scheme = HammingScheme(m, 2)
-    check_enumeration_cap(scheme, enumeration_cap)
+    check_enumeration_cap(scheme, DEFAULT_ENUMERATION_CAP)
     h = m // 2
 
     halves = list(product(range(2), repeat=h))
@@ -161,18 +160,8 @@ def build_family(m: int,
                           stab_gens=stab_gens, witness=witness)
 
 
-def _expected_m4_stabilizer(scheme: HammingScheme) -> list[Automorphism]:
-    """N_W >| S_4 for the m=4 exception: translations by even-weight words
-    composed with every coordinate permutation."""
-    even = [w for w in product(range(2), repeat=4) if sum(w) % 2 == 0]
-    return [translation(Vertex(scheme, w)).compose(
-                Automorphism.from_coord_perm(scheme, images))
-            for w in even for images in permutations(range(4))]
-
-
 def verify_family(m: int, exhaustive: bool = False,
-                  group_cap: int = DEFAULT_GROUP_CAP,
-                  enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> FamilyReport:
+                  group_cap: int = DEFAULT_GROUP_CAP) -> FamilyReport:
     """Run the family verification clauses for one m.
 
     Non-exhaustive mode checks everything provable from the construction
@@ -180,13 +169,14 @@ def verify_family(m: int, exhaustive: bool = False,
     computes the order of the setwise stabilizer of the neighbour set, as
     a stabilizer chain by pruned search, and checks that the independently
     generated expected group lies in it and has that order (clause 7):
-    for m >= 6 every generator of stab_gens stabilizes the neighbour set
-    and Schreier-Sims gives the order of the group they generate; for
-    m = 4 the listed elements are distinct and each stabilizes it.  This
-    needs (q!)^m * m! within the group cap, so by default only m in
+    every expected generator stabilizes the neighbour set, and
+    Schreier-Sims gives the order of the group they generate.  They are
+    stab_gens for m >= 6; for m = 4, the translations by a basis of the
+    even-weight words and the coordinate permutations (0 1), (0 1 2 3).
+    This needs (q!)^m * m! within the group cap, so by default only m in
     {4, 6, 8} qualify.
     """
-    inst = build_family(m, enumeration_cap)
+    inst = build_family(m)
     h = m // 2
     clauses = []
 
@@ -231,16 +221,19 @@ def verify_family(m: int, exhaustive: bool = False,
     if exhaustive:
         stab_order = stabilizer_chain(nbrs_c, inst.scheme, group_cap).order
         if m == 4:
-            members = set(_expected_m4_stabilizer(inst.scheme))
+            even = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
+            expected = GeneratorSet(inst.scheme, tuple(
+                [translation(Vertex(inst.scheme, w)) for w in even]
+                + [Automorphism.from_coord_perm(inst.scheme, s)
+                   for s in ((1, 0, 2, 3), (1, 2, 3, 0))]))
             label = "translations by even-weight words with all coordinate permutations"
-            expected_order = len(members)
         else:
-            members = inst.stab_gens.generators
+            expected = inst.stab_gens
             label = "closure of stab_gens"
-            expected_order = schreier_sims(inst.stab_gens).order
-        # members lie in the stabilizer; a subset (m = 4) or a generated
-        # subgroup of the stabilizer's order is all of it
-        inside = all(stabilizes_set(nbrs_c, x) for x in members)
+        # the generators lie in the stabilizer, and a subgroup of the
+        # stabilizer's order is all of it
+        inside = all(stabilizes_set(nbrs_c, x) for x in expected.generators)
+        expected_order = schreier_sims(expected).order
         clauses.append(ClauseResult(
             "stabilizer_matches_expected", inside and stab_order == expected_order,
             f"search order {stab_order}, {label} order {expected_order}"))

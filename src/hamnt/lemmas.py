@@ -19,7 +19,7 @@ from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme,
 from .precodeword import verify_pre_structure
 from .reporting import ClauseResult, all_clauses_pass
 from .transitivity import setwise_stabilizer
-from .wreath_group import (DEFAULT_GROUP_CAP, check_group_cap,
+from .wreath_group import (DEFAULT_GROUP_CAP, _orbit, check_group_cap,
                            full_group_generators)
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
@@ -61,8 +61,7 @@ def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list
 
 
 def run_lemma_suite(m: int, q: int, seed: int = 0,
-                    group_cap: int = DEFAULT_GROUP_CAP,
-                    enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> LemmaSuiteReport:
+                    group_cap: int = DEFAULT_GROUP_CAP) -> LemmaSuiteReport:
     """Exhaustive small-scheme checks of the structural lemmas.
 
     Runs: the two-common-neighbours law over every distance-2 pair; the
@@ -77,7 +76,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     element, and the chain orders give the count.
     """
     scheme = HammingScheme(m, q)
-    check_enumeration_cap(scheme, enumeration_cap)
+    check_enumeration_cap(scheme, DEFAULT_ENUMERATION_CAP)
     order = check_group_cap(scheme, group_cap)
 
     checks = []
@@ -88,22 +87,16 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     checks.append(ClauseResult(
         "two_common_neighbours", size2_ok, f"{len(pairs)} distance-2 pairs"))
 
-    triples = [(t.alpha, t.nu, t.beta) for t in enumerate_triples(scheme, enumeration_cap)]
+    triples = [(t.alpha, t.nu, t.beta) for t in enumerate_triples(scheme)]
     codes = _sample_codes(scheme, random.Random(seed), 6)
     if triples:
-        # a triple as the 3m entries of its vertices; x = (g, sigma) maps
-        # entry k*m + i to k*m + sigma(i), relabelled by g_i
+        # a triple as the 3m entries of its vertices; x moves each vertex's
+        # m entries, so its mover repeats at offsets 0, m and 2m
         flat = [tuple([e for v in t for e in v.entries]) for t in triples]
         gens = full_group_generators(scheme)
-        acts = [[(x.alphabet_perms[i], k * m + i)
-                 for k in range(3) for i in x.inverse().coord_perm]
+        acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
                 for x in gens.generators]
-        reached, frontier = {flat[0]}, [flat[0]]
-        while frontier:
-            new = {tuple([g[t[j]] for g, j in act])
-                   for t in frontier for act in acts} - reached
-            reached |= new
-            frontier = list(new)
+        reached = _orbit(acts, flat[0])
         certified = schreier_sims(gens).order == order
         checks.append(ClauseResult(
             "triples_single_orbit", certified and reached == set(flat),

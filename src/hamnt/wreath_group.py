@@ -1,15 +1,21 @@
 """Automorphisms of H(m,q): the wreath product S_q wr S_m = N >| L.
 
-An element x is stored in its unique normal form (g, sigma) with
-g = (g_0,...,g_{m-1}) a tuple of alphabet permutations (one per
-coordinate, each given by its image tuple) and sigma a permutation of the
-coordinates (also given by images).  The right action on a vertex v is
+An element x = g*sigma has one alphabet permutation g_i per coordinate
+and a coordinate permutation sigma.  Its right action on a vertex v is
 
     (v^x)[sigma[i]] = g_i(v[i])
 
 i.e. first relabel each entry, then move the entry at position i to
 position sigma(i).  Composition reads left to right: apply(x*y, v) equals
 apply(y, apply(x, v)).
+
+x is stored as its faithful action on the m*q points (position, symbol):
+point p*q + c goes to sigma(p)*q + g_p(c), and x followed by y is
+tuple([y[pt] for pt in x]) (Seress, Permutation Group Algorithms, 2003,
+ch. 4).  The normal form (g, sigma) is derived from the points for the
+text form and the canonical order.  Every action on entry tuples goes
+through _mover, the pairs (g_i, i) by target position; _images applies
+them, and _orbit searches with them breadth first.
 
 The canonical enumeration order used everywhere (full-group enumeration,
 stabilizer output, witness selection) is lexicographic over sigma's
@@ -25,6 +31,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CodeFormatError, FeasibilityError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex, check_cap
@@ -44,44 +51,86 @@ def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def _points(pairs, q: int) -> tuple[int, ...]:
+    """The point images of the (sigma(i), g_i) pairs, i ascending."""
+    return tuple([p * q + gc for p, g in pairs for gc in g])
+
+
+def _mover(points: tuple[int, ...], q: int) -> list:
+    """The action on entry tuples of the element with these point images:
+    the pairs (g_i, i) by target position sigma(i), ascending."""
+    mover = [None] * (len(points) // q)
+    for i in range(0, len(points), q):
+        g = tuple([pt % q for pt in points[i:i + q]])
+        mover[points[i] // q] = (g, i // q)
+    return mover
+
+
+def _images(mover: list, words) -> list[tuple[int, ...]]:
+    """The image of each entry tuple under a mover: entry j is g_i(w[i])."""
+    return [tuple([g[w[i]] for g, i in mover]) for w in words]
+
+
+def _orbit(movers: list, start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The entry tuples reached from start under the movers, breadth first."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        new = {w for mover in movers for w in _images(mover, frontier)} - seen
+        seen |= new
+        frontier = list(new)
+    return seen
+
+
+@dataclass(frozen=True, init=False)
 class Automorphism:
-    """One element g*sigma of S_q wr S_m acting on the vertices of H(m,q)."""
+    """One element g*sigma of S_q wr S_m acting on the vertices of H(m,q),
+    stored as its point images (module docstring)."""
 
     scheme: HammingScheme
-    alphabet_perms: tuple[tuple[int, ...], ...]
-    coord_perm: tuple[int, ...]
+    points: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coord_perm", tuple(self.coord_perm))
-        object.__setattr__(self, "alphabet_perms",
-                           tuple(tuple(g) for g in self.alphabet_perms))
-        m, q = self.scheme.m, self.scheme.q
-        if not _is_perm(self.coord_perm, m):
-            raise ValueError(f"coord_perm {self.coord_perm} is not a permutation of 0..{m-1}")
-        if len(self.alphabet_perms) != m:
-            raise ValueError(f"need {m} alphabet permutations, got {len(self.alphabet_perms)}")
-        for g in self.alphabet_perms:
+    def __init__(self, scheme: HammingScheme, alphabet_perms, coord_perm):
+        coord_perm = tuple(coord_perm)
+        alphabet_perms = tuple(tuple(g) for g in alphabet_perms)
+        m, q = scheme.m, scheme.q
+        if not _is_perm(coord_perm, m):
+            raise ValueError(f"coord_perm {coord_perm} is not a permutation of 0..{m-1}")
+        if len(alphabet_perms) != m:
+            raise ValueError(f"need {m} alphabet permutations, got {len(alphabet_perms)}")
+        for g in alphabet_perms:
             if not _is_perm(g, q):
                 raise ValueError(f"alphabet perm {g} is not a permutation of 0..{q-1}")
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "points", _points(zip(coord_perm, alphabet_perms), q))
 
     @classmethod
-    def _trusted(cls, scheme: HammingScheme, alphabet_perms: tuple[tuple[int, ...], ...],
-                 coord_perm: tuple[int, ...]) -> "Automorphism":
-        """An element from fields that are valid by construction: tuples of
-        permutations of the right sizes.  Skips __post_init__."""
+    def _trusted(cls, scheme: HammingScheme, points: tuple[int, ...]) -> "Automorphism":
+        """An element from point images that are valid by construction (a
+        permutation of the m*q points mapping blocks to blocks), unchecked."""
         x = object.__new__(cls)
         object.__setattr__(x, "scheme", scheme)
-        object.__setattr__(x, "alphabet_perms", alphabet_perms)
-        object.__setattr__(x, "coord_perm", coord_perm)
+        object.__setattr__(x, "points", points)
         return x
+
+    @property
+    def coord_perm(self) -> tuple[int, ...]:
+        q = self.scheme.q
+        return tuple([pt // q for pt in self.points[::q]])
+
+    @property
+    def alphabet_perms(self) -> tuple[tuple[int, ...], ...]:
+        q, pts = self.scheme.q, self.points
+        return tuple([tuple([pt % q for pt in pts[i:i + q]]) for i in range(0, len(pts), q)])
+
+    @cached_property
+    def _moves(self) -> list:
+        return _mover(self.points, self.scheme.q)
 
     # -- group operations ------------------------------------------------
 
     @classmethod
     def identity(cls, scheme: HammingScheme) -> "Automorphism":
-        ident = tuple(range(scheme.q))
-        return cls(scheme, (ident,) * scheme.m, tuple(range(scheme.m)))
+        return cls._trusted(scheme, tuple(range(scheme.m * scheme.q)))
 
     @classmethod
     def from_coord_perm(cls, scheme: HammingScheme, images) -> "Automorphism":
@@ -92,31 +141,19 @@ class Automorphism:
     def apply(self, v: Vertex) -> Vertex:
         if v.scheme != self.scheme:
             raise SchemeMismatchError(f"vertex of {v.scheme} under automorphism of {self.scheme}")
-        out = [0] * self.scheme.m
-        for i, g in enumerate(self.alphabet_perms):
-            out[self.coord_perm[i]] = g[v.entries[i]]
-        return Vertex(self.scheme, tuple(out))
+        return Vertex(self.scheme, _images(self._moves, (v.entries,))[0])
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """The element acting as self followed by other."""
         if other.scheme != self.scheme:
             raise SchemeMismatchError("composing automorphisms of different schemes")
-        m, q = self.scheme.m, self.scheme.q
-        s1, s2 = self.coord_perm, other.coord_perm
-        g1, g2 = self.alphabet_perms, other.alphabet_perms
-        tau = tuple(s2[s1[i]] for i in range(m))
-        h = tuple(tuple(g2[s1[i]][g1[i][a]] for a in range(q)) for i in range(m))
-        return Automorphism._trusted(self.scheme, h, tau)
+        y = other.points
+        return Automorphism._trusted(self.scheme, tuple([y[pt] for pt in self.points]))
 
     __mul__ = compose
 
     def inverse(self) -> "Automorphism":
-        m = self.scheme.m
-        sinv = _invert(self.coord_perm)
-        h: list[tuple[int, ...] | None] = [None] * m
-        for i in range(m):
-            h[self.coord_perm[i]] = _invert(self.alphabet_perms[i])
-        return Automorphism._trusted(self.scheme, tuple(h), sinv)
+        return Automorphism._trusted(self.scheme, _invert(self.points))
 
     def conjugated_by(self, y: "Automorphism") -> "Automorphism":
         """y^-1 * self * y."""
@@ -206,7 +243,7 @@ def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_C
     def gen():
         for sigma in itertools.permutations(range(scheme.m)):
             for gs in itertools.product(perms, repeat=scheme.m):
-                yield Automorphism._trusted(scheme, gs, sigma)
+                yield Automorphism._trusted(scheme, _points(zip(sigma, gs), scheme.q))
 
     return gen()
 
@@ -247,27 +284,15 @@ def orbit(gens: GeneratorSet, v: Vertex) -> tuple[Vertex, ...]:
     """Smallest set containing v and closed under every generator, sorted."""
     if v.scheme != gens.scheme:
         raise SchemeMismatchError("vertex and generators from different schemes")
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        new = []
-        for u in frontier:
-            for x in gens.generators:
-                w = x.apply(u)
-                if w not in seen:
-                    seen.add(w)
-                    new.append(w)
-        frontier = new
-    return tuple(sorted(seen))
+    seen = _orbit([x._moves for x in gens.generators], v.entries)
+    return tuple([Vertex(v.scheme, w) for w in sorted(seen)])
 
 
 def conjugate(gens: GeneratorSet, y: Automorphism) -> GeneratorSet:
     """The generator set {y^-1 x y : x in gens}."""
     if y.scheme != gens.scheme:
         raise SchemeMismatchError("conjugating element from a different scheme")
-    yinv = y.inverse()
-    return GeneratorSet(gens.scheme,
-                        tuple(yinv.compose(x).compose(y) for x in gens.generators))
+    return GeneratorSet(gens.scheme, tuple(x.conjugated_by(y) for x in gens.generators))
 
 
 # -- text form ------------------------------------------------------------

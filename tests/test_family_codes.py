@@ -60,6 +60,11 @@ def test_verify_family_m4_exhaustive():
     assert report.all_pass
     assert report.stabilizer_order == 192
     assert len(report.clauses) == 7
+    # the expected group N_W >| S_4 comes from five generators through
+    # Schreier-Sims; the detail text is the one the element list gave
+    assert report.clauses[-1].detail == (
+        "search order 192, translations by even-weight words with all "
+        "coordinate permutations order 192")
 
 
 def test_verify_family_m8_exhaustive():

@@ -6,13 +6,14 @@ import pytest
 
 import hamnt.chain
 from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
-                   HammingScheme, SchemeMismatchError, automorphism_from_text,
-                   automorphism_to_text, closure, conjugate, distance,
-                   enumerate_full_group, enumerate_triples, find_equivalence,
-                   fixes_entries, full_group_generators, group_order,
+                   HammingScheme, SchemeMismatchError, Vertex,
+                   automorphism_from_text, automorphism_to_text, closure,
+                   conjugate, distance, enumerate_full_group,
+                   enumerate_triples, find_equivalence, fixes_entries,
+                   full_group_generators, group_order, is_code_automorphism,
                    least_outside, orbit, schreier_sims, setwise_stabilizer,
-                   stabilizer_chain, translation)
-from hamnt.chain import _canonical_levels, _points, _schreier_sims
+                   stabilizer_chain, stabilizes_set, translation)
+from hamnt.chain import _canonical_levels, _rebase, _schreier_sims
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
@@ -273,18 +274,99 @@ def test_least_outside_matches_brute_force_first():
             kinds["none" if want is None else
                   "sigma = id" if want[0] == tuple(range(scheme.m)) else "sigma != id"] += 1
             # re-based and run to the end, Schreier-Sims finds the same order
-            gens = [_points(zip(x.coord_perm, x.alphabet_perms), scheme.q)
-                    for x in chain.generators]
+            gens = [x.points for x in chain.generators]
             _, _, trans = _schreier_sims(gens, scheme.m * scheme.q,
                                          _canonical_levels(scheme.m, scheme.q))
             assert math.prod(len(t) for t in trans) == chain.order
     assert min(kinds.values()) >= 10 and len(kinds) == 3, kinds
 
 
+def test_least_outside_follows_key_order_not_insertion_order():
+    # chains from schreier_sims keep their generators' order, so a level's
+    # transversal is often filled out of key order: for the coordinate
+    # 3-cycle c of H(3,2), level 0 (sigma(0)) is filled 0, 2, 1
+    c = Automorphism.from_coord_perm(H32, (2, 0, 1))
+    chain = schreier_sims(GeneratorSet(H32, (c,)))
+    assert list(_rebase(chain)[2][0]) == [(0,), (2,), (1,)]
+    # <c> meets Stab({100}) in the identity, so deep = 1 and the answer is
+    # the least child of level 0 outside it, c^2 (sigma(0) = 1), not c
+    assert least_outside(chain, fixes_entries({(1, 0, 0)}, 2)) == c.compose(c)
+    # random generated groups against the first element of closure that
+    # moves a random set or an orbit (fixed by the whole group)
+    rng = random.Random(38)
+    kinds = Counter()
+    for scheme in (H32, H33, H42, HammingScheme(2, 4)):
+        verts = list(scheme.vertices())
+        for _ in range(30):
+            gens = GeneratorSet(scheme, tuple(random_automorphism(rng, scheme)
+                                              for _ in range(rng.randint(1, 2))))
+            chain, elements = schreier_sims(gens), closure(gens)
+            for vs in (rng.sample(verts, rng.randint(1, 4)), orbit(gens, rng.choice(verts))):
+                target = {v.entries for v in vs}
+                want = next((x for x in elements
+                             if {raw_apply(x.coord_perm, x.alphabet_perms, w)
+                                 for w in target} != target), None)
+                assert least_outside(chain, fixes_entries(target, scheme.q)) == want
+                kinds["none" if want is None else "some"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_entry_action_matches_raw_apply():
+    # apply, orbit, stabilizes_set, is_code_automorphism and fixes_entries
+    # share one action on entry tuples; each is checked against raw_apply
+    # on (sigma, gs) drawn here, and the point tuple is built here too
+    rng = random.Random(41)
+    verdicts = Counter()
+    for scheme in (H32, H33, HammingScheme(2, 4), HammingScheme(5, 2)):
+        m, q = scheme.m, scheme.q
+        verts = list(scheme.vertices())
+
+        def raw():
+            return (tuple(rng.sample(range(m), m)),
+                    tuple(tuple(rng.sample(range(q), q)) for _ in range(m)))
+
+        for _ in range(25):
+            sigma, gs = raw()
+            x = Automorphism(scheme, gs, sigma)
+            points = tuple(sigma[i] * q + gs[i][c] for i in range(m) for c in range(q))
+            trusted = Automorphism._trusted(scheme, points)
+            assert x.points == points and x == trusted and hash(x) == hash(trusted)
+            assert (trusted.coord_perm, trusted.alphabet_perms) == (sigma, gs)
+            checked = Automorphism(scheme, trusted.alphabet_perms, trusted.coord_perm)
+            assert checked == trusted and hash(checked) == hash(trusted)
+            for v in verts:
+                assert x.apply(v).entries == raw_apply(sigma, gs, v.entries)
+            # the cycle of x through a vertex is fixed by x; a random set
+            # mostly is not
+            cycle, w = set(), rng.choice(verts).entries
+            while w not in cycle:
+                cycle.add(w)
+                w = raw_apply(sigma, gs, w)
+            for words in (cycle, {v.entries for v in rng.sample(verts, rng.randint(1, 5))}):
+                want = {raw_apply(sigma, gs, w) for w in words} == words
+                vs = [Vertex(scheme, w) for w in words]
+                assert stabilizes_set(vs, x) == want
+                assert is_code_automorphism(Code(scheme, vs), x) == want
+                assert fixes_entries(words, q)(points) == want
+                verdicts[want] += 1
+        for _ in range(10):
+            pairs = [raw() for _ in range(rng.randint(1, 2))]
+            gens = GeneratorSet(scheme, tuple(Automorphism(scheme, gs, sigma)
+                                              for sigma, gs in pairs))
+            v = rng.choice(verts)
+            seen, frontier = {v.entries}, [v.entries]
+            while frontier:
+                images = {raw_apply(sigma, gs, u) for u in frontier for sigma, gs in pairs}
+                frontier = list(images - seen)
+                seen |= images
+            assert [u.entries for u in orbit(gens, v)] == sorted(seen)
+    assert min(verdicts[True], verdicts[False]) >= 20, verdicts
+
+
 def test_schreier_sims_stops_at_a_known_order(monkeypatch):
     scheme = HammingScheme(8, 2)
     chain = stabilizer_chain(build_family(8).C.neighbour_set, scheme)
-    gens = [_points(zip(x.coord_perm, x.alphabet_perms), 2) for x in chain.generators]
+    gens = [x.points for x in chain.generators]
     levels = _canonical_levels(8, 2)
     sifts = []
     real_sift = hamnt.chain._sift
