@@ -4,14 +4,16 @@ A Code stores its words sorted and deduplicated and is immutable; the
 derived quantities (minimum distance, neighbour set) are cached on first
 use.  Codes are stored extensionally even when they happen to be linear:
 linearity is detected, never declared.  "x fixes a vertex set" has one
-rule, stabilizes_set, which acts on entry tuples (module wreath_group);
-is_code_automorphism is that rule on the code's words.
+rule, _stabilized_by, which acts on entry tuples (module wreath_group)
+and reads the set once for a list of elements; stabilizes_set is that
+rule for one element, and is_code_automorphism is it on the code's words.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -20,8 +22,7 @@ from typing import Iterable
 from .chain import _least_equivalence
 from .errors import CodeFormatError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
-                           check_cap, distance, neighbours, vertex_from_text,
-                           vertex_to_text)
+                           _ball1, check_cap, vertex_from_text, vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            _images, translation)
 
@@ -66,16 +67,20 @@ class Code:
         """Minimum pairwise distance; math.inf when fewer than two words."""
         if len(self.words) <= 1:
             return math.inf
-        return min(distance(u, v) for u, v in itertools.combinations(self.words, 2))
+        entries = [w.entries for w in self.words]
+        return min(sum(map(operator.ne, u, v))
+                   for u, v in itertools.combinations(entries, 2))
 
     @cached_property
     def neighbour_set(self) -> tuple[Vertex, ...]:
         """All non-codewords adjacent to at least one codeword, sorted."""
+        q = self.scheme.q
+        words = {w.entries for w in self.words}
         out = set()
-        for w in self.words:
-            out.update(neighbours(w))
-        out -= self._word_set
-        return tuple(sorted(out))
+        for w in words:
+            out.update(_ball1(w, q))
+        out -= words
+        return tuple([Vertex(self.scheme, w) for w in sorted(out)])
 
     def image(self, x: Automorphism) -> "Code":
         """The code {apply(x, w) : w in C}."""
@@ -91,14 +96,23 @@ class EquivalenceWitness:
     y: Automorphism
 
 
+def _stabilized_by(vertices: Iterable[Vertex], xs: Iterable[Automorphism]) -> bool:
+    """True iff every x in xs maps the vertex set onto itself.  The set's
+    schemes and entry tuples are read once, not once per x."""
+    vertices = tuple(vertices)
+    schemes = {v.scheme for v in vertices}
+    words = {v.entries for v in vertices}
+    for x in xs:
+        if schemes - {x.scheme}:
+            raise SchemeMismatchError("set member from a different scheme")
+        if set(_images(x._moves, words)) != words:
+            return False
+    return True
+
+
 def stabilizes_set(vertices: Iterable[Vertex], x: Automorphism) -> bool:
     """True iff x maps the vertex set onto itself."""
-    words = set()
-    for v in vertices:
-        if v.scheme != x.scheme:
-            raise SchemeMismatchError("set member from a different scheme")
-        words.add(v.entries)
-    return set(_images(x._moves, words)) == words
+    return _stabilized_by(vertices, (x,))
 
 
 def is_code_automorphism(code: Code, x: Automorphism) -> bool:
@@ -137,7 +151,9 @@ def neighbourhoods_disjoint(code: Code) -> bool:
     m, q = code.scheme.m, code.scheme.q
     adjacent = 0
     if code.min_distance == 1:
-        adjacent = sum(any(distance(u, v) == 1 for v in code.words) for u in code.words)
+        entries = [w.entries for w in code.words]
+        adjacent = sum(any(sum(map(operator.ne, u, v)) == 1 for v in entries)
+                       for u in entries)
     return len(code) * m * (q - 1) == len(code.neighbour_set) + adjacent
 
 

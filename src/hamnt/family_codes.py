@@ -35,7 +35,8 @@ from functools import cached_property
 from itertools import product
 
 from .chain import schreier_sims, stabilizer_chain
-from .code_model import Code, is_code_automorphism, stabilizes_set
+from .code_model import (Code, _stabilized_by, is_code_automorphism,
+                         stabilizes_set)
 from .errors import HypothesisError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            check_enumeration_cap)
@@ -232,7 +233,7 @@ def verify_family(m: int, exhaustive: bool = False,
             label = "closure of stab_gens"
         # the generators lie in the stabilizer, and a subgroup of the
         # stabilizer's order is all of it
-        inside = all(stabilizes_set(nbrs_c, x) for x in expected.generators)
+        inside = _stabilized_by(nbrs_c, expected.generators)
         expected_order = schreier_sims(expected).order
         clauses.append(ClauseResult(
             "stabilizer_matches_expected", inside and stab_order == expected_order,

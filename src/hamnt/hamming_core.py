@@ -6,6 +6,11 @@ exactly one entry.  Coordinates are 0-indexed everywhere.  All set-valued
 results are returned as lexicographically sorted tuples without
 duplicates, and every value in this module is immutable, so everything
 here is safe to share between threads.
+
+The combinatorics run on entry tuples: _ball1 (distance 1),
+_shell_entries (distance r) and _triple_entries (every triple, flat).
+The public functions are thin wrappers that build one validated Vertex
+or Triple per result; the library's hot paths call the kernels directly.
 """
 
 from __future__ import annotations
@@ -121,17 +126,47 @@ def weight(v: Vertex) -> int:
     return sum(e != 0 for e in v.entries)
 
 
+def _ball1(entries: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
+    """The m(q-1) entry tuples at distance 1, by position then symbol."""
+    out = []
+    for i, e in enumerate(entries):
+        head, tail = entries[:i], entries[i + 1:]
+        out.extend([head + (c,) + tail for c in range(q) if c != e])
+    return out
+
+
+def _shell_entries(entries: tuple[int, ...], q: int,
+                   radius: int) -> list[tuple[int, ...]]:
+    """The entry tuples at distance exactly radius, sorted."""
+    others = [[c for c in range(q) if c != e] for e in entries]
+    out = []
+    for positions in itertools.combinations(range(len(entries)), radius):
+        for values in itertools.product(*(others[i] for i in positions)):
+            w = list(entries)
+            for i, c in zip(positions, values):
+                w[i] = c
+            out.append(tuple(w))
+    out.sort()
+    return out
+
+
+def _triple_entries(scheme: HammingScheme) -> Iterator[tuple[int, ...]]:
+    """Every triple as the 3m entries alpha + nu + beta, in the order of
+    enumerate_triples.  beta differs from alpha at two positions, and
+    each nu takes beta's entry at one of them."""
+    q = scheme.q
+    for alpha in itertools.product(range(q), repeat=scheme.m):
+        for beta in _shell_entries(alpha, q, 2):
+            i, j = [k for k, (a, b) in enumerate(zip(alpha, beta)) if a != b]
+            nus = (alpha[:i] + beta[i:i + 1] + alpha[i + 1:],
+                   alpha[:j] + beta[j:j + 1] + alpha[j + 1:])
+            for nu in sorted(nus):
+                yield alpha + nu + beta
+
+
 def neighbours(v: Vertex) -> tuple[Vertex, ...]:
     """The m(q-1) vertices at distance 1 from v, sorted lexicographically."""
-    scheme = v.scheme
-    out = []
-    for i, e in enumerate(v.entries):
-        for c in range(scheme.q):
-            if c != e:
-                entries = list(v.entries)
-                entries[i] = c
-                out.append(Vertex(scheme, tuple(entries)))
-    return tuple(sorted(out))
+    return tuple([Vertex(v.scheme, w) for w in sorted(_ball1(v.entries, v.scheme.q))])
 
 
 def common_neighbours(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
@@ -139,8 +174,9 @@ def common_neighbours(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
     _check_same_scheme(u, v)
     if u == v:
         raise ValueError("common_neighbours requires distinct vertices")
-    shared = set(neighbours(u)) & set(neighbours(v))
-    return tuple(sorted(shared))
+    q = u.scheme.q
+    shared = set(_ball1(u.entries, q)).intersection(_ball1(v.entries, q))
+    return tuple([Vertex(u.scheme, w) for w in sorted(shared)])
 
 
 def shell(alpha: Vertex, radius: int) -> tuple[Vertex, ...]:
@@ -151,15 +187,8 @@ def shell(alpha: Vertex, radius: int) -> tuple[Vertex, ...]:
     scheme = alpha.scheme
     if not 0 <= radius <= scheme.m:
         raise ValueError(f"radius {radius} outside 0..{scheme.m}")
-    others = [[c for c in range(scheme.q) if c != e] for e in alpha.entries]
-    out = []
-    for positions in itertools.combinations(range(scheme.m), radius):
-        for values in itertools.product(*(others[i] for i in positions)):
-            entries = list(alpha.entries)
-            for i, c in zip(positions, values):
-                entries[i] = c
-            out.append(Vertex(scheme, tuple(entries)))
-    return tuple(sorted(out))
+    return tuple([Vertex(scheme, w)
+                  for w in _shell_entries(alpha.entries, scheme.q, radius)])
 
 
 def check_cap(ln_size: float, exact: Callable[[], int], cap: int,
@@ -193,16 +222,9 @@ def enumerate_triples(scheme: HammingScheme,
     triples is q^m * C(m,2) * (q-1)^2 * 2.
     """
     check_enumeration_cap(scheme, enumeration_cap)
-
-    def gen():
-        if scheme.m < 2:
-            return  # no two vertices are at distance 2
-        for alpha in scheme.vertices():
-            for beta in shell(alpha, 2):
-                for nu in common_neighbours(alpha, beta):
-                    yield Triple(alpha, nu, beta)
-
-    return gen()
+    m = scheme.m
+    return (Triple(Vertex(scheme, t[:m]), Vertex(scheme, t[m:2 * m]),
+                   Vertex(scheme, t[2 * m:])) for t in _triple_entries(scheme))
 
 
 def vertex_to_text(v: Vertex) -> str:

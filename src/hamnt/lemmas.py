@@ -6,20 +6,20 @@ stabilizer chains (module chain); no clause lists the full group."""
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
 from .chain import schreier_sims, stabilizer_chain
-from .code_model import Code, stabilizes_set
+from .code_model import Code, _stabilized_by
 from .family_codes import build_family
-from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme,
-                           check_enumeration_cap, common_neighbours, distance,
-                           enumerate_triples)
+from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, _ball1,
+                           _triple_entries, check_enumeration_cap)
 from .precodeword import verify_pre_structure
 from .reporting import ClauseResult, all_clauses_pass
 from .transitivity import setwise_stabilizer
-from .wreath_group import (DEFAULT_GROUP_CAP, _orbit, check_group_cap,
+from .wreath_group import (DEFAULT_GROUP_CAP, _images, _orbit, check_group_cap,
                            full_group_generators)
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
@@ -81,18 +81,19 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
 
     checks = []
 
-    pairs = [(u, v) for u, v in itertools.combinations(scheme.vertices(), 2)
-             if distance(u, v) == 2]
-    size2_ok = all(len(common_neighbours(u, v)) == 2 for u, v in pairs)
+    vertices = itertools.product(range(q), repeat=m)
+    pairs = [(u, v) for u, v in itertools.combinations(vertices, 2)
+             if sum(map(operator.ne, u, v)) == 2]
+    size2_ok = all(len(set(_ball1(u, q)).intersection(_ball1(v, q))) == 2
+                   for u, v in pairs)
     checks.append(ClauseResult(
         "two_common_neighbours", size2_ok, f"{len(pairs)} distance-2 pairs"))
 
-    triples = [(t.alpha, t.nu, t.beta) for t in enumerate_triples(scheme)]
+    # a triple as the 3m entries of alpha, nu and beta; x moves each
+    # vertex's m entries, so its mover repeats at offsets 0, m and 2m
+    flat = list(_triple_entries(scheme))
     codes = _sample_codes(scheme, random.Random(seed), 6)
-    if triples:
-        # a triple as the 3m entries of its vertices; x moves each vertex's
-        # m entries, so its mover repeats at offsets 0, m and 2m
-        flat = [tuple([e for v in t for e in v.entries]) for t in triples]
+    if flat:
         gens = full_group_generators(scheme)
         acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
                 for x in gens.generators]
@@ -100,7 +101,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         certified = schreier_sims(gens).order == order
         checks.append(ClauseResult(
             "triples_single_orbit", certified and reached == set(flat),
-            f"orbit {len(reached)} of {len(triples)} triples under {order} elements"))
+            f"orbit {len(reached)} of {len(flat)} triples under {order} elements"))
     else:
         checks.append(ClauseResult("triples_single_orbit", True,
                                    "no triples exist at m = 1"))
@@ -108,8 +109,8 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     for code in codes:
         aut = stabilizer_chain(code.words, scheme, group_cap)
         aut_count += aut.order
-        implication_ok = implication_ok and all(
-            stabilizes_set(code.neighbour_set, x) for x in aut.generators)
+        implication_ok = implication_ok and _stabilized_by(
+            code.neighbour_set, aut.generators)
     checks.append(ClauseResult(
         "code_automorphisms_stabilize_neighbours", implication_ok,
         f"{aut_count} code automorphisms over {len(codes)} sampled codes"))
@@ -117,10 +118,11 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     witnesses = []  # (code, alpha, y) with y stabilizing G1(C), alpha^y not in C
     for code in codes:
         if code.min_distance >= 3 and code.neighbour_set:
+            words = [w.entries for w in code.words]
+            inside = set(words)
             for x in setwise_stabilizer(code.neighbour_set, scheme, group_cap):
-                for alpha in code.words:
-                    if x.apply(alpha) not in code:
-                        witnesses.append((code, alpha, x))
+                witnesses.extend((code, alpha, x) for alpha, img in zip(
+                    code.words, _images(x._moves, words)) if img not in inside)
 
     checked = witnesses[:MAX_PRE_VERIFICATIONS]
     # a list, so that every witness is checked even after a failure

@@ -23,9 +23,10 @@ from .code_model import Code, stabilizes_set
 from .errors import (ImageInCodeError, LemmaViolationError, MinDistanceError,
                      NotACodewordError, NotNeighbourStabilizerError,
                      SchemeMismatchError)
-from .hamming_core import Vertex, distance, neighbours, shell, vertex_to_text
+from .hamming_core import (Vertex, _ball1, _shell_entries, distance, shell,
+                           vertex_to_text)
 from .reporting import ClauseResult, all_clauses_pass
-from .wreath_group import Automorphism, automorphism_to_text
+from .wreath_group import Automorphism, _images, automorphism_to_text
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,18 @@ def _check_hypotheses(code: Code, alpha: Vertex, y: Automorphism):
             f"y maps {vertex_to_text(alpha)} back into the code")
 
 
+def _pre_entries(code: Code, alpha: Vertex, y: Automorphism,
+                 words: set) -> list[tuple[int, ...]]:
+    """Pre(alpha, y) as sorted entry tuples; words is the code's entry set."""
+    ring = _shell_entries(alpha.entries, code.scheme.q, 2)
+    return [pi for pi, img in zip(ring, _images(y._moves, ring)) if img in words]
+
+
 def pre_codewords(code: Code, alpha: Vertex, y: Automorphism) -> tuple[Vertex, ...]:
     """Pre(alpha, y): sorted distance-2 vertices that y maps into the code."""
     _check_hypotheses(code, alpha, y)
-    return tuple(pi for pi in shell(alpha, 2) if y.apply(pi) in code)
+    words = {w.entries for w in code.words}
+    return tuple([Vertex(code.scheme, pi) for pi in _pre_entries(code, alpha, y, words)])
 
 
 def pre_for_neighbour(code: Code, alpha: Vertex, y: Automorphism,
@@ -119,21 +128,24 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
           over beta in C(pi) partition G1(pi) into 2-element cells
       dual_images_outside_code       -- apply(y, beta) not in C for each such beta
     """
-    pre = pre_codewords(code, alpha, y)
+    _check_hypotheses(code, alpha, y)
     scheme = code.scheme
-    target = scheme.m * (scheme.q - 1)
+    q = scheme.q
+    target = scheme.m * (q - 1)
+    words = {w.entries for w in code.words}
+    pre = _pre_entries(code, alpha, y, words)
 
-    alpha_nbrs = set(neighbours(alpha))
+    alpha_nbrs = set(_ball1(alpha.entries, q))
     cells = []
     cell_sizes_ok = True
-    seen: set[Vertex] = set()
+    seen: set[tuple[int, ...]] = set()
     disjoint = True
     for pi in pre:
-        cell = tuple(sorted(alpha_nbrs & set(neighbours(pi))))
-        cells.append((pi, cell))
+        cell = alpha_nbrs.intersection(_ball1(pi, q))
+        cells.append(sorted(cell))
         if len(cell) != 2:
             cell_sizes_ok = False
-        if seen & set(cell):
+        if seen & cell:
             disjoint = False
         seen.update(cell)
     covered = seen == alpha_nbrs
@@ -148,8 +160,8 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         "pre_count_half", count_ok,
         f"|Pre|={len(pre)}, m(q-1)={target}"))
 
-    gamma1 = set(code.neighbour_set)
-    inside = all(set(neighbours(pi)) <= gamma1 for pi in pre)
+    gamma1 = {v.entries for v in code.neighbour_set}
+    inside = all(gamma1.issuperset(_ball1(pi, q)) for pi in pre)
     clauses.append(ClauseResult(
         "pre_neighbours_inside_code_neighbours", inside,
         f"checked {len(pre)} pre-codewords"))
@@ -158,22 +170,22 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
     images_ok = True
     dual_detail = []
     for pi in pre:
-        duals = c_of_pi(code, pi)
-        pi_nbrs = set(neighbours(pi))
-        seen_pi: set[Vertex] = set()
+        duals = [b for b in _shell_entries(pi, q, 2) if b in words]
+        pi_nbrs = set(_ball1(pi, q))
+        seen_pi: set[tuple[int, ...]] = set()
         ok = 2 * len(duals) == target
-        for beta in duals:
-            cell = pi_nbrs & set(neighbours(beta))
+        for beta, img in zip(duals, _images(y._moves, duals)):
+            cell = pi_nbrs.intersection(_ball1(beta, q))
             if len(cell) != 2 or (seen_pi & cell):
                 ok = False
             seen_pi.update(cell)
-            if y.apply(beta) in code:
+            if img in words:
                 images_ok = False
         if seen_pi != pi_nbrs:
             ok = False
         if not ok:
             dual_ok = False
-            dual_detail.append(vertex_to_text(pi))
+            dual_detail.append(vertex_to_text(Vertex(scheme, pi)))
     clauses.append(ClauseResult(
         "dual_cells_partition", dual_ok,
         "all pre-codewords" if dual_ok else f"failed at {','.join(dual_detail)}"))
@@ -181,6 +193,9 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         "dual_images_outside_code", images_ok,
         f"checked duals of {len(pre)} pre-codewords"))
 
-    return PreReport(alpha=alpha, y=y, pre_set=pre, cells=tuple(cells),
-                     gamma1_covered=covered, count_ok=count_ok,
-                     clauses=tuple(clauses))
+    pre_set = tuple([Vertex(scheme, pi) for pi in pre])
+    return PreReport(
+        alpha=alpha, y=y, pre_set=pre_set,
+        cells=tuple([(v, tuple([Vertex(scheme, n) for n in cell]))
+                     for v, cell in zip(pre_set, cells)]),
+        gamma1_covered=covered, count_ok=count_ok, clauses=tuple(clauses))

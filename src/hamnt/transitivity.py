@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import _elements, fixes_entries, least_outside, stabilizer_chain
-from .code_model import Code, stabilizes_set
+from .code_model import Code, _stabilized_by
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
@@ -74,7 +74,7 @@ def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
     nbrs = code.neighbour_set
     if not nbrs:
         raise ValueError("neighbour set is empty; transitivity is undefined")
-    if not all(stabilizes_set(nbrs, x) for x in gens.generators):
+    if not _stabilized_by(nbrs, gens.generators):
         return False
     return orbit(gens, nbrs[0]) == nbrs
 
@@ -88,9 +88,8 @@ def neighbour_orbits(code: Code, gens: GeneratorSet) -> list[tuple[Vertex, ...]]
     if gens.scheme != code.scheme:
         raise SchemeMismatchError("generators from a different scheme")
     nbrs = code.neighbour_set
-    for x in gens.generators:
-        if not stabilizes_set(nbrs, x):
-            raise ValueError("a generator moves the neighbour set off itself")
+    if not _stabilized_by(nbrs, gens.generators):
+        raise ValueError("a generator moves the neighbour set off itself")
     remaining = set(nbrs)
     cells = []
     for v in nbrs:

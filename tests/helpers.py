@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from hamnt import Automorphism, Code, HammingScheme, Vertex
+from hamnt import (Automorphism, ClauseResult, Code, HammingScheme, PreReport,
+                   Vertex, neighbours, shell, vertex_to_text)
 
 
 def random_automorphism(rng: random.Random, scheme: HammingScheme) -> Automorphism:
@@ -126,3 +127,74 @@ def brute_classify(code: Code):
         if witness is None and {raw_apply(sigma, gs, w) for w in words} != words:
             witness = (sigma, gs)
     return witness, order, images == nbrs
+
+
+def vertex_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreReport:
+    """Oracle for verify_pre_structure on a witness (alpha, y): the same
+    clauses written separately on Vertex objects, through the public
+    shell, neighbours and apply and membership in the code."""
+    pre = tuple(pi for pi in shell(alpha, 2) if y.apply(pi) in code)
+    scheme = code.scheme
+    target = scheme.m * (scheme.q - 1)
+
+    alpha_nbrs = set(neighbours(alpha))
+    cells = []
+    cell_sizes_ok = True
+    seen: set[Vertex] = set()
+    disjoint = True
+    for pi in pre:
+        cell = tuple(sorted(alpha_nbrs & set(neighbours(pi))))
+        cells.append((pi, cell))
+        if len(cell) != 2:
+            cell_sizes_ok = False
+        if seen & set(cell):
+            disjoint = False
+        seen.update(cell)
+    covered = seen == alpha_nbrs
+    clauses = [ClauseResult(
+        "cells_partition_neighbourhood",
+        cell_sizes_ok and disjoint and covered,
+        f"cells={len(cells)} sizes_ok={cell_sizes_ok} disjoint={disjoint} "
+        f"covered={covered}")]
+
+    count_ok = 2 * len(pre) == target
+    clauses.append(ClauseResult(
+        "pre_count_half", count_ok,
+        f"|Pre|={len(pre)}, m(q-1)={target}"))
+
+    gamma1 = set(code.neighbour_set)
+    inside = all(set(neighbours(pi)) <= gamma1 for pi in pre)
+    clauses.append(ClauseResult(
+        "pre_neighbours_inside_code_neighbours", inside,
+        f"checked {len(pre)} pre-codewords"))
+
+    dual_ok = True
+    images_ok = True
+    dual_detail = []
+    for pi in pre:
+        duals = tuple(b for b in shell(pi, 2) if b in code)
+        pi_nbrs = set(neighbours(pi))
+        seen_pi: set[Vertex] = set()
+        ok = 2 * len(duals) == target
+        for beta in duals:
+            cell = pi_nbrs & set(neighbours(beta))
+            if len(cell) != 2 or (seen_pi & cell):
+                ok = False
+            seen_pi.update(cell)
+            if y.apply(beta) in code:
+                images_ok = False
+        if seen_pi != pi_nbrs:
+            ok = False
+        if not ok:
+            dual_ok = False
+            dual_detail.append(vertex_to_text(pi))
+    clauses.append(ClauseResult(
+        "dual_cells_partition", dual_ok,
+        "all pre-codewords" if dual_ok else f"failed at {','.join(dual_detail)}"))
+    clauses.append(ClauseResult(
+        "dual_images_outside_code", images_ok,
+        f"checked duals of {len(pre)} pre-codewords"))
+
+    return PreReport(alpha=alpha, y=y, pre_set=pre, cells=tuple(cells),
+                     gamma1_covered=covered, count_ok=count_ok,
+                     clauses=tuple(clauses))

@@ -11,9 +11,11 @@ from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, EquivalenceWitness,
                    enumerate_full_group, find_equivalence,
                    is_code_automorphism, is_linear_binary,
                    neighbour_count, neighbourhoods_disjoint, neighbours,
-                   parse_code_text, read_code_file, shell, stabilizes_set,
-                   translation, translation_subgroup, write_code_file)
+                   parse_code_text, read_code_file, setwise_stabilizer,
+                   shell, stabilizes_set, translation, translation_subgroup,
+                   write_code_file)
 from hamnt.chain import _leaves, _pruning_model
+from hamnt.code_model import _stabilized_by
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
 from helpers import (HAMMING_7_4, binary_span, brute_neighbours,
@@ -125,6 +127,32 @@ def test_stabilizes_set_examples():
     assert stabilizes_set(inst.C.neighbour_set, Automorphism.identity(H42))
     assert stabilizes_set(inst.C.neighbour_set, t)
     assert not stabilizes_set(inst.C.words, t)
+
+
+def test_stabilized_by_tests_every_element():
+    """The set rule for a list of elements: true iff each element is, for
+    every position of a failing element in the list."""
+    rng = random.Random(10)
+    verdicts = Counter()
+    for scheme in (H42, H33):
+        for _ in range(60):
+            words = random_code(rng, scheme, rng.choice((1, 2, 3))).neighbour_set
+            xs = [random_automorphism(rng, scheme) for _ in range(rng.choice((0, 1, 3)))]
+            stab = setwise_stabilizer(words, scheme)
+            xs += rng.sample(stab, min(len(stab), rng.choice((1, 3))))
+            rng.shuffle(xs)
+            want = all(stabilizes_set(words, x) for x in xs)
+            assert _stabilized_by(words, xs) is want
+            verdicts[want] += 1
+            fixing = [x for x in xs if stabilizes_set(words, x)]
+            assert _stabilized_by(words, fixing)
+            verdicts[True] += 1
+    assert verdicts[False] >= 20 and verdicts[True] >= 20
+    nbrs = build_family(4).C.neighbour_set
+    ident, moving = Automorphism.identity(H42), translation(H42.vertex([1, 0, 0, 0]))
+    assert not _stabilized_by(nbrs, [ident, ident, moving])
+    with pytest.raises(SchemeMismatchError):
+        _stabilized_by(nbrs, [ident, Automorphism.identity(H33)])
 
 
 def test_is_code_automorphism_examples():

@@ -4,7 +4,8 @@ import pytest
 
 from hamnt import (FeasibilityError, HammingScheme, SchemeMismatchError,
                    Triple, common_neighbours, distance, enumerate_triples,
-                   neighbours, vertex_from_text, vertex_to_text, weight)
+                   neighbours, shell, vertex_from_text, vertex_to_text, weight)
+from hamnt.hamming_core import _ball1, _shell_entries, _triple_entries
 from helpers import brute_distance, brute_neighbours, brute_triple_count
 
 H42 = HammingScheme(4, 2)
@@ -150,3 +151,36 @@ def test_brute_distance_agrees():
     for v in H33.vertices():
         for w in H33.vertices():
             assert distance(v, w) == brute_distance(v, w)
+
+
+@pytest.mark.parametrize("m,q", [(1, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
+def test_entry_kernels_match_distance_filter(m, q):
+    """_ball1, _shell_entries and _triple_entries, and the public wrappers
+    over them, against a filter of all vertices by brute distance."""
+    scheme = HammingScheme(m, q)
+    verts = list(scheme.vertices())  # lexicographic
+
+    def ring(v, r):
+        return [w for w in verts if brute_distance(v, w) == r]
+
+    for v in verts:
+        ball = _ball1(v.entries, q)
+        assert len(ball) == len(set(ball))
+        assert sorted(ball) == [w.entries for w in ring(v, 1)]
+        assert neighbours(v) == tuple(ring(v, 1))
+        for r in range(m + 1):
+            assert _shell_entries(v.entries, q, r) == [w.entries for w in ring(v, r)]
+            assert shell(v, r) == tuple(ring(v, r))
+        for w in ring(v, 2):
+            shared = [n for n in ring(v, 1) if brute_distance(n, w) == 1]
+            assert common_neighbours(v, w) == tuple(shared)
+
+    # alpha, then beta, then nu, each lexicographic; flat as alpha + nu + beta
+    expected = [a.entries + n.entries + b.entries
+                for a in verts for b in ring(a, 2)
+                for n in ring(a, 1) if brute_distance(n, b) == 1]
+    got = list(_triple_entries(scheme))
+    assert set(got) == set(expected)
+    assert got == expected
+    assert [t.alpha.entries + t.nu.entries + t.beta.entries
+            for t in enumerate_triples(scheme)] == expected

@@ -10,6 +10,8 @@ import pytest
 import hamnt.lemmas
 from hamnt import Automorphism, GeneratorSet, full_group_generators
 from hamnt.cli import main
+from hamnt.lemmas import run_lemma_suite
+from helpers import vertex_pre_structure
 
 # `lemmas --format json` on each (m, q, seed), keyed "m,q,seed", as
 # [exit code, stdout], recorded at commit f4990cd, where the triple orbit
@@ -75,3 +77,46 @@ def test_triple_orbit_fails_under_proper_subgroup(subgroup, detail, monkeypatch)
     clause = json.loads(out)["checks"][1]
     assert clause == {"clause": "triples_single_orbit", "pass": False, "detail": detail}
 
+
+
+def test_triple_orbit_fails_when_a_triple_is_missing(monkeypatch):
+    real = hamnt.lemmas._triple_entries
+    monkeypatch.setattr(hamnt.lemmas, "_triple_entries",
+                        lambda scheme: list(real(scheme))[:-1])
+    code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["checks"][1] == {
+        "clause": "triples_single_orbit", "pass": False,
+        "detail": "orbit 192 of 191 triples under 384 elements"}
+
+
+def test_two_common_neighbours_fails_when_a_neighbour_is_missing(monkeypatch):
+    real = hamnt.lemmas._ball1
+    monkeypatch.setattr(hamnt.lemmas, "_ball1", lambda w, q: real(w, q)[1:])
+    code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["checks"][0] == {
+        "clause": "two_common_neighbours", "pass": False,
+        "detail": "48 distance-2 pairs"}
+
+
+@pytest.mark.parametrize("m, q, cap, verified", [
+    (6, 2, 10**6, 768), (4, 3, 10**6, 0), (8, 2, 40, 40)])
+def test_pre_structure_matches_vertex_oracle_on_suite_witnesses(
+        m, q, cap, verified, monkeypatch):
+    """The (alpha, y) pairs the suite verifies at seed 0, up to cap of
+    them, give the same report as the Vertex-based oracle.  H(6,2) and
+    H(4,3) verify every pair they discover; H(8,2) the first 40 of 24576."""
+    monkeypatch.setattr(hamnt.lemmas, "MAX_PRE_VERIFICATIONS", cap)
+    real = hamnt.lemmas.verify_pre_structure
+    seen = []
+
+    def checked(code, alpha, y):
+        report = real(code, alpha, y)
+        assert report.to_json() == vertex_pre_structure(code, alpha, y).to_json()
+        seen.append(report.all_pass)
+        return report
+
+    monkeypatch.setattr(hamnt.lemmas, "verify_pre_structure", checked)
+    assert run_lemma_suite(m, q, seed=0).all_pass
+    assert seen == [True] * verified

@@ -8,6 +8,7 @@ from hamnt import (Automorphism, Code, HammingScheme, ImageInCodeError,
                    pre_for_neighbour, shell, translation, vertex_to_text,
                    verify_pre_structure)
 from hamnt.family_codes import build_family
+from helpers import vertex_pre_structure
 
 H42 = HammingScheme(4, 2)
 
@@ -138,3 +139,20 @@ def test_parity_detector_contrapositive():
         for x in setwise_stabilizer(code.neighbour_set, scheme):
             for alpha in code.words:
                 assert x.apply(alpha) in code
+
+
+def test_verify_pre_structure_matches_vertex_oracle_ternary():
+    """Every witness (alpha, y) of the repetition code of H(3,3): a
+    neighbour-set stabilizer y that moves the codeword alpha out."""
+    from hamnt import setwise_stabilizer
+    scheme = HammingScheme(3, 3)
+    code = Code.from_entries(scheme, [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    count = 0
+    for y in setwise_stabilizer(code.neighbour_set, scheme):
+        for alpha in code.words:
+            if y.apply(alpha) not in code:
+                report = verify_pre_structure(code, alpha, y)
+                assert report.all_pass
+                assert report.to_json() == vertex_pre_structure(code, alpha, y).to_json()
+                count += 1
+    assert count == 216
