@@ -30,7 +30,8 @@ G^(k+1) t u, t in level k's transversal, are ordered by the key of t u,
 so _walk yields a coset in canonical order (Seress 2003, ch. 4 and 9).
 Every canonical-order answer comes from it: a setwise stabilizer's
 elements (_elements), the least element outside a subgroup
-(least_outside) and the least equivalence (_least_equivalence).
+(least_outside), the least equivalence (_least_equivalence) and the
+lemma suite's first witnesses, walked lazily.
 """
 
 from __future__ import annotations
@@ -143,17 +144,22 @@ def _grow(trans: dict, level: tuple[int, int, int], gens: list[tuple[int, ...]])
         frontier = new
 
 
-def _sift(x: tuple[int, ...], transversals: list[dict], levels: list, start: int):
+def _sift(x: tuple[int, ...], transversals: list[dict], inverses: list[dict],
+          levels: list, start: int):
     """(residue, level): x times the inverse transversal element of its
     key, level by level from start, until a transversal misses the key
-    (level) or every level is passed (level = len(levels))."""
+    (level) or every level is passed (level = len(levels)).  inverses[k]
+    memoises the inverses of level k's transversal elements by key."""
     for k in range(start, len(levels)):
         lo, hi, d = levels[k]
         b = x[lo:hi]  # _key, inlined: this loop is the hot path of Schreier-Sims
-        u = transversals[k].get(b if d == 1 else tuple([pt // d for pt in b]))
-        if u is None:
-            return x, k
-        uinv = _invert(u)
+        b = b if d == 1 else tuple([pt // d for pt in b])
+        uinv = inverses[k].get(b)
+        if uinv is None:
+            u = transversals[k].get(b)
+            if u is None:
+                return x, k
+            inverses[k][b] = uinv = _invert(u)
         x = tuple([uinv[i] for i in x])
     return x, len(levels)
 
@@ -228,6 +234,8 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
         if s != ident and s not in found:
             add(s, 0, next(k for k, lv in enumerate(levels) if _key(s, lv) != base[k]))
     checked: list[set] = [set() for _ in levels]
+    # transversal entries keep their element, so their inverses keep too
+    inverses: list[dict] = [{} for _ in levels]
     k = len(levels) - 1
     while k >= 0 and math.prod([len(t) for t in transversals]) != order:
         # levels k+1.. are complete: sift the Schreier generators of level k
@@ -237,9 +245,10 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
                 if (b, i) in checked[k]:
                     continue
                 checked[k].add((b, i))
-                us = tuple([s[pt] for pt in u])
-                vinv = _invert(transversals[k][_key(us, levels[k])])
-                residue = _sift(tuple([vinv[pt] for pt in us]), transversals, levels, k + 1)
+                # level k's transversal is closed under strong[k], so the
+                # sift of u s passes level k
+                residue = _sift(tuple([s[pt] for pt in u]), transversals, inverses,
+                                levels, k)
                 if residue[0] != ident:
                     break
                 residue = None

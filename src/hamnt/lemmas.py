@@ -1,7 +1,9 @@
 """The structural lemma suite: exhaustive checks on one small scheme H(m,q).
 
-The triple orbit and the code automorphisms come from generators and
-stabilizer chains (module chain); no clause lists the full group."""
+The triple orbit, the code automorphisms and the pre-codeword witnesses
+come from stabilizer chains (module chain) by orbit-stabilizer
+(Seress, Permutation Group Algorithms, 2003, ch. 4): no clause lists a
+group or builds an orbit over the triples."""
 
 from __future__ import annotations
 
@@ -11,16 +13,15 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import schreier_sims, stabilizer_chain
+from .chain import StabilizerChain, _rebase, _walk, schreier_sims, stabilizer_chain
 from .code_model import Code, _stabilized_by
 from .family_codes import build_family
-from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, _ball1,
-                           _triple_entries, check_enumeration_cap)
+from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
+                           _ball1, _triple_entries, check_enumeration_cap)
 from .precodeword import verify_pre_structure
 from .reporting import ClauseResult, all_clauses_pass
-from .transitivity import setwise_stabilizer
-from .wreath_group import (DEFAULT_GROUP_CAP, _images, _orbit, check_group_cap,
-                           full_group_generators)
+from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images, _mover,
+                           _orbit, check_group_cap, full_group_generators)
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
 #: during a lemma sweep; purely a runtime guard, the count is reported.
@@ -60,20 +61,70 @@ def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list
     return codes
 
 
+def _triple_stabilizer_order(scheme: HammingScheme, triple: tuple[int, ...],
+                             group_cap: int) -> int:
+    """|G_t| for a triple t = alpha + nu + beta (3m entries) in the full
+    group G.  The setwise stabilizer of {alpha, nu, beta} fixes nu, the one
+    vertex adjacent to the other two; it swaps alpha and beta iff a strong
+    generator does."""
+    m = scheme.m
+    alpha, beta = triple[:m], triple[2 * m:]
+    chain = stabilizer_chain([Vertex(scheme, w) for w in (alpha, triple[m:2 * m], beta)],
+                             scheme, group_cap)
+    swaps = any(_images(x._moves, (alpha,)) == [beta] for x in chain.generators)
+    return chain.order // 2 if swaps else chain.order
+
+
+def _walk_witnesses(code: Code, chain: StabilizerChain, words: list[tuple[int, ...]]):
+    """The witnesses (code, alpha, y) of a code, lazily: y in the chain's
+    group, canonical order, then alpha ascending, with alpha^y not in C."""
+    scheme, inside = code.scheme, set(words)
+    levels, _, transversals = _rebase(chain)
+    for u in _walk(transversals, levels, 0, tuple(range(scheme.m * scheme.q))):
+        for alpha, img in zip(code.words, _images(_mover(u, scheme.q), words)):
+            if img not in inside:
+                yield code, alpha, Automorphism._trusted(scheme, u)
+
+
+def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
+    """(first, total): the first cap witnesses over the codes with
+    delta >= 3, code by code, and their number.  For G = Stab(G1(C)),
+    alpha^y lies in C for |G_alpha| * |C & alpha^G| elements y, so an
+    orbit O of G holds |C & O|^2 * |G| / |O| pairs that are not witnesses."""
+    first, total = [], 0
+    for code in codes:
+        if code.min_distance < 3 or not code.neighbour_set:
+            continue
+        chain = stabilizer_chain(code.neighbour_set, code.scheme, group_cap)
+        words = [w.entries for w in code.words]
+        movers = [x._moves for x in chain.generators]
+        left, count = set(words), len(words) * chain.order
+        while left:
+            reach = _orbit(movers, min(left))
+            hit = len(reach.intersection(words))
+            count -= chain.order // len(reach) * hit * hit
+            left -= reach
+        total += count
+        first.extend(itertools.islice(_walk_witnesses(code, chain, words),
+                                      min(cap - len(first), count)))
+    return first, total
+
+
 def run_lemma_suite(m: int, q: int, seed: int = 0,
                     group_cap: int = DEFAULT_GROUP_CAP) -> LemmaSuiteReport:
     """Exhaustive small-scheme checks of the structural lemmas.
 
     Runs: the two-common-neighbours law over every distance-2 pair; the
     one-orbit law for triples under the full group; the implication
-    "fixes the code => stabilizes its neighbour set" on Aut(C) for sampled
-    codes; and the full pre-codeword structure on every (alpha, y)
-    neighbour-stabilizer witness discovered on the way.  No clause streams
-    the full group.  The triple orbit is taken under the standard
-    generators, which Schreier-Sims certifies to generate the full group.
-    Aut(C) is the stabilizer chain of C; the elements stabilizing a set
-    form a subgroup, so checking its strong generators covers every
-    element, and the chain orders give the count.
+    "fixes the code => stabilizes its neighbour set" on Aut(C) for
+    sampled codes; and the full pre-codeword structure on the first
+    MAX_PRE_VERIFICATIONS (alpha, y) neighbour-stabilizer witnesses, with
+    the number of all of them.  No clause lists a group.  The standard
+    generators count once Schreier-Sims certifies that they generate the
+    full group G; the triple orbit then has |G| / |G_t| elements for the
+    first triple t, set against the enumerated triple count.  Aut(C) is
+    the stabilizer chain of C; the elements stabilizing a set form a
+    subgroup, so its strong generators cover every element.
     """
     scheme = HammingScheme(m, q)
     check_enumeration_cap(scheme, DEFAULT_ENUMERATION_CAP)
@@ -81,30 +132,35 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
 
     checks = []
 
-    vertices = itertools.product(range(q), repeat=m)
+    vertices = list(itertools.product(range(q), repeat=m))
+    balls = {v: set(_ball1(v, q)) for v in vertices}
     pairs = [(u, v) for u, v in itertools.combinations(vertices, 2)
              if sum(map(operator.ne, u, v)) == 2]
-    size2_ok = all(len(set(_ball1(u, q)).intersection(_ball1(v, q))) == 2
-                   for u, v in pairs)
+    size2_ok = all(len(balls[u] & balls[v]) == 2 for u, v in pairs)
     checks.append(ClauseResult(
         "two_common_neighbours", size2_ok, f"{len(pairs)} distance-2 pairs"))
 
-    # a triple as the 3m entries of alpha, nu and beta; x moves each
-    # vertex's m entries, so its mover repeats at offsets 0, m and 2m
-    flat = list(_triple_entries(scheme))
-    codes = _sample_codes(scheme, random.Random(seed), 6)
-    if flat:
+    triples = iter(_triple_entries(scheme))
+    t0 = next(triples, None)
+    if t0 is not None:
+        count = 1 + sum(1 for _ in triples)
         gens = full_group_generators(scheme)
-        acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
-                for x in gens.generators]
-        reached = _orbit(acts, flat[0])
         certified = schreier_sims(gens).order == order
+        if certified:
+            reached = order // _triple_stabilizer_order(scheme, t0, group_cap)
+        else:
+            # the orbit under the generated subgroup, for the report; x moves
+            # each vertex's m entries, so its mover repeats at offsets 0, m, 2m
+            acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
+                    for x in gens.generators]
+            reached = len(_orbit(acts, t0))
         checks.append(ClauseResult(
-            "triples_single_orbit", certified and reached == set(flat),
-            f"orbit {len(reached)} of {len(flat)} triples under {order} elements"))
+            "triples_single_orbit", certified and reached == count,
+            f"orbit {reached} of {count} triples under {order} elements"))
     else:
         checks.append(ClauseResult("triples_single_orbit", True,
                                    "no triples exist at m = 1"))
+    codes = _sample_codes(scheme, random.Random(seed), 6)
     implication_ok, aut_count = True, 0
     for code in codes:
         aut = stabilizer_chain(code.words, scheme, group_cap)
@@ -115,20 +171,11 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         "code_automorphisms_stabilize_neighbours", implication_ok,
         f"{aut_count} code automorphisms over {len(codes)} sampled codes"))
 
-    witnesses = []  # (code, alpha, y) with y stabilizing G1(C), alpha^y not in C
-    for code in codes:
-        if code.min_distance >= 3 and code.neighbour_set:
-            words = [w.entries for w in code.words]
-            inside = set(words)
-            for x in setwise_stabilizer(code.neighbour_set, scheme, group_cap):
-                witnesses.extend((code, alpha, x) for alpha, img in zip(
-                    code.words, _images(x._moves, words)) if img not in inside)
-
-    checked = witnesses[:MAX_PRE_VERIFICATIONS]
+    checked, total = _witnesses(codes, group_cap, MAX_PRE_VERIFICATIONS)
     # a list, so that every witness is checked even after a failure
     pre_ok = all([verify_pre_structure(*w).all_pass for w in checked])
     checks.append(ClauseResult(
         "pre_structure_on_witnesses", pre_ok,
-        f"verified {len(checked)} of {len(witnesses)} discovered (alpha, y) pairs"))
+        f"verified {len(checked)} of {total} discovered (alpha, y) pairs"))
 
     return LemmaSuiteReport(m=m, q=q, seed=seed, checks=tuple(checks))

@@ -13,7 +13,7 @@ from .code_model import Code, _stabilized_by
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           automorphism_from_text, automorphism_to_text,
+                           _orbit, automorphism_from_text, automorphism_to_text,
                            check_group_cap, orbit)
 
 VERDICT_FIXED = "FIXED"
@@ -67,7 +67,7 @@ def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
     """True iff the generated group fixes Gamma_1(C) setwise and is transitive on it.
 
     A group preserving a finite set acts transitively on it iff the orbit
-    of one point covers it, so only one orbit computation is needed.
+    of one point is as large as the set, so only one orbit is computed.
     """
     if gens.scheme != code.scheme:
         raise SchemeMismatchError("generators from a different scheme")
@@ -76,7 +76,7 @@ def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
         raise ValueError("neighbour set is empty; transitivity is undefined")
     if not _stabilized_by(nbrs, gens.generators):
         return False
-    return orbit(gens, nbrs[0]) == nbrs
+    return len(_orbit([x._moves for x in gens.generators], nbrs[0].entries)) == len(nbrs)
 
 
 def neighbour_orbits(code: Code, gens: GeneratorSet) -> list[tuple[Vertex, ...]]:
@@ -120,8 +120,8 @@ def analyze_stabilizer(code: Code,
     The stabilizer fixes C iff every strong generator does; otherwise the
     first non-fixing element is the chain's least element outside Aut(C),
     which lies in the stabilizer because C determines Gamma_1(C).
-    Transitivity is the orbit of the least neighbour under the strong
-    generators.  Checks the group cap first.
+    It is transitive iff the orbit of the least neighbour under the strong
+    generators is as large as Gamma_1(C).  Checks the group cap first.
     """
     check_group_cap(code.scheme, group_cap)
     nbrs = code.neighbour_set
@@ -130,7 +130,7 @@ def analyze_stabilizer(code: Code,
     chain = stabilizer_chain(nbrs, code.scheme, group_cap)
     first = least_outside(chain, fixes_entries([w.entries for w in code.words],
                                                code.scheme.q))
-    transitive = orbit(GeneratorSet(code.scheme, chain.generators), nbrs[0]) == nbrs
+    transitive = len(_orbit([x._moves for x in chain.generators], nbrs[0].entries)) == len(nbrs)
     return StabilizerAnalysis(chain.order, chain.generators, first, transitive)
 
 

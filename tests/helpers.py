@@ -12,7 +12,7 @@ import itertools
 import random
 
 from hamnt import (Automorphism, ClauseResult, Code, HammingScheme, PreReport,
-                   Vertex, neighbours, shell, vertex_to_text)
+                   Vertex, neighbours, setwise_stabilizer, shell, vertex_to_text)
 
 
 def random_automorphism(rng: random.Random, scheme: HammingScheme) -> Automorphism:
@@ -127,6 +127,20 @@ def brute_classify(code: Code):
         if witness is None and {raw_apply(sigma, gs, w) for w in words} != words:
             witness = (sigma, gs)
     return witness, order, images == nbrs
+
+
+def listed_witnesses(codes) -> list:
+    """Oracle for the lemma suite's witnesses: every (code, alpha, y) with
+    y in the listed setwise stabilizer of the code's neighbour set and
+    alpha^y outside the code, over the codes with delta >= 3, code by
+    code, y in canonical order, alpha ascending."""
+    witnesses = []
+    for code in codes:
+        if code.min_distance >= 3 and code.neighbour_set:
+            for y in setwise_stabilizer(code.neighbour_set, code.scheme):
+                witnesses.extend((code, alpha, y) for alpha in code.words
+                                 if y.apply(alpha) not in code)
+    return witnesses
 
 
 def vertex_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreReport:

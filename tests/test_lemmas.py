@@ -1,17 +1,24 @@
-"""The lemma suite's generator path: pinned outputs, H(8,2), and the
-certification of the triple-orbit generators."""
+"""The lemma suite's generator path: pinned outputs, H(8,2), the
+certification of the triple-orbit generators, and the orbit-stabilizer
+counts of the triple orbit and the pre-codeword witnesses."""
 
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import hamnt.chain
 import hamnt.lemmas
-from hamnt import Automorphism, GeneratorSet, full_group_generators
+import hamnt.transitivity
+from hamnt import (Automorphism, Code, GeneratorSet, HammingScheme, build_family,
+                   full_group_generators, group_order)
 from hamnt.cli import main
-from hamnt.lemmas import run_lemma_suite
-from helpers import vertex_pre_structure
+from hamnt.hamming_core import _triple_entries
+from hamnt.lemmas import _triple_stabilizer_order, _witnesses, run_lemma_suite
+from hamnt.wreath_group import DEFAULT_GROUP_CAP, _orbit
+from helpers import listed_witnesses, random_code_min_distance, vertex_pre_structure
 
 # `lemmas --format json` on each (m, q, seed), keyed "m,q,seed", as
 # [exit code, stdout], recorded at commit f4990cd, where the triple orbit
@@ -37,17 +44,72 @@ def test_lemmas_json_matches_pinned_output(key):
     assert got == (PINNED[key][0], PINNED[key][1], "")
 
 
+H82_DETAILS = [
+    "3584 distance-2 pairs",
+    "orbit 14336 of 14336 triples under 10321920 elements",
+    "7224 code automorphisms over 6 sampled codes",
+    "verified 40 of 24576 discovered (alpha, y) pairs",
+]
+
+
 def test_lemmas_h82_passes_under_default_cap():
     code, out, _ = run(["lemmas", "--m", "8", "--q", "2", "--format", "json"])
     assert code == 0
     data = json.loads(out)
     assert data["all_pass"] is True
-    assert [c["detail"] for c in data["checks"]] == [
-        "3584 distance-2 pairs",
-        "orbit 14336 of 14336 triples under 10321920 elements",
-        "7224 code automorphisms over 6 sampled codes",
-        "verified 40 of 24576 discovered (alpha, y) pairs",
-    ]
+    assert [c["detail"] for c in data["checks"]] == H82_DETAILS
+
+
+def test_lemmas_h82_lists_no_group(monkeypatch):
+    def listing(*args, **kwargs):
+        raise AssertionError("the lemma suite listed a group")
+
+    monkeypatch.setattr(hamnt.transitivity, "setwise_stabilizer", listing)
+    monkeypatch.setattr(hamnt.chain, "_elements", listing)
+    code, out, _ = run(["lemmas", "--m", "8", "--q", "2", "--format", "json"])
+    assert code == 0
+    assert [c["detail"] for c in json.loads(out)["checks"]] == H82_DETAILS
+
+
+@pytest.mark.parametrize("m, q", [(2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (5, 2)])
+def test_triple_orbit_size_matches_breadth_first_orbit(m, q):
+    """|G| / |G_t| against the breadth-first orbit of t under the standard
+    generators, for the first triple (the one the suite takes) and three
+    random ones; the orbit is every triple."""
+    scheme = HammingScheme(m, q)
+    triples = list(_triple_entries(scheme))
+    acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
+            for x in full_group_generators(scheme).generators]
+    for t in [triples[0]] + random.Random(m * 10 + q).sample(triples, 3):
+        stab = _triple_stabilizer_order(scheme, t, DEFAULT_GROUP_CAP)
+        assert group_order(scheme) // stab == len(_orbit(acts, t)) == len(triples)
+
+
+def witness_codes():
+    """Seeded codes with delta >= 3 in H(4,2) (of 2 words, the most it
+    admits), H(5,2), H(3,3) and H(4,3), the repetition code of H(3,3)
+    (216 witnesses) and the family codes."""
+    rng = random.Random(11)
+    codes = []
+    for m, q, sizes in [(4, 2, (2,)), (5, 2, (2, 3)), (3, 3, (2, 3)), (4, 3, (2, 3))]:
+        scheme = HammingScheme(m, q)
+        codes.append([random_code_min_distance(rng, scheme, rng.choice(sizes), 3)
+                      for _ in range(6)])
+    codes.append([Code.from_entries(HammingScheme(3, 3), [[0] * 3, [1] * 3, [2] * 3])])
+    codes.extend([build_family(m).C] for m in (4, 6, 8))
+    return codes
+
+
+@pytest.mark.parametrize("codes, count", zip(
+    witness_codes(), [0, 0, 432, 0, 216, 288, 768, 24576]),
+    ids=["H42", "H52", "H33", "H43", "rep33", "family4", "family6", "family8"])
+def test_witness_count_and_first_pairs_match_listing(codes, count):
+    listed = listed_witnesses(codes)
+    assert len(listed) == count
+    for cap in sorted({0, 1, 7, 40, count - 1, count, count + 1} - {-1}):
+        first, total = _witnesses(codes, DEFAULT_GROUP_CAP, cap)
+        assert total == count
+        assert first == listed[:cap]
 
 
 def no_coordinate_permutations(scheme):
