@@ -23,7 +23,7 @@ from .chain import (StabilizerChain, fixes_entries, least_outside,
 from .code_model import (Code, EquivalenceWitness, code_to_text,
                          find_equivalence, is_code_automorphism,
                          is_linear_binary, neighbour_count,
-                         neighbourhoods_disjoint,
+                         neighbour_stabilizer, neighbourhoods_disjoint,
                          parse_code_text, read_code_file,
                          stabilizes_set, translation_subgroup,
                          write_code_file)
@@ -53,7 +53,7 @@ __all__ = [
     "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
     "Code", "EquivalenceWitness", "stabilizes_set",
     "is_code_automorphism", "is_linear_binary", "neighbour_count",
-    "neighbourhoods_disjoint",
+    "neighbour_stabilizer", "neighbourhoods_disjoint",
     "translation_subgroup",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",
     "write_code_file",

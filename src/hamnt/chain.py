@@ -1,7 +1,9 @@
 """Stabilizer chains of subgroups of S_q wr S_m, and the search for the
 automorphisms x mapping a vertex set S into a vertex set T.
 
-The search (_pruning_model, _narrow, _leaves) is a backtrack: depth k
+The search takes S and T as sorted entry tuples; stabilizer_chain, the
+public entry, converts and scheme-checks its vertices once.  The search
+(_pruning_model, _narrow, _leaves) is a backtrack: depth k
 picks the image position p = sigma(k) among the positions still free
 (ascending), then g_k.  Each distinct source prefix s[:k+1] keeps a
 bitmask of the members of T that agree with its image on the positions
@@ -21,6 +23,12 @@ backtrack over the search with S = T on the block levels m-1 down to 0
 (each image of block k that the subgroup found so far does not reach
 gets a search for one element fixing blocks 0..k-1 pointwise and moving
 block k there), and schreier_sims(gens), by deterministic Schreier-Sims.
+_grow meets the old transversal entries with the new generator only.
+Sims' backtrack takes the first leaf under each prefix, the least
+element of the group with that prefix, so sets with one stabilizer give
+one chain.  So code_model.neighbour_stabilizer searches D = C plus its
+pre-codewords in place of Gamma_1(C): Stab(Gamma_1(C)) = Stab(D), since
+Gamma_1(C) determines D and Gamma_1(D) = Gamma_1(C) when delta >= 2.
 
 The canonical levels, keyed by sigma(0..m-1) and then by the block
 images, compared level by level, are the canonical order.  _rebase
@@ -62,9 +70,10 @@ def _canonical_levels(m: int, q: int) -> list[tuple[int, int, int]]:
     return [(k * q, k * q + 1, q) for k in range(m)] + _block_levels(m, q)
 
 
-def _pruning_model(source: Iterable[Vertex], target: Iterable[Vertex],
+def _pruning_model(words: list[tuple[int, ...]], targets: list[tuple[int, ...]],
                    scheme: HammingScheme):
-    """The pruning model of the search: (full, rows, levels).
+    """The pruning model of the search from S and T as sorted entry
+    tuples: (full, rows, levels).
 
     full is the bitmask of every target; rows[p] pairs each alphabet
     permutation g (in lexicographic order) with pos_val[p][g(c)] for every
@@ -73,12 +82,6 @@ def _pruning_model(source: Iterable[Vertex], target: Iterable[Vertex],
     (parent, symbol, size): parent indexes the prefixes w[:k] of
     levels[k-1], and size counts the sources with that prefix.
     """
-    words, targets = [], []
-    for vertices, entries in ((source, words), (target, targets)):
-        vs = set(vertices)
-        if any(v.scheme != scheme for v in vs):
-            raise SchemeMismatchError("set member from a different scheme")
-        entries.extend(sorted(v.entries for v in vs))
     m, q = scheme.m, scheme.q
     perms = list(itertools.permutations(range(q)))
     pos_val = [[0] * q for _ in range(m)]
@@ -128,20 +131,23 @@ def _leaves(levels: list, rows: list, free: list[int], masks: list[int],
                 chosen.pop()
 
 
-def _grow(trans: dict, level: tuple[int, int, int], gens: list[tuple[int, ...]]) -> None:
+def _grow(trans: dict, level: tuple[int, int, int], gens: list[tuple[int, ...]],
+          closed: int = 0) -> None:
     """Close trans, the transversal of a level (key -> element with that
-    key), under gens in place; entries keep their element."""
+    key), under gens in place, given that it is closed under gens[:closed]:
+    the old entries meet only the later generators, the new ones all of
+    them.  Entries keep their element."""
     lo, hi, d = level
-    frontier = list(trans.values())
+    frontier, step = list(trans.values()), gens[closed:]
     while frontier:
         new = []
         for u in frontier:
-            for s in gens:
+            for s in step:
                 b = tuple([s[i] // d for i in u[lo:hi]])
                 if b not in trans:
                     trans[b] = v = tuple([s[i] for i in u])
                     new.append(v)
-        frontier = new
+        frontier, step = new, gens
 
 
 def _sift(x: tuple[int, ...], transversals: list[dict], inverses: list[dict],
@@ -180,8 +186,16 @@ def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
     """The setwise stabilizer of a vertex set as a stabilizer chain, by
     Sims' backtrack over the search."""
     check_group_cap(scheme, group_cap)
-    vs = list(vertices)
-    full, rows, levels = _pruning_model(vs, vs, scheme)
+    vs = set(vertices)
+    if any(v.scheme != scheme for v in vs):
+        raise SchemeMismatchError("set member from a different scheme")
+    return _stabilizer_chain(sorted([v.entries for v in vs]), scheme)
+
+
+def _stabilizer_chain(words: list[tuple[int, ...]], scheme: HammingScheme) -> StabilizerChain:
+    """stabilizer_chain of a set given as sorted entry tuples, the group
+    cap already checked."""
+    full, rows, levels = _pruning_model(words, words, scheme)
     m, q = scheme.m, scheme.q
     # the identity on blocks 0..k-1 prunes nothing; rows[k][0] is g_k = id
     fixed = [(k, rows[k][0][0]) for k in range(m)]
@@ -206,18 +220,21 @@ def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
                 leaf = next(_leaves(levels, rows, free, nxt, fixed[:k] + [(p, g)]), None)
                 if leaf:
                     strong.append(_points(leaf, q))
-                    _grow(trans, blocks[k], strong)
+                    _grow(trans, blocks[k], strong, len(strong) - 1)
     return StabilizerChain(scheme, strong, transversals)
 
 
 def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
-                   order: int | None = None):
+                   order: int | None = None, bound: int | None = None):
     """(found, strong, transversals) of the group the point tuples gens
     generate on n points, by deterministic Schreier-Sims over levels:
     found lists the strong generators as found, strong[k] those that fix
     the keys of levels 0..k-1.  Given the group's order, it stops once
     the transversal sizes multiply to it: a product of basic orbit sizes
-    equal to the order makes the generators strong (Seress 2003, ch. 4)."""
+    equal to the order makes the generators strong (Seress 2003, ch. 4).
+    Given only an upper bound on the order, it stops there the same way,
+    and it runs to the end, giving the true order, when the group is
+    smaller."""
     ident = tuple(range(n))
     base = [_key(ident, lv) for lv in levels]
     transversals = [{b: ident} for b in base]
@@ -228,7 +245,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
         found.append(s)
         for k in range(low, high + 1):
             strong[k].append(s)
-            _grow(transversals[k], levels[k], strong[k])
+            _grow(transversals[k], levels[k], strong[k], len(strong[k]) - 1)
 
     for s in gens:
         if s != ident and s not in found:
@@ -237,7 +254,8 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
     # transversal entries keep their element, so their inverses keep too
     inverses: list[dict] = [{} for _ in levels]
     k = len(levels) - 1
-    while k >= 0 and math.prod([len(t) for t in transversals]) != order:
+    stop = bound if order is None else order
+    while k >= 0 and math.prod([len(t) for t in transversals]) != stop:
         # levels k+1.. are complete: sift the Schreier generators of level k
         residue = None
         for b, u in transversals[k].items():
@@ -264,12 +282,13 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
     return found, strong, transversals
 
 
-def schreier_sims(gens: GeneratorSet) -> StabilizerChain:
+def schreier_sims(gens: GeneratorSet, bound: int | None = None) -> StabilizerChain:
     """The subgroup generated by gens as a stabilizer chain, by the
-    deterministic Schreier-Sims algorithm."""
+    deterministic Schreier-Sims algorithm; given an upper bound on its
+    order, it stops once it reaches it."""
     m, q = gens.scheme.m, gens.scheme.q
     found, _, transversals = _schreier_sims([x.points for x in gens.generators],
-                                            m * q, _block_levels(m, q))
+                                            m * q, _block_levels(m, q), bound=bound)
     return StabilizerChain(gens.scheme, found, transversals)
 
 
@@ -336,19 +355,19 @@ def least_outside(chain: StabilizerChain,
     return Automorphism._trusted(chain.scheme, next(_walk(transversals, levels, deep, u)))
 
 
-def _least_equivalence(source: Iterable[Vertex], target: Iterable[Vertex],
+def _least_equivalence(source: list[tuple[int, ...]], target: list[tuple[int, ...]],
                        scheme: HammingScheme,
                        group_cap: int) -> Automorphism | None:
     """The least automorphism, canonical order, mapping the vertex set
-    source onto target (a set of the same size), or None.  Any leaf y of
-    the search maps source onto target, and the elements that do form the
-    coset Aut(source) y; its chain is built only once a leaf is found."""
+    source onto target (a set of the same size), both sorted entry tuples,
+    or None.  Any leaf y of the search maps source onto target, and the
+    elements that do form the coset Aut(source) y; its chain is built only
+    once a leaf is found."""
     check_group_cap(scheme, group_cap)
-    vs = list(source)
-    full, rows, levels = _pruning_model(vs, target, scheme)
+    full, rows, levels = _pruning_model(source, target, scheme)
     leaf = next(_leaves(levels, rows, list(range(scheme.m)), [full], []), None)
     if leaf is None:
         return None
     y = _points(leaf, scheme.q)
-    levels, _, transversals = _rebase(stabilizer_chain(vs, scheme, group_cap))
+    levels, _, transversals = _rebase(_stabilizer_chain(source, scheme))
     return Automorphism._trusted(scheme, next(_walk(transversals, levels, 0, y)))

@@ -1,12 +1,21 @@
 """Codes as finite vertex subsets of a Hamming graph.
 
 A Code stores its words sorted and deduplicated and is immutable; the
-derived quantities (minimum distance, neighbour set) are cached on first
-use.  Codes are stored extensionally even when they happen to be linear:
+derived quantities (minimum distance, neighbour set, kept as entry
+tuples and wrapped as vertices on demand) are cached on first use.
+Codes are stored extensionally even when they happen to be linear:
 linearity is detected, never declared.  "x fixes a vertex set" has one
 rule, _stabilized_by, which acts on entry tuples (module wreath_group)
 and reads the set once for a list of elements; stabilizes_set is that
 rule for one element, and is_code_automorphism is it on the code's words.
+For Gamma_1(C), _neighbours_fixed_by applies it through the image code.
+
+The neighbour-set stabilizer of a code has one home, neighbour_stabilizer.
+Let D = {v not in Gamma_1(C) : Gamma(v) within Gamma_1(C)}; when
+delta >= 2 it is C plus its pre-codewords, and Stab(Gamma_1(C)) =
+Stab(D).  Proof: Gamma_1(C) determines D.  And Gamma_1(D) = Gamma_1(C):
+C lies in D, D misses Gamma_1(C), and every neighbour of D outside D
+lies in Gamma_1(C).
 """
 
 from __future__ import annotations
@@ -14,17 +23,26 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .chain import _least_equivalence
+from .chain import StabilizerChain, _least_equivalence, _stabilizer_chain
 from .errors import CodeFormatError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            _ball1, check_cap, vertex_from_text, vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _images, translation)
+                           _images, check_group_cap, translation)
+
+
+def _neighbours_of(words, q: int) -> set[tuple[int, ...]]:
+    """Gamma_1 of a set of entry tuples, as a set of entry tuples."""
+    out = set()
+    for w in words:
+        out.update(_ball1(w, q))
+    return out.difference(words)
 
 
 class Code:
@@ -64,23 +82,26 @@ class Code:
 
     @cached_property
     def min_distance(self) -> float:
-        """Minimum pairwise distance; math.inf when fewer than two words."""
+        """Minimum pairwise distance; math.inf when fewer than two words.
+        A binary linear code's is its least nonzero weight."""
         if len(self.words) <= 1:
             return math.inf
         entries = [w.entries for w in self.words]
+        if is_linear_binary(self):
+            return min([sum(w) for w in entries if any(w)])
         return min(sum(map(operator.ne, u, v))
                    for u, v in itertools.combinations(entries, 2))
 
     @cached_property
+    def _neighbour_entries(self) -> tuple[tuple[int, ...], ...]:
+        """Gamma_1(C) as sorted entry tuples."""
+        return tuple(sorted(_neighbours_of([w.entries for w in self.words],
+                                           self.scheme.q)))
+
+    @cached_property
     def neighbour_set(self) -> tuple[Vertex, ...]:
         """All non-codewords adjacent to at least one codeword, sorted."""
-        q = self.scheme.q
-        words = {w.entries for w in self.words}
-        out = set()
-        for w in words:
-            out.update(_ball1(w, q))
-        out -= words
-        return tuple([Vertex(self.scheme, w) for w in sorted(out)])
+        return tuple([Vertex(self.scheme, w) for w in self._neighbour_entries])
 
     def image(self, x: Automorphism) -> "Code":
         """The code {apply(x, w) : w in C}."""
@@ -110,6 +131,27 @@ def _stabilized_by(vertices: Iterable[Vertex], xs: Iterable[Automorphism]) -> bo
     return True
 
 
+def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
+    """True iff every x in xs maps Gamma_1(C) onto itself.  x is a graph
+    automorphism, so it maps Gamma_1(C) onto Gamma_1(C^x): an x that fixes
+    C needs nothing more, and each other image code needs its neighbour
+    set once."""
+    words = frozenset([w.entries for w in code.words])
+    passed, nbrs = {words}, None
+    for x in xs:
+        if x.scheme != code.scheme:
+            raise SchemeMismatchError("automorphism from a different scheme")
+        image = frozenset(_images(x._moves, words))
+        if image in passed:
+            continue
+        if nbrs is None:
+            nbrs = set(code._neighbour_entries)
+        if _neighbours_of(image, code.scheme.q) != nbrs:
+            return False
+        passed.add(image)
+    return True
+
+
 def stabilizes_set(vertices: Iterable[Vertex], x: Automorphism) -> bool:
     """True iff x maps the vertex set onto itself."""
     return _stabilized_by(vertices, (x,))
@@ -136,7 +178,7 @@ def neighbour_count(code: Code) -> int:
     check_cap(math.log(total), lambda: total, DEFAULT_ENUMERATION_CAP,
               f"the neighbourhoods of {len(code)} codewords of {code.scheme} hold "
               f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    return len(code.neighbour_set)
+    return len(code._neighbour_entries)
 
 
 def neighbourhoods_disjoint(code: Code) -> bool:
@@ -154,20 +196,73 @@ def neighbourhoods_disjoint(code: Code) -> bool:
         entries = [w.entries for w in code.words]
         adjacent = sum(any(sum(map(operator.ne, u, v)) == 1 for v in entries)
                        for u in entries)
-    return len(code) * m * (q - 1) == len(code.neighbour_set) + adjacent
+    return len(code) * m * (q - 1) == len(code._neighbour_entries) + adjacent
+
+
+def _binary_basis(code: Code) -> list[Vertex] | None:
+    """A basis of C taken greedily over the sorted words, or None unless
+    q=2, the zero vertex is a codeword and C is closed under +.  Each word
+    outside the span so far doubles the span, and C is closed iff every
+    new sum is a codeword: |C| sums in all."""
+    if code.scheme.q != 2 or len(code) == 0:
+        return None
+    span = [(0,) * code.scheme.m]
+    if code.words[0].entries != span[0]:  # the least word
+        return None
+    words, spanned, basis = {w.entries for w in code.words}, set(span), []
+    for w in code.words:
+        if w.entries not in spanned:
+            new = [tuple(map(operator.xor, s, w.entries)) for s in span]
+            if not words.issuperset(new):
+                return None
+            basis.append(w)
+            span += new
+            spanned.update(new)
+    return basis
 
 
 def is_linear_binary(code: Code) -> bool:
     """True iff q=2, the zero vertex is a codeword and C is closed under +."""
-    if code.scheme.q != 2 or len(code) == 0:
-        return False
-    if code.scheme.zero() not in code:
-        return False
-    for u, v in itertools.combinations_with_replacement(code.words, 2):
-        s = Vertex(code.scheme, tuple(a ^ b for a, b in zip(u.entries, v.entries)))
-        if s not in code:
-            return False
-    return True
+    return _binary_basis(code) is not None
+
+
+def _determined_entries(code: Code) -> list[tuple[int, ...]]:
+    """D = C plus its pre-codewords, as sorted entry tuples, for delta >= 3.
+
+    The codewords' neighbourhoods are disjoint, and a vertex shares two
+    neighbours with each codeword at distance 2.  Those cover all m(q-1)
+    neighbours of a pre-codeword, but at most (m-1)(q-1) of a vertex in
+    Gamma_1(C), and none of a codeword.  So the pre-codewords are the
+    vertices at distance 2 from exactly m(q-1)/2 codewords, and none exist
+    when m(q-1) is odd or C has fewer words.
+    """
+    m, q = code.scheme.m, code.scheme.q
+    words = [w.entries for w in code.words]
+    half, odd = divmod(m * (q - 1), 2)
+    if odd or len(words) < half:
+        return words
+    # each vertex as a base-q number, first entry most significant: a
+    # distance-2 step adds the changes of two digits
+    place = [q ** (m - 1 - i) for i in range(m)]
+    pairs = list(itertools.combinations(range(m), 2))
+    counts = Counter()
+    for w in words:
+        steps = [[(c - e) * p for c in range(q) if c != e] for e, p in zip(w, place)]
+        x = sum(map(operator.mul, w, place))
+        counts.update([x + a + b for i, j in pairs for a in steps[i] for b in steps[j]])
+    pre = [tuple([v // p % q for p in place]) for v, n in counts.items() if n == half]
+    return sorted(words + pre)
+
+
+def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP) -> StabilizerChain:
+    """Stab(Gamma_1(C)) as a stabilizer chain, searched on D = C plus its
+    pre-codewords when delta >= 3 (module docstring) and on Gamma_1(C)
+    otherwise.  Both searches give the same chain.  Checks the group cap
+    first."""
+    check_group_cap(code.scheme, group_cap)
+    searched = (_determined_entries(code) if code.min_distance >= 3
+                else list(code._neighbour_entries))
+    return _stabilizer_chain(searched, code.scheme)
 
 
 def translation_subgroup(code: Code) -> GeneratorSet:
@@ -176,17 +271,10 @@ def translation_subgroup(code: Code) -> GeneratorSet:
     Greedy basis extraction over the sorted words; the closure of the
     result has order exactly |C|.
     """
-    if not is_linear_binary(code):
+    basis = _binary_basis(code)
+    if basis is None:
         raise ValueError("translation_subgroup needs a binary linear code")
-    span = {code.scheme.zero().entries}
-    gens: list[Automorphism] = []
-    for w in code.words:
-        if w.entries in span:
-            continue
-        gens.append(translation(w))
-        for s in list(span):
-            span.add(tuple(a ^ b for a, b in zip(s, w.entries)))
-    return GeneratorSet(code.scheme, tuple(gens))
+    return GeneratorSet(code.scheme, tuple([translation(w) for w in basis]))
 
 
 def find_equivalence(code: Code, other: Code,
@@ -196,7 +284,8 @@ def find_equivalence(code: Code, other: Code,
         raise SchemeMismatchError("codes from different schemes")
     if len(code) != len(other):
         return None
-    y = _least_equivalence(code, other, code.scheme, group_cap)
+    y = _least_equivalence([w.entries for w in code.words],
+                           [w.entries for w in other.words], code.scheme, group_cap)
     return None if y is None else EquivalenceWitness(y)
 
 

@@ -30,16 +30,17 @@ Generator sets:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .chain import schreier_sims, stabilizer_chain
-from .code_model import (Code, _stabilized_by, is_code_automorphism,
-                         stabilizes_set)
+from .chain import schreier_sims
+from .code_model import (Code, _neighbours_fixed_by, is_code_automorphism,
+                         neighbour_stabilizer)
 from .errors import HypothesisError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
-                           check_enumeration_cap)
+                           check_cap)
 from .reporting import ClauseResult, all_clauses_pass
 from .transitivity import is_neighbour_transitive
 # unused here, but perfbench's tracer self-test checks that tracing rebinds it
@@ -124,11 +125,15 @@ def _column_swap(scheme: HammingScheme) -> Automorphism:
 
 
 def build_family(m: int) -> FamilyInstance:
-    """Construct U, C, the generator sets, and the non-fixing witness."""
+    """Construct U, C, the generator sets, and the non-fixing witness.
+    The enumeration cap bounds what the family builds: 2^(m/2) words and
+    m * 2^(m/2) neighbourhood tuples."""
     _check_m(m)
-    scheme = HammingScheme(m, 2)
-    check_enumeration_cap(scheme, DEFAULT_ENUMERATION_CAP)
     h = m // 2
+    check_cap(math.log(m) + h * math.log(2), lambda: m * 2**h, DEFAULT_ENUMERATION_CAP,
+              f"the family at m = {m} has {{size}} neighbourhood tuples, over the "
+              f"enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    scheme = HammingScheme(m, 2)
 
     halves = list(product(range(2), repeat=h))
     U = Code(scheme, (_doubled(scheme, b) for b in halves))
@@ -168,10 +173,13 @@ def verify_family(m: int, exhaustive: bool = False,
     Non-exhaustive mode checks everything provable from the construction
     and the generators (clauses 1-6).  Exhaustive mode additionally
     computes the order of the setwise stabilizer of the neighbour set, as
-    a stabilizer chain by pruned search, and checks that the independently
-    generated expected group lies in it and has that order (clause 7):
-    every expected generator stabilizes the neighbour set, and
-    Schreier-Sims gives the order of the group they generate.  They are
+    a stabilizer chain by pruned search (on U, which is C plus its
+    pre-codewords), and checks that the independently generated expected
+    group lies in it and has that order (clause 7): every expected
+    generator stabilizes the neighbour set, and Schreier-Sims, bounded by
+    the search order, gives the order of the group they generate.  A
+    generator stabilizes Gamma_1(C) iff its image code has the same
+    neighbour set (clauses 5-7).  They are
     stab_gens for m >= 6; for m = 4, the translations by a basis of the
     even-weight words and the coordinate permutations (0 1), (0 1 2 3).
     This needs (q!)^m * m! within the group cap, so by default only m in
@@ -186,18 +194,18 @@ def verify_family(m: int, exhaustive: bool = False,
         "min_distances", du == 2 and dc == 4,
         f"delta_U={du}, delta_C={dc}"))
 
-    nbrs_u = inst.U.neighbour_set
+    nbrs_u = inst.U._neighbour_entries
     expected_nbrs = set()
     for beta in product(range(2), repeat=h):
         for j in range(h):
             gamma = list(beta)
             gamma[j] ^= 1
-            expected_nbrs.add(Vertex(inst.scheme, beta + tuple(gamma)))
+            expected_nbrs.add(beta + tuple(gamma))
     clauses.append(ClauseResult(
         "neighbour_set_formula", set(nbrs_u) == expected_nbrs,
         f"|G1(U)|={len(nbrs_u)}, pairs-at-distance-1 count={len(expected_nbrs)}"))
 
-    nbrs_c = inst.C.neighbour_set
+    nbrs_c = inst.C._neighbour_entries
     clauses.append(ClauseResult(
         "neighbour_sets_equal", nbrs_u == nbrs_c,
         f"|G1(U)|={len(nbrs_u)}, |G1(C)|={len(nbrs_c)}"))
@@ -212,7 +220,7 @@ def verify_family(m: int, exhaustive: bool = False,
         "neighbour_transitive", transitive,
         f"orbit of least neighbour under {len(inst.autC_gens.generators)} generators"))
 
-    wit_stab = stabilizes_set(nbrs_c, inst.witness)
+    wit_stab = _neighbours_fixed_by(inst.C, (inst.witness,))
     wit_moves = not is_code_automorphism(inst.C, inst.witness)
     clauses.append(ClauseResult(
         "witness_moves_code", wit_stab and wit_moves,
@@ -220,7 +228,7 @@ def verify_family(m: int, exhaustive: bool = False,
 
     stab_order = None
     if exhaustive:
-        stab_order = stabilizer_chain(nbrs_c, inst.scheme, group_cap).order
+        stab_order = neighbour_stabilizer(inst.C, group_cap).order
         if m == 4:
             even = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
             expected = GeneratorSet(inst.scheme, tuple(
@@ -232,9 +240,10 @@ def verify_family(m: int, exhaustive: bool = False,
             expected = inst.stab_gens
             label = "closure of stab_gens"
         # the generators lie in the stabilizer, and a subgroup of the
-        # stabilizer's order is all of it
-        inside = _stabilized_by(nbrs_c, expected.generators)
-        expected_order = schreier_sims(expected).order
+        # stabilizer's order is all of it; inside, Schreier-Sims can stop
+        # at that order, which bounds the subgroup's
+        inside = _neighbours_fixed_by(inst.C, expected.generators)
+        expected_order = schreier_sims(expected, stab_order if inside else None).order
         clauses.append(ClauseResult(
             "stabilizer_matches_expected", inside and stab_order == expected_order,
             f"search order {stab_order}, {label} order {expected_order}"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .chain import StabilizerChain, _rebase, _walk, schreier_sims, stabilizer_chain
-from .code_model import Code, _stabilized_by
+from .code_model import Code, _stabilized_by, neighbour_stabilizer
 from .family_codes import build_family
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            _ball1, _triple_entries, check_enumeration_cap)
@@ -93,9 +93,9 @@ def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
     orbit O of G holds |C & O|^2 * |G| / |O| pairs that are not witnesses."""
     first, total = [], 0
     for code in codes:
-        if code.min_distance < 3 or not code.neighbour_set:
+        if code.min_distance < 3:
             continue
-        chain = stabilizer_chain(code.neighbour_set, code.scheme, group_cap)
+        chain = neighbour_stabilizer(code, group_cap)
         words = [w.entries for w in code.words]
         movers = [x._moves for x in chain.generators]
         left, count = set(words), len(words) * chain.order

@@ -160,7 +160,7 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         "pre_count_half", count_ok,
         f"|Pre|={len(pre)}, m(q-1)={target}"))
 
-    gamma1 = {v.entries for v in code.neighbour_set}
+    gamma1 = set(code._neighbour_entries)
     inside = all(gamma1.issuperset(_ball1(pi, q)) for pi in pre)
     clauses.append(ClauseResult(
         "pre_neighbours_inside_code_neighbours", inside,

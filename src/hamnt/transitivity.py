@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import _elements, fixes_entries, least_outside, stabilizer_chain
-from .code_model import Code, _stabilized_by
+from .code_model import (Code, _neighbours_fixed_by, _stabilized_by,
+                         neighbour_stabilizer)
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
@@ -71,12 +72,12 @@ def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
     """
     if gens.scheme != code.scheme:
         raise SchemeMismatchError("generators from a different scheme")
-    nbrs = code.neighbour_set
+    nbrs = code._neighbour_entries
     if not nbrs:
         raise ValueError("neighbour set is empty; transitivity is undefined")
-    if not _stabilized_by(nbrs, gens.generators):
+    if not _neighbours_fixed_by(code, gens.generators):
         return False
-    return len(_orbit([x._moves for x in gens.generators], nbrs[0].entries)) == len(nbrs)
+    return len(_orbit([x._moves for x in gens.generators], nbrs[0])) == len(nbrs)
 
 
 def neighbour_orbits(code: Code, gens: GeneratorSet) -> list[tuple[Vertex, ...]]:
@@ -124,13 +125,13 @@ def analyze_stabilizer(code: Code,
     generators is as large as Gamma_1(C).  Checks the group cap first.
     """
     check_group_cap(code.scheme, group_cap)
-    nbrs = code.neighbour_set
+    nbrs = code._neighbour_entries
     if not nbrs:
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
-    chain = stabilizer_chain(nbrs, code.scheme, group_cap)
+    chain = neighbour_stabilizer(code, group_cap)
     first = least_outside(chain, fixes_entries([w.entries for w in code.words],
                                                code.scheme.q))
-    transitive = len(_orbit([x._moves for x in chain.generators], nbrs[0].entries)) == len(nbrs)
+    transitive = len(_orbit([x._moves for x in chain.generators], nbrs[0])) == len(nbrs)
     return StabilizerAnalysis(chain.order, chain.generators, first, transitive)
 
 

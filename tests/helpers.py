@@ -212,3 +212,29 @@ def vertex_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
     return PreReport(alpha=alpha, y=y, pre_set=pre, cells=tuple(cells),
                      gamma1_covered=covered, count_ok=count_ok,
                      clauses=tuple(clauses))
+
+
+def greedy_code(rng: random.Random, scheme: HammingScheme, delta: int, size: int) -> Code:
+    """Up to size words with pairwise distance >= delta, taken greedily
+    from the vertices in a random order."""
+    words = []
+    for v in rng.sample(list(scheme.vertices()), scheme.vertex_count):
+        if len(words) == size:
+            break
+        if all(brute_distance(v, w) >= delta for w in words):
+            words.append(v)
+    return Code(scheme, words)
+
+
+def brute_determined(code: Code) -> set[tuple[int, ...]]:
+    """Oracle for D = {v not in G1(C) : every neighbour of v in G1(C)},
+    filtered over every vertex of the scheme straight from the definition."""
+    q = code.scheme.q
+    words = {w.entries for w in code.words}
+
+    def ball(v):
+        return {v[:i] + (c,) + v[i + 1:] for i in range(len(v)) for c in range(q) if c != v[i]}
+
+    gamma1 = set().union(*map(ball, words)) - words
+    return {v for v in itertools.product(range(q), repeat=code.scheme.m)
+            if v not in gamma1 and ball(v) <= gamma1}

@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamnt
 from hamnt import (Code, HammingScheme, LemmaSuiteReport,
                    automorphism_to_text, neighbour_count,
                    neighbourhoods_disjoint, parse_code_text, run_lemma_suite,
@@ -315,3 +320,25 @@ def test_argparse_output_goes_to_callers_streams(capsys):
     assert (code, err) == (0, "")
     assert out.startswith("usage: hamnt")
     assert capsys.readouterr() == ("", "")
+
+
+def test_family_cap_counts_the_built_tuples():
+    # the family builds 2^(m/2) words and m * 2^(m/2) neighbourhood tuples,
+    # not the 2^m vertices of H(m,2): m = 24 is in, m = 38 is over the cap
+    inst = build_family(24)
+    assert (len(inst.U), len(inst.C)) == (4096, 2048)
+    code, out, err = run(["family", "--m", "38"])
+    assert (code, out) == (2, "")
+    assert err == ("feasibility: the family at m = 38 has 19922944 neighbourhood "
+                   "tuples, over the enumeration cap 10000000\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(hamnt.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "hamnt", "family", "--m", "4", "--exhaustive"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-2:] == ["  stabilizer order: 192",
+                                             "  all clauses pass: True"]

@@ -12,15 +12,17 @@ from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, EquivalenceWitness,
                    is_code_automorphism, is_linear_binary,
                    neighbour_count, neighbourhoods_disjoint, neighbours,
                    parse_code_text, read_code_file, setwise_stabilizer,
-                   shell, stabilizes_set, translation, translation_subgroup,
+                   shell, stabilizer_chain, stabilizes_set, translation,
+                   translation_subgroup,
                    write_code_file)
-from hamnt.chain import _leaves, _pruning_model
-from hamnt.code_model import _stabilized_by
+from hamnt.chain import _leaves, _pruning_model, _stabilizer_chain
+from hamnt.code_model import (_determined_entries, _neighbours_fixed_by,
+                              _stabilized_by, neighbour_stabilizer)
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
-from helpers import (HAMMING_7_4, binary_span, brute_neighbours,
-                     random_automorphism, random_code, raw_apply,
-                     raw_full_group)
+from helpers import (HAMMING_7_4, binary_span, brute_determined, brute_distance,
+                     brute_neighbours, greedy_code, random_automorphism,
+                     random_code, raw_apply, raw_full_group)
 
 H42 = HammingScheme(4, 2)
 H33 = HammingScheme(3, 3)
@@ -247,7 +249,8 @@ def test_find_equivalence_matches_brute_force_filter():
                 kinds["none"] += 1
                 continue
             kinds["sigma = id" if want[0] == tuple(range(scheme.m)) else "sigma != id"] += 1
-            full, rows, levels = _pruning_model(code, other, scheme)
+            full, rows, levels = _pruning_model([v.entries for v in code],
+                                                [v.entries for v in other], scheme)
             leaf = next(_leaves(levels, rows, list(range(scheme.m)), [full], []))
             kinds["leaf" if tuple(zip(*leaf)) == want else "not the leaf"] += 1
     # a first leaf that is not least is rare: one moved copy in 30 to 100
@@ -307,3 +310,95 @@ def test_code_file_wide_alphabet():
     wide = HammingScheme(2, 12)
     code = Code.from_entries(wide, [[0, 11], [3, 4]])
     assert parse_code_text(code_to_text(code)) == code
+
+
+def _far_codes(rng, count):
+    """Seeded codes with delta >= 3, from one word up to a maximal greedy
+    code, in H(4..8,2), H(3..5,3), H(3..4,4) and H(3,5)."""
+    schemes = ([HammingScheme(m, 2) for m in range(4, 9)]
+               + [HammingScheme(m, 3) for m in (3, 4, 5)]
+               + [HammingScheme(m, 4) for m in (3, 4)] + [HammingScheme(3, 5)])
+    return [greedy_code(rng, scheme, 3, rng.choice((1, 2, 3, 4, 6, 10, 40)))
+            for scheme in schemes for _ in range(count)]
+
+
+def test_determined_set_matches_definition():
+    # D = C plus its pre-codewords, by counting over the distance-2 shells,
+    # against the definition filtered over every vertex
+    rng = random.Random(40)
+    codes = _far_codes(rng, 40)
+    codes += [build_family(m).C for m in (4, 6, 8)]
+    codes += [Code.from_entries(H33, [[0, 0, 0], [1, 1, 1], [2, 2, 2]]), binary_span(HAMMING_7_4)]
+    with_pre = 0
+    for code in codes:
+        got = _determined_entries(code)
+        assert got == sorted(brute_determined(code)), code
+        with_pre += len(got) > len(code)
+    assert len(codes) == 445 and with_pre >= 20, with_pre
+
+
+def test_chain_on_determined_set_matches_chain_on_neighbours():
+    # one stabilizer, one chain: the same order and the same strong
+    # generators in the same order, for delta >= 3 and below it
+    rng = random.Random(41)
+    codes = _far_codes(rng, 6) + [build_family(m).C for m in (4, 6, 8)]
+    codes += [random_code(rng, scheme, rng.randint(1, 5))
+              for scheme in (H42, H33, HammingScheme(5, 2)) for _ in range(10)]
+    kinds = Counter()
+    for code in codes:
+        want = stabilizer_chain(code.neighbour_set, code.scheme)
+        got = [neighbour_stabilizer(code)]
+        if code.min_distance >= 3:
+            got.append(_stabilizer_chain(_determined_entries(code), code.scheme))
+        for chain in got:
+            assert chain.order == want.order
+            assert [x.points for x in chain.generators] == [x.points for x in want.generators]
+        kinds["delta >= 3" if code.min_distance >= 3 else "delta < 3"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_neighbours_fixed_by_image_code_matches_set_rule():
+    # x fixes G1(C) iff G1(C^x) = G1(C), on random elements (mostly
+    # non-stabilizers), strong generators and their products
+    rng = random.Random(42)
+    verdicts = Counter()
+    for scheme in (H42, H33, HammingScheme(5, 2), HammingScheme(2, 4)):
+        for _ in range(40):
+            code = random_code(rng, scheme, rng.randint(1, 5))
+            stab = list(stabilizer_chain(code.neighbour_set, scheme).generators)
+            stab += [x.compose(y) for x, y in zip(stab, stab[1:])]
+            for _ in range(3):
+                xs = [random_automorphism(rng, scheme) for _ in range(rng.choice((0, 0, 1)))]
+                xs += rng.sample(stab, min(len(stab), rng.choice((0, 1, 3))))
+                rng.shuffle(xs)
+                want = _stabilized_by(code.neighbour_set, xs)
+                assert _neighbours_fixed_by(code, xs) is want
+                verdicts[want] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+    inst = build_family(6)
+    assert _neighbours_fixed_by(inst.C, [inst.witness])
+    assert not is_code_automorphism(inst.C, inst.witness)
+    with pytest.raises(SchemeMismatchError):
+        _neighbours_fixed_by(REP4, [Automorphism.identity(H33)])
+
+
+def test_min_distance_and_linearity_match_all_pairs():
+    # random binary codes, linear spans and non-linear sets, against the
+    # all-pairs distance and the all-pairs closure test
+    rng = random.Random(43)
+    kinds = Counter()
+    for m in range(1, 9):
+        scheme = HammingScheme(m, 2)
+        for _ in range(12):
+            rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(rng.randint(1, m))]
+            for code in (binary_span(rows), random_code(rng, scheme, rng.randint(1, 2**m)),
+                         Code(scheme, [scheme.zero(), *random_code(rng, scheme, min(3, 2**m))])):
+                entries = {w.entries for w in code}
+                linear = scheme.zero() in code and all(
+                    tuple(a ^ b for a, b in zip(u, v)) in entries
+                    for u in entries for v in entries)
+                assert is_linear_binary(code) is linear
+                pairs = [brute_distance(u, v) for u, v in itertools.combinations(code.words, 2)]
+                assert code.min_distance == min(pairs, default=math.inf)
+                kinds["linear" if linear else "not linear"] += 1
+    assert min(kinds.values()) >= 100, kinds

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
-from hamnt import (FamilyReport, classify_theorem, closure, translation,
-                   vertex_to_text)
+import hamnt.family_codes
+from hamnt import (FamilyReport, GeneratorSet, classify_theorem, closure,
+                   translation, vertex_to_text)
 from hamnt.family_codes import build_family, verify_family
 from hamnt.transitivity import CASE2, VERDICT_NONFIXING
 
@@ -143,3 +145,26 @@ def test_family_code_is_linear():
         inst = build_family(m)
         assert is_linear_binary(inst.U)
         assert is_linear_binary(inst.C)
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_stabilizer_clause_fails_on_a_proper_subgroup(m, monkeypatch):
+    # without the column swap, stab_gens generate a proper subgroup of the
+    # stabilizer: Schreier-Sims, bounded by the search order, runs to the
+    # end and the clause reports the true order; with a generator that
+    # moves the neighbour set, the clause fails on the unbounded order
+    real = build_family(m)
+    scheme = real.scheme
+    order = 2**m * math.factorial(m // 2)
+    for gens, inside in ((real.stab_gens.generators[:-1], True),
+                         (real.stab_gens.generators + (translation(scheme.unit(0)),), False)):
+        expected = GeneratorSet(scheme, gens)
+        monkeypatch.setattr(hamnt.family_codes, "build_family",
+                            lambda m: dataclasses.replace(real, stab_gens=expected))
+        report = verify_family(m, exhaustive=True, group_cap=10**12)
+        true_order = len(closure(expected)) if m == 6 else \
+            hamnt.schreier_sims(expected).order
+        assert (true_order < order) is inside
+        clause = report.clauses[-1]
+        assert not clause.passed and report.stabilizer_order == order
+        assert clause.detail == f"search order {order}, closure of stab_gens order {true_order}"

@@ -13,7 +13,8 @@ from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    full_group_generators, group_order, is_code_automorphism,
                    least_outside, orbit, schreier_sims, setwise_stabilizer,
                    stabilizer_chain, stabilizes_set, translation)
-from hamnt.chain import _canonical_levels, _rebase, _schreier_sims
+from hamnt.chain import (_block_levels, _canonical_levels, _grow, _key, _rebase,
+                         _schreier_sims)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
@@ -480,3 +481,24 @@ def test_scheme_mismatch_errors():
         x.apply(H33.zero())
     with pytest.raises(SchemeMismatchError):
         x.compose(Automorphism.identity(H33))
+
+
+def test_grow_meets_only_the_new_generators_with_the_old_entries():
+    # a transversal grown one generator at a time holds the keys of the
+    # orbit, each with an element of the group carrying that key, and is
+    # grown exactly as a run over all the generators of the old entries
+    rng = random.Random(44)
+    for scheme in (H32, H33, H42, HammingScheme(2, 4)):
+        ident = tuple(range(scheme.m * scheme.q))
+        for _ in range(10):
+            xs = [random_automorphism(rng, scheme) for _ in range(rng.randint(1, 3))]
+            group = {x.points for x in closure(GeneratorSet(scheme, tuple(xs)))}
+            gens = [x.points for x in xs]
+            for level in _canonical_levels(scheme.m, scheme.q) + _block_levels(scheme.m, scheme.q):
+                step, full = {_key(ident, level): ident}, {_key(ident, level): ident}
+                for k in range(len(gens)):
+                    _grow(step, level, gens[:k + 1], k)
+                    _grow(full, level, gens[:k + 1])
+                    assert list(step.items()) == list(full.items())
+                assert set(step) == {_key(u, level) for u in group}
+                assert all(_key(u, level) == b and u in group for b, u in step.items())
