@@ -15,7 +15,7 @@ from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Triple,
                            vertex_from_text, vertex_to_text, weight)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_from_text, automorphism_to_text,
-                           closure, conjugate, enumerate_full_group,
+                           closure, enumerate_full_group,
                            full_group_generators, group_order, orbit,
                            translation)
 from .chain import (StabilizerChain, fixes_entries, least_outside,
@@ -25,15 +25,13 @@ from .code_model import (Code, EquivalenceWitness, code_to_text,
                          is_linear_binary, neighbour_count,
                          neighbour_stabilizer, neighbourhoods_disjoint,
                          parse_code_text, read_code_file,
-                         stabilizes_set, translation_subgroup,
-                         write_code_file)
+                         stabilizes_set, write_code_file)
 from .precodeword import (PreReport, c_of_pi, pre_codewords,
                           pre_for_neighbour, verify_pre_structure)
 from .transitivity import (CASE2, CASE3, VERDICT_FIXED, VERDICT_NONFIXING,
                            VIOLATION, ClassificationReport, StabilizerAnalysis,
                            analyze_stabilizer, classify_theorem,
-                           is_neighbour_transitive, neighbour_orbits,
-                           setwise_stabilizer)
+                           is_neighbour_transitive, setwise_stabilizer)
 from .family_codes import (FamilyInstance, FamilyReport, build_family,
                            verify_family)
 from .lemmas import LemmaSuiteReport, run_lemma_suite
@@ -46,21 +44,19 @@ __all__ = [
     "common_neighbours", "enumerate_triples", "shell", "vertex_to_text",
     "vertex_from_text", "DEFAULT_ENUMERATION_CAP",
     "Automorphism", "GeneratorSet", "translation", "enumerate_full_group",
-    "full_group_generators", "closure", "orbit", "conjugate",
-    "group_order",
+    "full_group_generators", "closure", "orbit", "group_order",
     "StabilizerChain", "stabilizer_chain", "schreier_sims", "least_outside",
     "fixes_entries",
     "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
     "Code", "EquivalenceWitness", "stabilizes_set",
     "is_code_automorphism", "is_linear_binary", "neighbour_count",
     "neighbour_stabilizer", "neighbourhoods_disjoint",
-    "translation_subgroup",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",
     "write_code_file",
     "PreReport", "pre_codewords", "pre_for_neighbour", "c_of_pi",
     "verify_pre_structure",
     "ClassificationReport", "setwise_stabilizer", "is_neighbour_transitive",
-    "neighbour_orbits", "classify_theorem", "StabilizerAnalysis",
+    "classify_theorem", "StabilizerAnalysis",
     "analyze_stabilizer", "VERDICT_FIXED", "VERDICT_NONFIXING", "CASE2",
     "CASE3", "VIOLATION",
     "FamilyInstance", "FamilyReport", "build_family", "verify_family",

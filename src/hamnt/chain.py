@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
@@ -70,7 +70,7 @@ def _canonical_levels(m: int, q: int) -> list[tuple[int, int, int]]:
     return [(k * q, k * q + 1, q) for k in range(m)] + _block_levels(m, q)
 
 
-def _pruning_model(words: list[tuple[int, ...]], targets: list[tuple[int, ...]],
+def _pruning_model(words: Sequence[tuple[int, ...]], targets: Sequence[tuple[int, ...]],
                    scheme: HammingScheme):
     """The pruning model of the search from S and T as sorted entry
     tuples: (full, rows, levels).
@@ -192,7 +192,7 @@ def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
     return _stabilizer_chain(sorted([v.entries for v in vs]), scheme)
 
 
-def _stabilizer_chain(words: list[tuple[int, ...]], scheme: HammingScheme) -> StabilizerChain:
+def _stabilizer_chain(words: Sequence[tuple[int, ...]], scheme: HammingScheme) -> StabilizerChain:
     """stabilizer_chain of a set given as sorted entry tuples, the group
     cap already checked."""
     full, rows, levels = _pruning_model(words, words, scheme)
@@ -331,7 +331,9 @@ def _elements(chain: StabilizerChain) -> list[Automorphism]:
 
 def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple[int, ...]], bool]:
     """The membership test, on point tuples, of the setwise stabilizer of
-    a set of vertices given as entry tuples."""
+    a set of vertices given as entry tuples: the one rule for "x maps a
+    vertex set onto itself".  The set is read once, however many elements
+    are tested."""
     words = set(entries)
     return lambda s: set(_images(_mover(s, q), words)) == words
 
@@ -355,7 +357,7 @@ def least_outside(chain: StabilizerChain,
     return Automorphism._trusted(chain.scheme, next(_walk(transversals, levels, deep, u)))
 
 
-def _least_equivalence(source: list[tuple[int, ...]], target: list[tuple[int, ...]],
+def _least_equivalence(source: Sequence[tuple[int, ...]], target: Sequence[tuple[int, ...]],
                        scheme: HammingScheme,
                        group_cap: int) -> Automorphism | None:
     """The least automorphism, canonical order, mapping the vertex set

@@ -4,11 +4,12 @@ A Code stores its words sorted and deduplicated and is immutable; the
 derived quantities (minimum distance, neighbour set, kept as entry
 tuples and wrapped as vertices on demand) are cached on first use.
 Codes are stored extensionally even when they happen to be linear:
-linearity is detected, never declared.  "x fixes a vertex set" has one
-rule, _stabilized_by, which acts on entry tuples (module wreath_group)
-and reads the set once for a list of elements; stabilizes_set is that
-rule for one element, and is_code_automorphism is it on the code's words.
-For Gamma_1(C), _neighbours_fixed_by applies it through the image code.
+linearity is detected, never declared.  Below the public functions a
+code is its sorted entry tuples (_entries, and _entry_set to look them
+up).  "x fixes a vertex set" has one rule, chain.fixes_entries, on entry
+tuples; stabilizes_set and is_code_automorphism are its boundary
+wrappers, which check the scheme and convert once.  For Gamma_1(C),
+_neighbours_fixed_by tests x through the image code.
 
 The neighbour-set stabilizer of a code has one home, neighbour_stabilizer.
 Let D = {v not in Gamma_1(C) : Gamma(v) within Gamma_1(C)}; when
@@ -29,12 +30,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .chain import StabilizerChain, _least_equivalence, _stabilizer_chain
+from .chain import (StabilizerChain, _least_equivalence, _stabilizer_chain,
+                    fixes_entries)
 from .errors import CodeFormatError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            _ball1, check_cap, vertex_from_text, vertex_to_text)
-from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _images, check_group_cap, translation)
+from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images,
+                           check_group_cap)
 
 
 def _neighbours_of(words, q: int) -> set[tuple[int, ...]]:
@@ -81,12 +83,22 @@ class Code:
         return f"Code({self.scheme}, {{{', '.join(vertex_to_text(w) for w in self.words)}}})"
 
     @cached_property
+    def _entries(self) -> tuple[tuple[int, ...], ...]:
+        """The words as sorted entry tuples."""
+        return tuple([w.entries for w in self.words])
+
+    @cached_property
+    def _entry_set(self) -> frozenset[tuple[int, ...]]:
+        """The words' entry tuples, for membership tests."""
+        return frozenset(self._entries)
+
+    @cached_property
     def min_distance(self) -> float:
         """Minimum pairwise distance; math.inf when fewer than two words.
         A binary linear code's is its least nonzero weight."""
-        if len(self.words) <= 1:
+        entries = self._entries
+        if len(entries) <= 1:
             return math.inf
-        entries = [w.entries for w in self.words]
         if is_linear_binary(self):
             return min([sum(w) for w in entries if any(w)])
         return min(sum(map(operator.ne, u, v))
@@ -95,8 +107,7 @@ class Code:
     @cached_property
     def _neighbour_entries(self) -> tuple[tuple[int, ...], ...]:
         """Gamma_1(C) as sorted entry tuples."""
-        return tuple(sorted(_neighbours_of([w.entries for w in self.words],
-                                           self.scheme.q)))
+        return tuple(sorted(_neighbours_of(self._entries, self.scheme.q)))
 
     @cached_property
     def neighbour_set(self) -> tuple[Vertex, ...]:
@@ -117,26 +128,12 @@ class EquivalenceWitness:
     y: Automorphism
 
 
-def _stabilized_by(vertices: Iterable[Vertex], xs: Iterable[Automorphism]) -> bool:
-    """True iff every x in xs maps the vertex set onto itself.  The set's
-    schemes and entry tuples are read once, not once per x."""
-    vertices = tuple(vertices)
-    schemes = {v.scheme for v in vertices}
-    words = {v.entries for v in vertices}
-    for x in xs:
-        if schemes - {x.scheme}:
-            raise SchemeMismatchError("set member from a different scheme")
-        if set(_images(x._moves, words)) != words:
-            return False
-    return True
-
-
 def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
     """True iff every x in xs maps Gamma_1(C) onto itself.  x is a graph
     automorphism, so it maps Gamma_1(C) onto Gamma_1(C^x): an x that fixes
     C needs nothing more, and each other image code needs its neighbour
     set once."""
-    words = frozenset([w.entries for w in code.words])
+    words = code._entry_set
     passed, nbrs = {words}, None
     for x in xs:
         if x.scheme != code.scheme:
@@ -154,14 +151,17 @@ def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
 
 def stabilizes_set(vertices: Iterable[Vertex], x: Automorphism) -> bool:
     """True iff x maps the vertex set onto itself."""
-    return _stabilized_by(vertices, (x,))
+    vertices = tuple(vertices)
+    if any(v.scheme != x.scheme for v in vertices):
+        raise SchemeMismatchError("set member from a different scheme")
+    return fixes_entries([v.entries for v in vertices], x.scheme.q)(x.points)
 
 
 def is_code_automorphism(code: Code, x: Automorphism) -> bool:
     """True iff x fixes the code setwise (x belongs to Aut(C))."""
     if x.scheme != code.scheme:
         raise SchemeMismatchError("automorphism from a different scheme")
-    return stabilizes_set(code.words, x)
+    return fixes_entries(code._entry_set, code.scheme.q)(x.points)
 
 
 def neighbour_count(code: Code) -> int:
@@ -193,37 +193,33 @@ def neighbourhoods_disjoint(code: Code) -> bool:
     m, q = code.scheme.m, code.scheme.q
     adjacent = 0
     if code.min_distance == 1:
-        entries = [w.entries for w in code.words]
+        entries = code._entries
         adjacent = sum(any(sum(map(operator.ne, u, v)) == 1 for v in entries)
                        for u in entries)
     return len(code) * m * (q - 1) == len(code._neighbour_entries) + adjacent
 
 
-def _binary_basis(code: Code) -> list[Vertex] | None:
-    """A basis of C taken greedily over the sorted words, or None unless
-    q=2, the zero vertex is a codeword and C is closed under +.  Each word
-    outside the span so far doubles the span, and C is closed iff every
-    new sum is a codeword: |C| sums in all."""
+def is_linear_binary(code: Code) -> bool:
+    """True iff q=2, the zero vertex is a codeword and C is closed under +.
+
+    A basis is taken greedily over the sorted words: each word outside
+    the span so far doubles the span, and C is closed iff every new sum
+    is a codeword, |C| sums in all.
+    """
     if code.scheme.q != 2 or len(code) == 0:
-        return None
+        return False
     span = [(0,) * code.scheme.m]
-    if code.words[0].entries != span[0]:  # the least word
-        return None
-    words, spanned, basis = {w.entries for w in code.words}, set(span), []
-    for w in code.words:
-        if w.entries not in spanned:
-            new = [tuple(map(operator.xor, s, w.entries)) for s in span]
-            if not words.issuperset(new):
-                return None
-            basis.append(w)
+    if code._entries[0] != span[0]:  # the least word
+        return False
+    spanned = set(span)
+    for w in code._entries:
+        if w not in spanned:
+            new = [tuple(map(operator.xor, s, w)) for s in span]
+            if not code._entry_set.issuperset(new):
+                return False
             span += new
             spanned.update(new)
-    return basis
-
-
-def is_linear_binary(code: Code) -> bool:
-    """True iff q=2, the zero vertex is a codeword and C is closed under +."""
-    return _binary_basis(code) is not None
+    return True
 
 
 def _determined_entries(code: Code) -> list[tuple[int, ...]]:
@@ -237,7 +233,7 @@ def _determined_entries(code: Code) -> list[tuple[int, ...]]:
     when m(q-1) is odd or C has fewer words.
     """
     m, q = code.scheme.m, code.scheme.q
-    words = [w.entries for w in code.words]
+    words = list(code._entries)
     half, odd = divmod(m * (q - 1), 2)
     if odd or len(words) < half:
         return words
@@ -265,18 +261,6 @@ def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP) -> Stab
     return _stabilizer_chain(searched, code.scheme)
 
 
-def translation_subgroup(code: Code) -> GeneratorSet:
-    """Translations by a generating subset of a binary linear code.
-
-    Greedy basis extraction over the sorted words; the closure of the
-    result has order exactly |C|.
-    """
-    basis = _binary_basis(code)
-    if basis is None:
-        raise ValueError("translation_subgroup needs a binary linear code")
-    return GeneratorSet(code.scheme, tuple([translation(w) for w in basis]))
-
-
 def find_equivalence(code: Code, other: Code,
                      group_cap: int = DEFAULT_GROUP_CAP) -> EquivalenceWitness | None:
     """First automorphism (canonical order) mapping code onto other, if any."""
@@ -284,8 +268,7 @@ def find_equivalence(code: Code, other: Code,
         raise SchemeMismatchError("codes from different schemes")
     if len(code) != len(other):
         return None
-    y = _least_equivalence([w.entries for w in code.words],
-                           [w.entries for w in other.words], code.scheme, group_cap)
+    y = _least_equivalence(code._entries, other._entries, code.scheme, group_cap)
     return None if y is None else EquivalenceWitness(y)
 
 

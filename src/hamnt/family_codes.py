@@ -126,13 +126,15 @@ def _column_swap(scheme: HammingScheme) -> Automorphism:
 
 def build_family(m: int) -> FamilyInstance:
     """Construct U, C, the generator sets, and the non-fixing witness.
-    The enumeration cap bounds what the family builds: 2^(m/2) words and
-    m * 2^(m/2) neighbourhood tuples."""
+    The enumeration cap bounds the entries of what the family builds:
+    m * 2^(m/2) neighbourhood tuples of m entries each, which bound the
+    2^(m/2) words too.  Memory grows with the entries, not the tuples."""
     _check_m(m)
     h = m // 2
-    check_cap(math.log(m) + h * math.log(2), lambda: m * 2**h, DEFAULT_ENUMERATION_CAP,
-              f"the family at m = {m} has {{size}} neighbourhood tuples, over the "
-              f"enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    check_cap(2 * math.log(m) + h * math.log(2), lambda: m * m * 2**h,
+              DEFAULT_ENUMERATION_CAP,
+              f"the family at m = {m} has {{size}} neighbourhood tuple entries, over "
+              f"the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     scheme = HammingScheme(m, 2)
 
     halves = list(product(range(2), repeat=h))

@@ -13,11 +13,12 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import StabilizerChain, _rebase, _walk, schreier_sims, stabilizer_chain
-from .code_model import Code, _stabilized_by, neighbour_stabilizer
+from .chain import (StabilizerChain, _rebase, _stabilizer_chain, _walk,
+                    fixes_entries, schreier_sims)
+from .code_model import Code, neighbour_stabilizer
 from .family_codes import build_family
-from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
-                           _ball1, _triple_entries, check_enumeration_cap)
+from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, _ball1,
+                           _triple_entries, check_enumeration_cap)
 from .precodeword import verify_pre_structure
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images, _mover,
@@ -61,28 +62,26 @@ def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list
     return codes
 
 
-def _triple_stabilizer_order(scheme: HammingScheme, triple: tuple[int, ...],
-                             group_cap: int) -> int:
+def _triple_stabilizer_order(scheme: HammingScheme, triple: tuple[int, ...]) -> int:
     """|G_t| for a triple t = alpha + nu + beta (3m entries) in the full
-    group G.  The setwise stabilizer of {alpha, nu, beta} fixes nu, the one
-    vertex adjacent to the other two; it swaps alpha and beta iff a strong
-    generator does."""
+    group G, whose order is within the group cap.  The setwise stabilizer
+    of {alpha, nu, beta} fixes nu, the one vertex adjacent to the other
+    two; it swaps alpha and beta iff a strong generator does."""
     m = scheme.m
     alpha, beta = triple[:m], triple[2 * m:]
-    chain = stabilizer_chain([Vertex(scheme, w) for w in (alpha, triple[m:2 * m], beta)],
-                             scheme, group_cap)
+    chain = _stabilizer_chain(sorted([alpha, triple[m:2 * m], beta]), scheme)
     swaps = any(_images(x._moves, (alpha,)) == [beta] for x in chain.generators)
     return chain.order // 2 if swaps else chain.order
 
 
-def _walk_witnesses(code: Code, chain: StabilizerChain, words: list[tuple[int, ...]]):
+def _walk_witnesses(code: Code, chain: StabilizerChain):
     """The witnesses (code, alpha, y) of a code, lazily: y in the chain's
     group, canonical order, then alpha ascending, with alpha^y not in C."""
-    scheme, inside = code.scheme, set(words)
+    scheme = code.scheme
     levels, _, transversals = _rebase(chain)
     for u in _walk(transversals, levels, 0, tuple(range(scheme.m * scheme.q))):
-        for alpha, img in zip(code.words, _images(_mover(u, scheme.q), words)):
-            if img not in inside:
+        for alpha, img in zip(code.words, _images(_mover(u, scheme.q), code._entries)):
+            if img not in code._entry_set:
                 yield code, alpha, Automorphism._trusted(scheme, u)
 
 
@@ -96,7 +95,7 @@ def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
         if code.min_distance < 3:
             continue
         chain = neighbour_stabilizer(code, group_cap)
-        words = [w.entries for w in code.words]
+        words = code._entry_set
         movers = [x._moves for x in chain.generators]
         left, count = set(words), len(words) * chain.order
         while left:
@@ -105,7 +104,7 @@ def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
             count -= chain.order // len(reach) * hit * hit
             left -= reach
         total += count
-        first.extend(itertools.islice(_walk_witnesses(code, chain, words),
+        first.extend(itertools.islice(_walk_witnesses(code, chain),
                                       min(cap - len(first), count)))
     return first, total
 
@@ -147,7 +146,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         gens = full_group_generators(scheme)
         certified = schreier_sims(gens).order == order
         if certified:
-            reached = order // _triple_stabilizer_order(scheme, t0, group_cap)
+            reached = order // _triple_stabilizer_order(scheme, t0)
         else:
             # the orbit under the generated subgroup, for the report; x moves
             # each vertex's m entries, so its mover repeats at offsets 0, m, 2m
@@ -163,10 +162,12 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     codes = _sample_codes(scheme, random.Random(seed), 6)
     implication_ok, aut_count = True, 0
     for code in codes:
-        aut = stabilizer_chain(code.words, scheme, group_cap)
+        aut = _stabilizer_chain(code._entries, scheme)
         aut_count += aut.order
-        implication_ok = implication_ok and _stabilized_by(
-            code.neighbour_set, aut.generators)
+        # a direct test on Gamma_1(C): _neighbours_fixed_by passes every x
+        # that fixes C, which is the implication under test
+        fixes = fixes_entries(code._neighbour_entries, q)
+        implication_ok = implication_ok and all(fixes(x.points) for x in aut.generators)
     checks.append(ClauseResult(
         "code_automorphisms_stabilize_neighbours", implication_ok,
         f"{aut_count} code automorphisms over {len(codes)} sampled codes"))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .code_model import Code, stabilizes_set
+from .code_model import Code, _neighbours_fixed_by
 from .errors import (ImageInCodeError, LemmaViolationError, MinDistanceError,
                      NotACodewordError, NotNeighbourStabilizerError,
                      SchemeMismatchError)
@@ -68,26 +68,39 @@ def _check_hypotheses(code: Code, alpha: Vertex, y: Automorphism):
             f"pre-codewords need minimum distance >= 3, code has {code.min_distance}")
     if alpha not in code:
         raise NotACodewordError(f"{vertex_to_text(alpha)} is not a codeword")
-    if not stabilizes_set(code.neighbour_set, y):
+    # y is a graph automorphism, so the image-code test decides it
+    if not _neighbours_fixed_by(code, (y,)):
         raise NotNeighbourStabilizerError(
             "y does not stabilize the code's neighbour set")
-    if y.apply(alpha) in code:
+    if _images(y._moves, (alpha.entries,))[0] in code._entry_set:
         raise ImageInCodeError(
             f"y maps {vertex_to_text(alpha)} back into the code")
 
 
-def _pre_entries(code: Code, alpha: Vertex, y: Automorphism,
-                 words: set) -> list[tuple[int, ...]]:
-    """Pre(alpha, y) as sorted entry tuples; words is the code's entry set."""
+def _pre_entries(code: Code, alpha: Vertex, y: Automorphism) -> list[tuple[int, ...]]:
+    """Pre(alpha, y) as sorted entry tuples."""
     ring = _shell_entries(alpha.entries, code.scheme.q, 2)
-    return [pi for pi, img in zip(ring, _images(y._moves, ring)) if img in words]
+    return [pi for pi, img in zip(ring, _images(y._moves, ring)) if img in code._entry_set]
+
+
+def _cells(nbrs: set, others, q: int):
+    """(cells, sizes_ok, disjoint, covered): the cells nbrs & Gamma_1(o)
+    for o in others, and whether each has two elements, whether they are
+    pairwise disjoint and whether they cover nbrs."""
+    cells, seen, sizes_ok, disjoint = [], set(), True, True
+    for o in others:
+        cell = nbrs.intersection(_ball1(o, q))
+        cells.append(cell)
+        sizes_ok = sizes_ok and len(cell) == 2
+        disjoint = disjoint and not seen & cell
+        seen.update(cell)
+    return cells, sizes_ok, disjoint, seen == nbrs
 
 
 def pre_codewords(code: Code, alpha: Vertex, y: Automorphism) -> tuple[Vertex, ...]:
     """Pre(alpha, y): sorted distance-2 vertices that y maps into the code."""
     _check_hypotheses(code, alpha, y)
-    words = {w.entries for w in code.words}
-    return tuple([Vertex(code.scheme, pi) for pi in _pre_entries(code, alpha, y, words)])
+    return tuple([Vertex(code.scheme, pi) for pi in _pre_entries(code, alpha, y)])
 
 
 def pre_for_neighbour(code: Code, alpha: Vertex, y: Automorphism,
@@ -132,23 +145,10 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
     scheme = code.scheme
     q = scheme.q
     target = scheme.m * (q - 1)
-    words = {w.entries for w in code.words}
-    pre = _pre_entries(code, alpha, y, words)
+    words = code._entry_set
+    pre = _pre_entries(code, alpha, y)
 
-    alpha_nbrs = set(_ball1(alpha.entries, q))
-    cells = []
-    cell_sizes_ok = True
-    seen: set[tuple[int, ...]] = set()
-    disjoint = True
-    for pi in pre:
-        cell = alpha_nbrs.intersection(_ball1(pi, q))
-        cells.append(sorted(cell))
-        if len(cell) != 2:
-            cell_sizes_ok = False
-        if seen & cell:
-            disjoint = False
-        seen.update(cell)
-    covered = seen == alpha_nbrs
+    cells, cell_sizes_ok, disjoint, covered = _cells(set(_ball1(alpha.entries, q)), pre, q)
     clauses = [ClauseResult(
         "cells_partition_neighbourhood",
         cell_sizes_ok and disjoint and covered,
@@ -171,19 +171,10 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
     dual_detail = []
     for pi in pre:
         duals = [b for b in _shell_entries(pi, q, 2) if b in words]
-        pi_nbrs = set(_ball1(pi, q))
-        seen_pi: set[tuple[int, ...]] = set()
-        ok = 2 * len(duals) == target
-        for beta, img in zip(duals, _images(y._moves, duals)):
-            cell = pi_nbrs.intersection(_ball1(beta, q))
-            if len(cell) != 2 or (seen_pi & cell):
-                ok = False
-            seen_pi.update(cell)
-            if img in words:
-                images_ok = False
-        if seen_pi != pi_nbrs:
-            ok = False
-        if not ok:
+        _, sizes_ok, disjoint_pi, covered_pi = _cells(set(_ball1(pi, q)), duals, q)
+        if not words.isdisjoint(_images(y._moves, duals)):
+            images_ok = False
+        if not (2 * len(duals) == target and sizes_ok and disjoint_pi and covered_pi):
             dual_ok = False
             dual_detail.append(vertex_to_text(Vertex(scheme, pi)))
     clauses.append(ClauseResult(
@@ -196,6 +187,6 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
     pre_set = tuple([Vertex(scheme, pi) for pi in pre])
     return PreReport(
         alpha=alpha, y=y, pre_set=pre_set,
-        cells=tuple([(v, tuple([Vertex(scheme, n) for n in cell]))
+        cells=tuple([(v, tuple([Vertex(scheme, n) for n in sorted(cell)]))
                      for v, cell in zip(pre_set, cells)]),
         gamma1_covered=covered, count_ok=count_ok, clauses=tuple(clauses))

@@ -1,7 +1,9 @@
 """Setwise stabilizers (stabilizer chains by `chain.stabilizer_chain`,
 and their elements in canonical order), neighbour transitivity, and the
 trichotomy classifier, whose witness is the least element of a chain
-outside Aut(C) (`chain.least_outside`)."""
+outside Aut(C) (`chain.least_outside`).  Transitivity on Gamma_1(C) has
+one rule, _transitive_on_neighbours, shared by is_neighbour_transitive
+and analyze_stabilizer."""
 
 from __future__ import annotations
 
@@ -9,13 +11,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import _elements, fixes_entries, least_outside, stabilizer_chain
-from .code_model import (Code, _neighbours_fixed_by, _stabilized_by,
-                         neighbour_stabilizer)
+from .code_model import Code, _neighbours_fixed_by, neighbour_stabilizer
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            _orbit, automorphism_from_text, automorphism_to_text,
-                           check_group_cap, orbit)
+                           check_group_cap)
 
 VERDICT_FIXED = "FIXED"
 VERDICT_NONFIXING = "NONFIXING_WITNESS"
@@ -64,42 +65,23 @@ def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
     return _elements(stabilizer_chain(vertices, scheme, group_cap))
 
 
-def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
-    """True iff the generated group fixes Gamma_1(C) setwise and is transitive on it.
-
-    A group preserving a finite set acts transitively on it iff the orbit
-    of one point is as large as the set, so only one orbit is computed.
-    """
-    if gens.scheme != code.scheme:
-        raise SchemeMismatchError("generators from a different scheme")
+def _transitive_on_neighbours(code: Code, xs) -> bool:
+    """True iff the group the elements xs generate, which fixes the
+    nonempty Gamma_1(C), is transitive on it: a group preserving a finite
+    set acts transitively on it iff the orbit of one point, here the
+    least neighbour, is as large as the set."""
     nbrs = code._neighbour_entries
-    if not nbrs:
-        raise ValueError("neighbour set is empty; transitivity is undefined")
-    if not _neighbours_fixed_by(code, gens.generators):
-        return False
-    return len(_orbit([x._moves for x in gens.generators], nbrs[0])) == len(nbrs)
+    return len(_orbit([x._moves for x in xs], nbrs[0])) == len(nbrs)
 
 
-def neighbour_orbits(code: Code, gens: GeneratorSet) -> list[tuple[Vertex, ...]]:
-    """Orbit partition of Gamma_1(C) under the generated group.
-
-    Cells are sorted internally and listed by least element; the code is
-    neighbour transitive for these generators iff there is one cell.
-    """
+def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
+    """True iff the generated group fixes Gamma_1(C) setwise and is transitive on it."""
     if gens.scheme != code.scheme:
         raise SchemeMismatchError("generators from a different scheme")
-    nbrs = code.neighbour_set
-    if not _stabilized_by(nbrs, gens.generators):
-        raise ValueError("a generator moves the neighbour set off itself")
-    remaining = set(nbrs)
-    cells = []
-    for v in nbrs:
-        if v not in remaining:
-            continue
-        cell = orbit(gens, v)
-        cells.append(cell)
-        remaining -= set(cell)
-    return cells
+    if not code._neighbour_entries:
+        raise ValueError("neighbour set is empty; transitivity is undefined")
+    return (_neighbours_fixed_by(code, gens.generators)
+            and _transitive_on_neighbours(code, gens.generators))
 
 
 @dataclass(frozen=True)
@@ -121,18 +103,16 @@ def analyze_stabilizer(code: Code,
     The stabilizer fixes C iff every strong generator does; otherwise the
     first non-fixing element is the chain's least element outside Aut(C),
     which lies in the stabilizer because C determines Gamma_1(C).
-    It is transitive iff the orbit of the least neighbour under the strong
-    generators is as large as Gamma_1(C).  Checks the group cap first.
+    It is transitive iff its strong generators are.  Checks the group cap
+    first.
     """
     check_group_cap(code.scheme, group_cap)
-    nbrs = code._neighbour_entries
-    if not nbrs:
+    if not code._neighbour_entries:
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
     chain = neighbour_stabilizer(code, group_cap)
-    first = least_outside(chain, fixes_entries([w.entries for w in code.words],
-                                               code.scheme.q))
-    transitive = len(_orbit([x._moves for x in chain.generators], nbrs[0])) == len(nbrs)
-    return StabilizerAnalysis(chain.order, chain.generators, first, transitive)
+    first = least_outside(chain, fixes_entries(code._entries, code.scheme.q))
+    return StabilizerAnalysis(chain.order, chain.generators, first,
+                              _transitive_on_neighbours(code, chain.generators))
 
 
 def classify_theorem(code: Code,

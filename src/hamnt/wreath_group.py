@@ -15,14 +15,18 @@ tuple([y[pt] for pt in x]) (Seress, Permutation Group Algorithms, 2003,
 ch. 4).  The normal form (g, sigma) is derived from the points for the
 text form and the canonical order.  Every action on entry tuples goes
 through _mover, the pairs (g_i, i) by target position; _images applies
-them, and _orbit searches with them breadth first.
+them, and _orbit searches with them breadth first.  apply and orbit are
+the boundary: they check the scheme and build a Vertex per result, and
+the library calls _images and _orbit on entry tuples.
 
 The canonical enumeration order used everywhere (full-group enumeration,
 stabilizer output, witness selection) is lexicographic over sigma's
 images, then lexicographic over the tuple of alphabet-permutation images.
 
-Searches and subgroups live in the module chain.  enumerate_full_group
-and closure have no caller in the package; the tests use them as oracles.
+Searches and subgroups live in the module chain, and so does the one
+set-fixing rule (chain.fixes_entries).  enumerate_full_group and closure
+have no caller in the package; the tests use them as oracles, and the
+benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -155,10 +159,6 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         return Automorphism._trusted(self.scheme, _invert(self.points))
 
-    def conjugated_by(self, y: "Automorphism") -> "Automorphism":
-        """y^-1 * self * y."""
-        return y.inverse().compose(self).compose(y)
-
     # -- ordering / display ------------------------------------------------
 
     @property
@@ -286,13 +286,6 @@ def orbit(gens: GeneratorSet, v: Vertex) -> tuple[Vertex, ...]:
         raise SchemeMismatchError("vertex and generators from different schemes")
     seen = _orbit([x._moves for x in gens.generators], v.entries)
     return tuple([Vertex(v.scheme, w) for w in sorted(seen)])
-
-
-def conjugate(gens: GeneratorSet, y: Automorphism) -> GeneratorSet:
-    """The generator set {y^-1 x y : x in gens}."""
-    if y.scheme != gens.scheme:
-        raise SchemeMismatchError("conjugating element from a different scheme")
-    return GeneratorSet(gens.scheme, tuple(x.conjugated_by(y) for x in gens.generators))
 
 
 # -- text form ------------------------------------------------------------

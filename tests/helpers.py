@@ -22,6 +22,11 @@ def random_automorphism(rng: random.Random, scheme: HammingScheme) -> Automorphi
     return Automorphism(scheme, perms, sigma)
 
 
+def conjugated_by(x: Automorphism, y: Automorphism) -> Automorphism:
+    """y^-1 x y, through the public inverse and compose."""
+    return y.inverse().compose(x).compose(y)
+
+
 def random_code(rng: random.Random, scheme: HammingScheme, size: int) -> Code:
     verts = list(scheme.vertices())
     return Code(scheme, rng.sample(verts, size))

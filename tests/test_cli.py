@@ -323,14 +323,18 @@ def test_argparse_output_goes_to_callers_streams(capsys):
 
 
 def test_family_cap_counts_the_built_tuples():
-    # the family builds 2^(m/2) words and m * 2^(m/2) neighbourhood tuples,
-    # not the 2^m vertices of H(m,2): m = 24 is in, m = 38 is over the cap
+    # the family builds 2^(m/2) words and m * 2^(m/2) neighbourhood tuples of
+    # m entries each, not the 2^m vertices of H(m,2); memory grows with the
+    # m^2 * 2^(m/2) entries: m = 24 and 26 are in, m = 28 and 38 over the cap
     inst = build_family(24)
     assert (len(inst.U), len(inst.C)) == (4096, 2048)
-    code, out, err = run(["family", "--m", "38"])
-    assert (code, out) == (2, "")
-    assert err == ("feasibility: the family at m = 38 has 19922944 neighbourhood "
-                   "tuples, over the enumeration cap 10000000\n")
+    inst = build_family(26)
+    assert (len(inst.U), len(inst.C)) == (8192, 4096)
+    for m, entries in ((28, 12845056), (38, 757071872)):
+        code, out, err = run(["family", "--m", str(m)])
+        assert (code, out) == (2, "")
+        assert err == (f"feasibility: the family at m = {m} has {entries} neighbourhood "
+                       "tuple entries, over the enumeration cap 10000000\n")
 
 
 def test_python_dash_m_runs_the_cli():

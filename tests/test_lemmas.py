@@ -2,6 +2,7 @@
 certification of the triple-orbit generators, and the orbit-stabilizer
 counts of the triple orbit and the pre-codeword witnesses."""
 
+import dataclasses
 import io
 import json
 import random
@@ -12,8 +13,9 @@ import pytest
 import hamnt.chain
 import hamnt.lemmas
 import hamnt.transitivity
-from hamnt import (Automorphism, Code, GeneratorSet, HammingScheme, build_family,
-                   full_group_generators, group_order)
+from hamnt import (Automorphism, ClauseResult, Code, GeneratorSet, HammingScheme,
+                   build_family, enumerate_full_group, full_group_generators,
+                   group_order, stabilizes_set)
 from hamnt.cli import main
 from hamnt.hamming_core import _triple_entries
 from hamnt.lemmas import _triple_stabilizer_order, _witnesses, run_lemma_suite
@@ -81,7 +83,7 @@ def test_triple_orbit_size_matches_breadth_first_orbit(m, q):
     acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
             for x in full_group_generators(scheme).generators]
     for t in [triples[0]] + random.Random(m * 10 + q).sample(triples, 3):
-        stab = _triple_stabilizer_order(scheme, t, DEFAULT_GROUP_CAP)
+        stab = _triple_stabilizer_order(scheme, t)
         assert group_order(scheme) // stab == len(_orbit(acts, t)) == len(triples)
 
 
@@ -160,6 +162,62 @@ def test_two_common_neighbours_fails_when_a_neighbour_is_missing(monkeypatch):
     assert json.loads(out)["checks"][0] == {
         "clause": "two_common_neighbours", "pass": False,
         "detail": "48 distance-2 pairs"}
+
+
+def test_implication_fails_when_a_code_automorphism_moves_the_neighbours(monkeypatch):
+    # every chain built after the codes are sampled (the Aut(C) chains, not
+    # the triple chain) gets one more generator, the first element of the
+    # full group that moves Gamma_1(C)
+    real_sample, real_chain = hamnt.lemmas._sample_codes, hamnt.lemmas._stabilizer_chain
+    sampled, injected = [], []
+
+    def sample(*args):
+        sampled.extend(real_sample(*args))
+        return sampled
+
+    def chain(words, scheme):
+        result = real_chain(words, scheme)
+        if sampled:
+            nbrs = Code.from_entries(scheme, words).neighbour_set
+            moving = next(x for x in enumerate_full_group(scheme)
+                          if not stabilizes_set(nbrs, x))
+            result.generators += (moving,)
+            injected.append(moving)
+        return result
+
+    monkeypatch.setattr(hamnt.lemmas, "_sample_codes", sample)
+    monkeypatch.setattr(hamnt.lemmas, "_stabilizer_chain", chain)
+    code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    pinned = json.loads(PINNED["4,2,0"][1])["checks"]
+    assert len(injected) == len(sampled) == 6
+    assert checks[2] == {**pinned[2], "pass": False}
+    assert checks[:2] + checks[3:] == pinned[:2] + pinned[3:]
+
+
+def test_pre_structure_clause_fails_when_a_witness_fails(monkeypatch):
+    # the first verified witness reports one failing clause; the suite
+    # still verifies all 40 and fails the clause with the same detail
+    real = hamnt.lemmas.verify_pre_structure
+    calls = []
+
+    def failing_first(code, alpha, y):
+        report = real(code, alpha, y)
+        calls.append(report.all_pass)
+        if len(calls) == 1:
+            report = dataclasses.replace(report, clauses=report.clauses + (
+                ClauseResult("injected", False, "fails"),))
+        return report
+
+    monkeypatch.setattr(hamnt.lemmas, "verify_pre_structure", failing_first)
+    code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    pinned = json.loads(PINNED["4,2,0"][1])["checks"]
+    assert calls == [True] * 40
+    assert checks[3] == {**pinned[3], "pass": False}
+    assert checks[:3] == pinned[:3]
 
 
 @pytest.mark.parametrize("m, q, cap, verified", [

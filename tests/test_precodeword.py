@@ -8,6 +8,8 @@ from hamnt import (Automorphism, Code, HammingScheme, ImageInCodeError,
                    pre_for_neighbour, shell, translation, vertex_to_text,
                    verify_pre_structure)
 from hamnt.family_codes import build_family
+from hamnt.hamming_core import _ball1
+from hamnt.precodeword import _cells
 from helpers import vertex_pre_structure
 
 H42 = HammingScheme(4, 2)
@@ -156,3 +158,21 @@ def test_verify_pre_structure_matches_vertex_oracle_ternary():
                 assert report.to_json() == vertex_pre_structure(code, alpha, y).to_json()
                 count += 1
     assert count == 216
+
+
+def test_cells_rule_reports_sizes_overlaps_and_cover():
+    # the one 2-set partition rule of verify_pre_structure, on G1(0000)
+    # (the unit words): (cells, sizes_ok, disjoint, covered)
+    nbrs = set(_ball1((0, 0, 0, 0), 2))
+    cases = [
+        ([(1, 1, 0, 0), (0, 0, 1, 1)], (True, True, True)),
+        ([(1, 1, 0, 0), (1, 0, 1, 0)], (True, False, False)),
+        ([(1, 1, 0, 0)], (True, True, False)),
+        ([(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1)], (True, False, True)),
+        ([(1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1)], (False, True, True)),
+        ([], (True, True, False)),
+    ]
+    for others, want in cases:
+        cells, *flags = _cells(nbrs, others, 2)
+        assert [sorted(c) for c in cells] == [sorted(nbrs & set(_ball1(o, 2))) for o in others]
+        assert tuple(flags) == want

@@ -8,7 +8,7 @@ import hamnt.chain
 from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, Vertex,
                    automorphism_from_text, automorphism_to_text, closure,
-                   conjugate, distance, enumerate_full_group,
+                   distance, enumerate_full_group,
                    enumerate_triples, find_equivalence, fixes_entries,
                    full_group_generators, group_order, is_code_automorphism,
                    least_outside, orbit, schreier_sims, setwise_stabilizer,
@@ -18,7 +18,7 @@ from hamnt.chain import (_block_levels, _canonical_levels, _grow, _key, _rebase,
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
-from helpers import (brute_maps_into, brute_stabilizer_order,
+from helpers import (brute_maps_into, brute_stabilizer_order, conjugated_by,
                      random_automorphism, raw_apply)
 
 H32 = HammingScheme(3, 2)
@@ -55,7 +55,7 @@ def test_unvalidated_results_equal_validated_elements():
         made.append(find_equivalence(code, code.image(random_automorphism(rng, scheme))).y)
         for _ in range(30):
             x, y = random_automorphism(rng, scheme), random_automorphism(rng, scheme)
-            made += [x.compose(y), x.inverse(), x.conjugated_by(y)]
+            made += [x.compose(y), x.inverse(), conjugated_by(x, y)]
         for z in made:
             checked = Automorphism(scheme, z.alphabet_perms, z.coord_perm)
             assert z == checked and hash(z) == hash(checked)
@@ -428,19 +428,12 @@ def test_orbit_family_neighbours():
     assert len(nbrs) == 24
 
 
-def test_conjugate_by_identity():
-    rng = random.Random(5)
-    gens = GeneratorSet(H32, tuple(random_automorphism(rng, H32) for _ in range(3)))
-    conj = conjugate(gens, Automorphism.identity(H32))
-    assert conj.generators == gens.generators
-
-
 def test_conjugate_orbit_equivariance():
     rng = random.Random(6)
     for _ in range(10):
         gens = GeneratorSet(H32, tuple(random_automorphism(rng, H32) for _ in range(2)))
         y = random_automorphism(rng, H32)
-        conj = conjugate(gens, y)
+        conj = GeneratorSet(H32, tuple(conjugated_by(x, y) for x in gens.generators))
         for v in H32.vertices():
             lhs = orbit(conj, y.apply(v))
             rhs = tuple(sorted(y.apply(w) for w in orbit(gens, v)))
@@ -451,7 +444,8 @@ def test_conjugated_family_generators_stabilize_translated_code():
     inst = build_family(4)
     y = translation(H42.vertex([1, 0, 0, 0]))
     moved = inst.C.image(y)
-    for x in closure(conjugate(inst.autC_gens, y)):
+    conj = GeneratorSet(H42, tuple(conjugated_by(x, y) for x in inst.autC_gens.generators))
+    for x in closure(conj):
         assert moved.image(x) == moved
 
 
