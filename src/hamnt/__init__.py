@@ -14,18 +14,16 @@ from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Triple,
                            enumerate_triples, neighbours, shell,
                            vertex_from_text, vertex_to_text, weight)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           automorphism_from_text, automorphism_to_text,
-                           closure, enumerate_full_group,
+                           automorphism_to_text, closure, enumerate_full_group,
                            full_group_generators, group_order, orbit,
                            translation)
 from .chain import (StabilizerChain, fixes_entries, least_outside,
                     schreier_sims, stabilizer_chain)
-from .code_model import (Code, EquivalenceWitness, code_to_text,
-                         find_equivalence, is_code_automorphism,
-                         is_linear_binary, neighbour_count,
-                         neighbour_stabilizer, neighbourhoods_disjoint,
-                         parse_code_text, read_code_file,
-                         stabilizes_set, write_code_file)
+from .code_model import (Code, code_to_text, find_equivalence,
+                         is_code_automorphism, is_linear_binary,
+                         neighbour_count, neighbour_stabilizer,
+                         neighbourhoods_disjoint, parse_code_text,
+                         read_code_file, stabilizes_set, write_code_file)
 from .precodeword import (PreReport, c_of_pi, pre_codewords,
                           pre_for_neighbour, verify_pre_structure)
 from .transitivity import (CASE2, CASE3, VERDICT_FIXED, VERDICT_NONFIXING,
@@ -47,8 +45,8 @@ __all__ = [
     "full_group_generators", "closure", "orbit", "group_order",
     "StabilizerChain", "stabilizer_chain", "schreier_sims", "least_outside",
     "fixes_entries",
-    "automorphism_to_text", "automorphism_from_text", "DEFAULT_GROUP_CAP",
-    "Code", "EquivalenceWitness", "stabilizes_set",
+    "automorphism_to_text", "DEFAULT_GROUP_CAP",
+    "Code", "stabilizes_set",
     "is_code_automorphism", "is_linear_binary", "neighbour_count",
     "neighbour_stabilizer", "neighbourhoods_disjoint",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",

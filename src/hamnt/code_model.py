@@ -9,7 +9,8 @@ code is its sorted entry tuples (_entries, and _entry_set to look them
 up).  "x fixes a vertex set" has one rule, chain.fixes_entries, on entry
 tuples; stabilizes_set and is_code_automorphism are its boundary
 wrappers, which check the scheme and convert once.  For Gamma_1(C),
-_neighbours_fixed_by tests x through the image code.
+_neighbours_fixed_by tests x through the image code.  find_equivalence
+returns the least automorphism mapping one code onto another, or None.
 
 The neighbour-set stabilizer of a code has one home, neighbour_stabilizer.
 Let D = {v not in Gamma_1(C) : Gamma(v) within Gamma_1(C)}; when
@@ -25,7 +26,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -121,13 +121,6 @@ class Code:
         return Code(self.scheme, (x.apply(w) for w in self.words))
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
-    """An automorphism certifying image(C, y) = C' for a code pair."""
-
-    y: Automorphism
-
-
 def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
     """True iff every x in xs maps Gamma_1(C) onto itself.  x is a graph
     automorphism, so it maps Gamma_1(C) onto Gamma_1(C^x): an x that fixes
@@ -184,19 +177,19 @@ def neighbour_count(code: Code) -> int:
 def neighbourhoods_disjoint(code: Code) -> bool:
     """True iff the codewords' neighbourhoods are pairwise disjoint.
 
-    They are when delta >= 3.  Otherwise: their sizes add up to
-    len(C) * m * (q-1); their union is Gamma_1(C) plus the codewords
-    adjacent to another codeword (none unless delta = 1).
+    Their sizes add up to len(C) * m * (q-1); their union is Gamma_1(C)
+    plus the codewords adjacent to another codeword (none unless
+    delta = 1).  Gamma_1(C) is counted by neighbour_count, under its
+    enumeration cap.
     """
-    if code.min_distance >= 3:
-        return True
     m, q = code.scheme.m, code.scheme.q
+    count = neighbour_count(code)
     adjacent = 0
     if code.min_distance == 1:
         entries = code._entries
         adjacent = sum(any(sum(map(operator.ne, u, v)) == 1 for v in entries)
                        for u in entries)
-    return len(code) * m * (q - 1) == len(code._neighbour_entries) + adjacent
+    return len(code) * m * (q - 1) == count + adjacent
 
 
 def is_linear_binary(code: Code) -> bool:
@@ -262,14 +255,14 @@ def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP) -> Stab
 
 
 def find_equivalence(code: Code, other: Code,
-                     group_cap: int = DEFAULT_GROUP_CAP) -> EquivalenceWitness | None:
-    """First automorphism (canonical order) mapping code onto other, if any."""
+                     group_cap: int = DEFAULT_GROUP_CAP) -> Automorphism | None:
+    """First automorphism y (canonical order) with image(code, y) = other,
+    or None when there is none."""
     if code.scheme != other.scheme:
         raise SchemeMismatchError("codes from different schemes")
     if len(code) != len(other):
         return None
-    y = _least_equivalence(code._entries, other._entries, code.scheme, group_cap)
-    return None if y is None else EquivalenceWitness(y)
+    return _least_equivalence(code._entries, other._entries, code.scheme, group_cap)
 
 
 # -- shared code file format ------------------------------------------------

@@ -45,11 +45,6 @@ class LemmaSuiteReport:
                 "checks": [c.to_json() for c in self.checks],
                 "all_pass": self.all_pass}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LemmaSuiteReport":
-        return cls(m=data["m"], q=data["q"], seed=data["seed"],
-                   checks=tuple(ClauseResult.from_json(c) for c in data["checks"]))
-
 
 def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list[Code]:
     verts = list(scheme.vertices())

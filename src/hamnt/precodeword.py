@@ -37,8 +37,6 @@ class PreReport:
     y: Automorphism
     pre_set: tuple[Vertex, ...]
     cells: tuple[tuple[Vertex, tuple[Vertex, ...]], ...]
-    gamma1_covered: bool
-    count_ok: bool
     clauses: tuple[ClauseResult, ...]
 
     @cached_property
@@ -53,8 +51,6 @@ class PreReport:
             "cells": [{"pi": vertex_to_text(pi),
                        "neighbours": [vertex_to_text(n) for n in cell]}
                       for pi, cell in self.cells],
-            "gamma1_covered": self.gamma1_covered,
-            "count_ok": self.count_ok,
             "clauses": [c.to_json() for c in self.clauses],
             "all_pass": self.all_pass,
         }
@@ -155,9 +151,8 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         f"cells={len(cells)} sizes_ok={cell_sizes_ok} disjoint={disjoint} "
         f"covered={covered}")]
 
-    count_ok = 2 * len(pre) == target
     clauses.append(ClauseResult(
-        "pre_count_half", count_ok,
+        "pre_count_half", 2 * len(pre) == target,
         f"|Pre|={len(pre)}, m(q-1)={target}"))
 
     gamma1 = set(code._neighbour_entries)
@@ -189,4 +184,4 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         alpha=alpha, y=y, pre_set=pre_set,
         cells=tuple([(v, tuple([Vertex(scheme, n) for n in sorted(cell)]))
                      for v, cell in zip(pre_set, cells)]),
-        gamma1_covered=covered, count_ok=count_ok, clauses=tuple(clauses))
+        clauses=tuple(clauses))

@@ -16,11 +16,6 @@ class ClauseResult:
     def to_json(self) -> dict:
         return {"clause": self.clause, "pass": self.passed, "detail": self.detail}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ClauseResult":
-        return cls(clause=data["clause"], passed=data["pass"],
-                   detail=data.get("detail", ""))
-
 
 def all_clauses_pass(clauses) -> bool:
     return all(c.passed for c in clauses)

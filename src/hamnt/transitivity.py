@@ -15,8 +15,7 @@ from .code_model import Code, _neighbours_fixed_by, neighbour_stabilizer
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _orbit, automorphism_from_text, automorphism_to_text,
-                           check_group_cap)
+                           _orbit, automorphism_to_text, check_group_cap)
 
 VERDICT_FIXED = "FIXED"
 VERDICT_NONFIXING = "NONFIXING_WITNESS"
@@ -45,18 +44,6 @@ class ClassificationReport:
             "stabilizer_order": self.stabilizer_order,
             "transitive_on_neighbours": self.transitive_on_neighbours,
         }
-
-    @classmethod
-    def from_json(cls, data: dict, scheme: HammingScheme) -> "ClassificationReport":
-        witness = data.get("witness")
-        return cls(
-            delta=data["delta"],
-            verdict=data["verdict"],
-            witness=automorphism_from_text(scheme, witness) if witness else None,
-            theorem_case=data.get("theorem_case"),
-            stabilizer_order=data["stabilizer_order"],
-            transitive_on_neighbours=data["transitive_on_neighbours"],
-        )
 
 
 def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,

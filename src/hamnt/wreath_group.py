@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CodeFormatError, FeasibilityError, SchemeMismatchError
+from .errors import FeasibilityError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex, check_cap
 
 #: Default bound on (q!)^m * m! for full-group sweeps.
@@ -296,32 +295,3 @@ def automorphism_to_text(x: Automorphism) -> str:
     for i, g in enumerate(x.alphabet_perms):
         parts.append(f"g{i}=[" + ",".join(map(str, g)) + "]")
     return "; ".join(parts)
-
-
-_FIELD_RE = re.compile(r"^(perm|g(\d+))=\[([0-9,\s]*)\]$")
-
-
-def automorphism_from_text(scheme: HammingScheme, text: str) -> Automorphism:
-    """Parse the report form produced by automorphism_to_text."""
-    coord_perm = None
-    gs: dict[int, tuple[int, ...]] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        match = _FIELD_RE.match(chunk)
-        if not match:
-            raise CodeFormatError(f"bad automorphism field {chunk!r}")
-        images = tuple(int(p) for p in match.group(3).split(",") if p.strip())
-        if match.group(1) == "perm":
-            coord_perm = images
-        else:
-            gs[int(match.group(2))] = images
-    if coord_perm is None:
-        raise CodeFormatError("automorphism text is missing the perm=[...] field")
-    if sorted(gs) != list(range(scheme.m)):
-        raise CodeFormatError(f"automorphism text needs g0..g{scheme.m - 1}")
-    try:
-        return Automorphism(scheme, tuple(gs[i] for i in range(scheme.m)), coord_perm)
-    except ValueError as exc:
-        raise CodeFormatError(str(exc)) from None

@@ -176,9 +176,8 @@ def vertex_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         f"cells={len(cells)} sizes_ok={cell_sizes_ok} disjoint={disjoint} "
         f"covered={covered}")]
 
-    count_ok = 2 * len(pre) == target
     clauses.append(ClauseResult(
-        "pre_count_half", count_ok,
+        "pre_count_half", 2 * len(pre) == target,
         f"|Pre|={len(pre)}, m(q-1)={target}"))
 
     gamma1 = set(code.neighbour_set)
@@ -215,7 +214,6 @@ def vertex_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         f"checked duals of {len(pre)} pre-codewords"))
 
     return PreReport(alpha=alpha, y=y, pre_set=pre, cells=tuple(cells),
-                     gamma1_covered=covered, count_ok=count_ok,
                      clauses=tuple(clauses))
 
 

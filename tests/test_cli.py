@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamnt
-from hamnt import (Code, HammingScheme, LemmaSuiteReport,
-                   automorphism_to_text, neighbour_count,
+from hamnt import (Code, HammingScheme, automorphism_to_text, neighbour_count,
                    neighbourhoods_disjoint, parse_code_text, run_lemma_suite,
                    translation, write_code_file)
 from hamnt.cli import main
@@ -33,8 +32,8 @@ def test_family_m4_exhaustive_json():
     data = json.loads(out)
     assert data["all_pass"] is True
     assert data["stabilizer_order"] == 192
-    from hamnt import FamilyReport
-    assert FamilyReport.from_json(data).all_pass
+    from hamnt import verify_family
+    assert data == verify_family(4, exhaustive=True).to_json()
 
 
 def test_family_m6_exhaustive_json():
@@ -73,10 +72,9 @@ def test_classify_family_code(tmp_path):
     assert data["verdict"] == "NONFIXING_WITNESS"
     assert data["theorem_case"] == CASE2
     assert data["stabilizer_order"] == 192
-    # emitted JSON parses back into the structured report
-    from hamnt import ClassificationReport, classify_theorem
-    parsed = ClassificationReport.from_json(data, HammingScheme(4, 2))
-    assert parsed == classify_theorem(build_family(4).C)
+    # emitted JSON is the structured report's
+    from hamnt import classify_theorem
+    assert data == classify_theorem(build_family(4).C).to_json()
 
 
 def test_classify_fixed_code(tmp_path):
@@ -141,7 +139,7 @@ def test_lemmas_h42_and_h33():
     assert code == 0
     data = json.loads(out)
     assert data["all_pass"] is True
-    assert LemmaSuiteReport.from_json(data).all_pass
+    assert data == run_lemma_suite(3, 3, seed=0).to_json()
 
 
 def test_lemmas_infeasible():

@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, EquivalenceWitness,
-                   HammingScheme, SchemeMismatchError, automorphism_from_text,
-                   automorphism_to_text, code_to_text, distance,
-                   enumerate_full_group, find_equivalence,
+import hamnt.code_model
+from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, FeasibilityError,
+                   HammingScheme, SchemeMismatchError, automorphism_to_text,
+                   code_to_text, distance, enumerate_full_group, find_equivalence,
                    is_code_automorphism, is_linear_binary,
                    neighbour_count, neighbourhoods_disjoint, neighbours,
                    parse_code_text, read_code_file, setwise_stabilizer,
@@ -86,6 +86,17 @@ def test_neighbourhoods_disjoint_matches_union_count():
     assert seen == {(1, True, True), (1, True, False), (1, False, False),
                     (2, True, False), (2, False, False),
                     (3, True, True), (3, False, True)}
+
+
+def test_neighbourhoods_disjoint_checks_the_enumeration_cap(monkeypatch):
+    # delta = 2: the 2 * 4 * 2 = 16 neighbourhood vertices exceed a cap of
+    # 10, so neither function builds Gamma_1(C); a fresh code for each, so
+    # neither reads what the other cached
+    monkeypatch.setattr(hamnt.code_model, "DEFAULT_ENUMERATION_CAP", 10)
+    for f in (neighbour_count, neighbourhoods_disjoint):
+        code = Code.from_entries(HammingScheme(4, 3), [[0, 0, 0, 0], [1, 1, 0, 0]])
+        with pytest.raises(FeasibilityError, match="enumeration cap 10"):
+            f(code)
 
 
 def test_shell_examples():
@@ -203,14 +214,12 @@ def test_find_equivalence():
     h22 = HammingScheme(2, 2)
     c = Code.from_entries(h22, [[0, 0], [1, 1]])
     c2 = Code.from_entries(h22, [[0, 1], [1, 0]])
-    w = find_equivalence(c, c)
-    assert isinstance(w, EquivalenceWitness)
-    assert w.y == Automorphism.identity(h22)
+    assert find_equivalence(c, c) == Automorphism.identity(h22)
     w2 = find_equivalence(c, c2)
     assert w2 is not None
-    assert c.image(w2.y) == c2
+    assert c.image(w2) == c2
     # first witness in canonical order is the translation by 01
-    assert w2.y == translation(h22.vertex([0, 1]))
+    assert w2 == translation(h22.vertex([0, 1]))
     assert find_equivalence(Code.from_entries(H42, [[0, 0, 0, 0]]), REP4) is None
 
 
@@ -235,7 +244,7 @@ def test_find_equivalence_matches_brute_force_filter():
             want = next(((sigma, gs) for sigma, gs in raw_full_group(scheme.m, scheme.q)
                          if all(raw_apply(sigma, gs, v.entries) in target for v in code)),
                         None)
-            assert (w and (w.y.coord_perm, w.y.alphabet_perms)) == want
+            assert (w and (w.coord_perm, w.alphabet_perms)) == want
             if w is None:
                 kinds["none"] += 1
                 continue
@@ -249,14 +258,14 @@ def test_find_equivalence_matches_brute_force_filter():
 
 
 # find_equivalence witnesses of relabelled images, recorded at commit
-# e130cd6, where the witness was the first element of an element search
+# e130cd6, where the witness was the first element of an element search;
+# each relabelling is (alphabet permutations, coordinate permutation)
+_I, _S = (0, 1), (1, 0)
 EQUIVALENCE_PINS = [
-    ("perm=[3,6,0,7,1,5,2,4]; g0=[1,0]; g1=[0,1]; g2=[1,0]; g3=[1,0]; "
-     "g4=[0,1]; g5=[1,0]; g6=[0,1]; g7=[0,1]",
+    (((_S, _I, _S, _S, _I, _S, _I, _I), (3, 6, 0, 7, 1, 5, 2, 4)),
      "perm=[0,1,2,4,6,7,5,3]; g0=[0,1]; g1=[0,1]; g2=[0,1]; g3=[0,1]; "
      "g4=[0,1]; g5=[0,1]; g6=[0,1]; g7=[0,1]"),
-    ("perm=[7,2,9,0,4,1,8,3,6,5]; g0=[0,1]; g1=[1,0]; g2=[1,0]; g3=[0,1]; "
-     "g4=[1,0]; g5=[0,1]; g6=[0,1]; g7=[1,0]; g8=[1,0]; g9=[0,1]",
+    (((_I, _S, _S, _I, _S, _I, _I, _S, _S, _I), (7, 2, 9, 0, 4, 1, 8, 3, 6, 5)),
      "perm=[0,1,2,3,4,6,7,8,9,5]; g0=[0,1]; g1=[0,1]; g2=[0,1]; g3=[0,1]; "
      "g4=[1,0]; g5=[1,0]; g6=[0,1]; g7=[1,0]; g8=[0,1]; g9=[0,1]"),
 ]
@@ -267,8 +276,8 @@ def test_find_equivalence_matches_parent_pins():
     extended = binary_span([row + [sum(row) % 2] for row in HAMMING_7_4])
     for code, cap, (relabel, witness) in zip(
             (extended, build_family(10).C), (DEFAULT_GROUP_CAP, 10**15), EQUIVALENCE_PINS):
-        other = code.image(automorphism_from_text(code.scheme, relabel))
-        assert automorphism_to_text(find_equivalence(code, other, cap).y) == witness
+        other = code.image(Automorphism(code.scheme, *relabel))
+        assert automorphism_to_text(find_equivalence(code, other, cap)) == witness
 
 
 def test_code_file_round_trip(tmp_path):

@@ -1,11 +1,13 @@
 import dataclasses
+import io
 import math
 
 import pytest
 
 import hamnt.family_codes
-from hamnt import (FamilyReport, GeneratorSet, classify_theorem, closure,
-                   translation, vertex_to_text)
+from hamnt import (Automorphism, ClauseResult, GeneratorSet, classify_theorem,
+                   closure, translation, vertex_to_text)
+from hamnt.cli import main
 from hamnt.family_codes import build_family, verify_family
 from hamnt.transitivity import CASE2, VERDICT_NONFIXING
 
@@ -105,13 +107,13 @@ def test_verify_family_m10_clauses():
         "generators_fix_code", "neighbour_transitive", "witness_moves_code"]
 
 
-def test_verify_family_report_json_round_trip():
+def test_verify_family_report_json():
     report = verify_family(4, exhaustive=True)
     data = report.to_json()
     assert data["all_pass"] is True
     assert data["stabilizer_order"] == 192
-    assert all(set(c) == {"clause", "pass", "detail"} for c in data["clauses"])
-    assert FamilyReport.from_json(data) == report
+    assert data["clauses"] == [{"clause": c.clause, "pass": c.passed, "detail": c.detail}
+                               for c in report.clauses]
 
 
 def test_classify_family_m4_nonfixing_case2():
@@ -168,3 +170,21 @@ def test_stabilizer_clause_fails_on_a_proper_subgroup(m, monkeypatch):
         clause = report.clauses[-1]
         assert not clause.passed and report.stabilizer_order == order
         assert clause.detail == f"search order {order}, closure of stab_gens order {true_order}"
+
+
+def test_code_clauses_fail_on_a_moving_generator_and_a_fixing_witness(monkeypatch):
+    # clause 4 fails when a generator of Aut(C) moves C, clause 6 when the
+    # witness fixes C; every other clause still passes, and the command
+    # exits 1
+    real = build_family(6)
+    gens = real.autC_gens.generators + (real.witness,)
+    for inst, failing, detail in (
+            (dataclasses.replace(real, autC_gens=GeneratorSet(real.scheme, gens)),
+             "generators_fix_code", f"{len(gens)} generators"),
+            (dataclasses.replace(real, witness=Automorphism.identity(real.scheme)),
+             "witness_moves_code", "stabilizes_neighbours=True, moves_code=False")):
+        monkeypatch.setattr(hamnt.family_codes, "build_family", lambda m: inst)
+        report = verify_family(6)
+        assert [c for c in report.clauses if not c.passed] == [
+            ClauseResult(failing, False, detail)]
+        assert main(["family", "--m", "6"], out=io.StringIO(), err=io.StringIO()) == 1

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from hamnt import (CASE2, VERDICT_FIXED, VERDICT_NONFIXING, VIOLATION,
-                   Automorphism, ClassificationReport, Code, FeasibilityError,
-                   GeneratorSet, HammingScheme, HypothesisError,
-                   MinDistanceError, automorphism_to_text, classify_theorem,
+                   Automorphism, Code, FeasibilityError, GeneratorSet,
+                   HammingScheme, HypothesisError, MinDistanceError,
+                   automorphism_to_text, classify_theorem,
                    enumerate_full_group, is_neighbour_transitive,
                    setwise_stabilizer, stabilizes_set, translation)
 from hamnt.family_codes import build_family
@@ -234,12 +234,13 @@ def test_q_even_m_odd_always_fixed():
         assert classify_theorem(code).verdict == VERDICT_FIXED
 
 
-def test_classification_report_json_round_trip():
+def test_classification_report_json():
     report = classify_theorem(INST4.C)
-    data = report.to_json()
-    assert set(data) == {"delta", "verdict", "witness", "theorem_case",
-                         "stabilizer_order", "transitive_on_neighbours"}
-    back = ClassificationReport.from_json(data, H42)
-    assert back == report
+    assert report.to_json() == {
+        "delta": report.delta, "verdict": report.verdict,
+        "witness": automorphism_to_text(report.witness),
+        "theorem_case": report.theorem_case,
+        "stabilizer_order": report.stabilizer_order,
+        "transitive_on_neighbours": report.transitive_on_neighbours}
     fixed = classify_theorem(Code.from_entries(HammingScheme(5, 2), [[0] * 5, [1] * 5]))
-    assert ClassificationReport.from_json(fixed.to_json(), HammingScheme(5, 2)) == fixed
+    assert fixed.witness is None and fixed.to_json()["witness"] is None

@@ -7,7 +7,7 @@ import pytest
 import hamnt.chain
 from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, Vertex,
-                   automorphism_from_text, automorphism_to_text, closure,
+                   automorphism_to_text, closure,
                    distance, enumerate_full_group,
                    enumerate_triples, find_equivalence, fixes_entries,
                    full_group_generators, group_order, is_code_automorphism,
@@ -52,7 +52,7 @@ def test_unvalidated_results_equal_validated_elements():
         verts = list(scheme.vertices())
         made += setwise_stabilizer(rng.sample(verts, 3), scheme)
         code = Code(scheme, rng.sample(verts, 3))
-        made.append(find_equivalence(code, code.image(random_automorphism(rng, scheme))).y)
+        made.append(find_equivalence(code, code.image(random_automorphism(rng, scheme))))
         for _ in range(30):
             x, y = random_automorphism(rng, scheme), random_automorphism(rng, scheme)
             made += [x.compose(y), x.inverse(), conjugated_by(x, y)]
@@ -458,12 +458,7 @@ def test_triples_single_orbit_under_full_group():
         assert reached == triples
 
 
-def test_automorphism_text_round_trip():
-    rng = random.Random(7)
-    for scheme in (H42, H33):
-        for _ in range(20):
-            x = random_automorphism(rng, scheme)
-            assert automorphism_from_text(scheme, automorphism_to_text(x)) == x
+def test_automorphism_text_form():
     x = Automorphism(H42, ((1, 0), (0, 1), (0, 1), (0, 1)), (1, 0, 2, 3))
     assert automorphism_to_text(x) == \
         "perm=[1,0,2,3]; g0=[1,0]; g1=[0,1]; g2=[0,1]; g3=[0,1]"
