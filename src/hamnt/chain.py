@@ -22,7 +22,10 @@ Two builders share _grow and _sift: stabilizer_chain(S), by Sims'
 backtrack over the search with S = T on the block levels m-1 down to 0
 (each image of block k that the subgroup found so far does not reach
 gets a search for one element fixing blocks 0..k-1 pointwise and moving
-block k there), and schreier_sims(gens), by deterministic Schreier-Sims.
+block k there), and schreier_sims(gens), by Schreier-Sims: given a
+bound on the order, random elements are sifted until the transversal
+sizes multiply to it, and a deterministic pass over the Schreier
+generators completes the chain when they do not.
 _grow meets the old transversal entries with the new generator only.
 Sims' backtrack takes the first leaf under each prefix, the least
 element of the group with that prefix, so sets with one stabilizer give
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SchemeMismatchError
@@ -55,6 +59,10 @@ from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
 
 # Elements are point-image tuples, built as tuple([...]): tuple(generator)
 # raised the peak RSS of a classify sweep by about 1 MB.
+
+# The random phase of _schreier_sims ends after this many sifts in a row
+# that reach the identity; the deterministic loop completes from there.
+_MISSES = 20
 
 
 def _key(u: tuple[int, ...], level: tuple[int, int, int]) -> tuple[int, ...]:
@@ -227,14 +235,22 @@ def _stabilizer_chain(words: Sequence[tuple[int, ...]], scheme: HammingScheme) -
 def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
                    order: int | None = None, bound: int | None = None):
     """(found, strong, transversals) of the group the point tuples gens
-    generate on n points, by deterministic Schreier-Sims over levels:
-    found lists the strong generators as found, strong[k] those that fix
-    the keys of levels 0..k-1.  Given the group's order, it stops once
-    the transversal sizes multiply to it: a product of basic orbit sizes
+    generate on n points, by Schreier-Sims over levels: found lists the
+    strong generators as found, strong[k] those that fix the keys of
+    levels 0..k-1.  Given the group's order, it stops once the
+    transversal sizes multiply to it: a product of basic orbit sizes
     equal to the order makes the generators strong (Seress 2003, ch. 4).
     Given only an upper bound on the order, it stops there the same way,
     and it runs to the end, giving the true order, when the group is
-    smaller."""
+    smaller.
+
+    With either, a random phase comes first (Seress 2003, 4.3 and 4.5):
+    it sifts random elements until the order is reached or _MISSES sifts
+    in a row reach the identity, and the deterministic loop over the
+    Schreier generators, a no-op once the order is reached, completes the
+    chain from there.  The random phase draws from a fixed seed, so a call
+    repeats its sifts; it changes only which elements the transversals
+    and found hold, and the canonical levels determine every element."""
     ident = tuple(range(n))
     base = [_key(ident, lv) for lv in levels]
     transversals = [{b: ident} for b in base]
@@ -253,8 +269,24 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
     checked: list[set] = [set() for _ in levels]
     # transversal entries keep their element, so their inverses keep too
     inverses: list[dict] = [{} for _ in levels]
-    k = len(levels) - 1
     stop = bound if order is None else order
+    if stop is not None and math.prod([len(t) for t in transversals]) != stop:
+        # random phase: sift w, the running product of random subproducts
+        # of the strong generators; a residue that stops at level j fixes
+        # the keys of levels 0..j-1, so it joins strong[0..j].  A chain
+        # that its generators already complete skips seeding the RNG
+        rng, misses, w = random.Random(0), 0, ident
+        while misses < _MISSES and math.prod([len(t) for t in transversals]) != stop:
+            for s in found:
+                if rng.random() < 0.5:
+                    w = tuple([s[pt] for pt in w])
+            x, j = _sift(w, transversals, inverses, levels, 0)
+            if x == ident:
+                misses += 1
+            else:
+                misses = 0
+                add(x, 0, j)
+    k = len(levels) - 1
     while k >= 0 and math.prod([len(t) for t in transversals]) != stop:
         # levels k+1.. are complete: sift the Schreier generators of level k
         residue = None
@@ -284,8 +316,9 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
 
 def schreier_sims(gens: GeneratorSet, bound: int | None = None) -> StabilizerChain:
     """The subgroup generated by gens as a stabilizer chain, by the
-    deterministic Schreier-Sims algorithm; given an upper bound on its
-    order, it stops once it reaches it."""
+    Schreier-Sims algorithm.  Given an upper bound on its order, it sifts
+    random elements first and stops once it reaches the bound; without
+    one it is deterministic Schreier-Sims."""
     m, q = gens.scheme.m, gens.scheme.q
     found, _, transversals = _schreier_sims([x.points for x in gens.generators],
                                             m * q, _block_levels(m, q), bound=bound)

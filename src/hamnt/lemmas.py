@@ -139,7 +139,8 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     if t0 is not None:
         count = 1 + sum(1 for _ in triples)
         gens = full_group_generators(scheme)
-        certified = schreier_sims(gens).order == order
+        # bounded by |G|, Schreier-Sims reaches it iff gens generate G
+        certified = schreier_sims(gens, order).order == order
         if certified:
             reached = order // _triple_stabilizer_order(scheme, t0)
         else:

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random elements and independent oracles.
+"""Shared test utilities: seeded random elements, independent oracles and
+a sift counter.
 
 The oracle functions here deliberately avoid the library's search and
 enumeration code paths: they recompute expectations from first principles
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import hamnt.chain
 from hamnt import (Automorphism, ClauseResult, Code, HammingScheme, PreReport,
                    Vertex, neighbours, setwise_stabilizer, shell, vertex_to_text)
 
@@ -20,6 +22,15 @@ def random_automorphism(rng: random.Random, scheme: HammingScheme) -> Automorphi
                   for _ in range(scheme.m))
     sigma = tuple(rng.sample(range(scheme.m), scheme.m))
     return Automorphism(scheme, perms, sigma)
+
+
+def count_sifts(monkeypatch) -> list:
+    """A list that gains one entry per chain._sift call from here on; the
+    caller may clear it."""
+    sifts = []
+    real_sift = hamnt.chain._sift
+    monkeypatch.setattr(hamnt.chain, "_sift", lambda *a: sifts.append(1) or real_sift(*a))
+    return sifts
 
 
 def conjugated_by(x: Automorphism, y: Automorphism) -> Automorphism:

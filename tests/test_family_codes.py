@@ -10,6 +10,7 @@ from hamnt import (Automorphism, ClauseResult, GeneratorSet, classify_theorem,
 from hamnt.cli import main
 from hamnt.family_codes import build_family, verify_family
 from hamnt.transitivity import CASE2, VERDICT_NONFIXING
+from helpers import count_sifts
 
 
 def words(code):
@@ -170,6 +171,24 @@ def test_stabilizer_clause_fails_on_a_proper_subgroup(m, monkeypatch):
         clause = report.clauses[-1]
         assert not clause.passed and report.stabilizer_order == order
         assert clause.detail == f"search order {order}, closure of stab_gens order {true_order}"
+
+
+def test_stabilizer_clause_certifies_in_few_sifts(monkeypatch):
+    # bounded by the search order, clause 7's Schreier-Sims certifies
+    # stab_gens by its random phase; the deterministic loop alone sifts
+    # 136 Schreier generators at m = 8
+    sifts, counts = count_sifts(monkeypatch), []
+    real_ss = hamnt.family_codes.schreier_sims
+
+    def counted(gens, bound=None):
+        sifts.clear()
+        chain = real_ss(gens, bound)
+        counts.append(len(sifts))
+        return chain
+
+    monkeypatch.setattr(hamnt.family_codes, "schreier_sims", counted)
+    assert verify_family(8, exhaustive=True).all_pass
+    assert len(counts) == 1 and counts[0] <= 20, counts
 
 
 def test_code_clauses_fail_on_a_moving_generator_and_a_fixing_witness(monkeypatch):

@@ -14,12 +14,12 @@ from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    least_outside, orbit, schreier_sims, setwise_stabilizer,
                    stabilizer_chain, stabilizes_set, translation)
 from hamnt.chain import (_block_levels, _canonical_levels, _grow, _key, _rebase,
-                         _schreier_sims)
+                         _schreier_sims, _walk)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
 from helpers import (brute_maps_into, brute_stabilizer_order, conjugated_by,
-                     random_automorphism, raw_apply)
+                     count_sifts, random_automorphism, raw_apply)
 
 H32 = HammingScheme(3, 2)
 H33 = HammingScheme(3, 3)
@@ -380,6 +380,67 @@ def test_schreier_sims_stops_at_a_known_order(monkeypatch):
     assert len(sifts) - to_the_end < to_the_end / 2
     with pytest.raises(RuntimeError, match="internal error"):
         _schreier_sims(gens, 16, levels, 2 * chain.order)
+
+
+def test_random_phase_matches_closure(monkeypatch):
+    # bounded by the true order, the random phase certifies the chain; by
+    # twice that, it cannot, and the deterministic loop finds the true order
+    sifts = count_sifts(monkeypatch)
+    rng = random.Random(44)
+    for scheme in (H32, H33, H42, HammingScheme(2, 4)):
+        levels = _block_levels(scheme.m, scheme.q)
+        ident = tuple(range(scheme.m * scheme.q))
+        for _ in range(10):
+            gens = GeneratorSet(scheme, tuple(random_automorphism(rng, scheme)
+                                              for _ in range(rng.randint(1, 3))))
+            elements = set(closure(gens))
+            for bound in (len(elements), 2 * len(elements)):
+                runs = []
+                for _ in range(2):
+                    sifts.clear()
+                    chain = schreier_sims(gens, bound)
+                    runs.append((chain.generators, len(sifts)))
+                assert chain.order == len(elements)
+                assert set(closure(GeneratorSet(scheme, chain.generators))) == elements
+                # the same found list and sift count on every call
+                assert runs[0] == runs[1]
+                # strong[k] generates G^(k), the elements fixing the keys
+                # of levels 0..k-1
+                _, strong, _ = _schreier_sims([x.points for x in gens.generators],
+                                              len(ident), levels, bound=bound)
+                for k, gens_k in enumerate(strong):
+                    fixing = {x for x in elements
+                              if all(_key(x.points, lv) == _key(ident, lv) for lv in levels[:k])}
+                    assert set(closure(GeneratorSet(scheme, tuple(
+                        Automorphism._trusted(scheme, s) for s in gens_k)))) == fixing
+
+
+def test_known_order_rebase_walks_the_same_elements(monkeypatch):
+    # the random phase changes which representatives the transversals hold,
+    # but the canonical levels determine each element, so the walk over
+    # the known-order re-base lists what the run to the end lists
+    sifts = count_sifts(monkeypatch)
+    cases = [(build_family(m).stab_gens, 2**m * math.factorial(m // 2)) for m in (6, 8)]
+    rng = random.Random(45)
+    for _ in range(40):
+        gens = GeneratorSet(H33, tuple(random_automorphism(rng, H33)
+                                       for _ in range(rng.randint(1, 2))))
+        cases.append((gens, len(closure(gens))))
+    walked = differ = 0
+    for gens, order in cases:
+        m, q = gens.scheme.m, gens.scheme.q
+        levels, ident = _canonical_levels(m, q), tuple(range(m * q))
+        points = [x.points for x in gens.generators]
+        sifts.clear()
+        _, _, known = _schreier_sims(points, m * q, levels, order)
+        if not sifts:
+            assert m == 3  # the family's generators need sifts
+            continue
+        _, _, full = _schreier_sims(points, m * q, levels)
+        assert list(_walk(known, levels, 0, ident)) == list(_walk(full, levels, 0, ident))
+        walked += 1
+        differ += known != full
+    assert walked >= 20 and differ >= 10, (walked, differ)
 
 
 def test_search_cap_and_scheme_are_checked_at_the_call():
