@@ -96,7 +96,7 @@ def cmd_stabilizer(args, out, err) -> int:
     data = {
         "m": code.scheme.m,
         "q": code.scheme.q,
-        "neighbour_count": len(code._neighbour_entries),
+        "neighbour_count": neighbour_count(code),
         "stabilizer_order": analysis.order,
         "fixes_code": first is None,
         "transitive_on_neighbours": analysis.transitive_on_neighbours,

@@ -3,8 +3,9 @@
 A Code stores its words sorted and deduplicated and is immutable; the
 derived quantities (minimum distance, neighbour set, kept as entry
 tuples and wrapped as vertices on demand) are cached on first use.
-Codes are stored extensionally even when they happen to be linear:
-linearity is detected, never declared.  Below the public functions a
+The neighbour set has one builder, _neighbour_entries, which checks the
+enumeration cap first.  Codes are stored extensionally even when they
+happen to be linear: linearity is detected, never declared.  Below the public functions a
 code is its sorted entry tuples (_entries, and _entry_set to look them
 up).  "x fixes a vertex set" has one rule, chain.fixes_entries, on entry
 tuples; stabilizes_set and is_code_automorphism are its boundary
@@ -106,7 +107,13 @@ class Code:
 
     @cached_property
     def _neighbour_entries(self) -> tuple[tuple[int, ...], ...]:
-        """Gamma_1(C) as sorted entry tuples."""
+        """Gamma_1(C) as sorted entry tuples, built only when the codewords'
+        neighbourhoods, len(C) * m * (q-1) vertices in all, are within the
+        enumeration cap."""
+        total = len(self) * self.scheme.m * (self.scheme.q - 1)
+        check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
+                  f"the neighbourhoods of {len(self)} codewords of {self.scheme} hold "
+                  f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
         return tuple(sorted(_neighbours_of(self._entries, self.scheme.q)))
 
     @cached_property
@@ -162,15 +169,10 @@ def neighbour_count(code: Code) -> int:
 
     The codewords' neighbourhoods hold len(C) * m * (q-1) vertices in all;
     when delta >= 3 they are disjoint and hold no codeword, so that total
-    is the answer.  Otherwise the total is checked against the enumeration
-    cap before Gamma_1(C) is built.
+    is the answer.
     """
-    total = len(code) * code.scheme.m * (code.scheme.q - 1)
     if code.min_distance >= 3:
-        return total
-    check_cap(math.log(total), lambda: total, DEFAULT_ENUMERATION_CAP,
-              f"the neighbourhoods of {len(code)} codewords of {code.scheme} hold "
-              f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+        return len(code) * code.scheme.m * (code.scheme.q - 1)
     return len(code._neighbour_entries)
 
 
@@ -179,8 +181,7 @@ def neighbourhoods_disjoint(code: Code) -> bool:
 
     Their sizes add up to len(C) * m * (q-1); their union is Gamma_1(C)
     plus the codewords adjacent to another codeword (none unless
-    delta = 1).  Gamma_1(C) is counted by neighbour_count, under its
-    enumeration cap.
+    delta = 1).  Gamma_1(C) is counted by neighbour_count.
     """
     m, q = code.scheme.m, code.scheme.q
     count = neighbour_count(code)

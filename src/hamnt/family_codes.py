@@ -13,19 +13,23 @@ a disjoint coset, which is what makes this family the source of
 neighbour-transitive codes that their neighbour-set stabilizer does not
 fix.
 
-Generator sets:
-  * autC_gens: translations by a basis of C, the doubled adjacent
-    transpositions (i i+1)(i+h i+1+h) for i < h-1, and the half-swap
-    prod_i (i, i+h), where h = m/2.  These generate the transitive
-    subgroup used to prove neighbour transitivity (closure order
-    |C| * h! * 2).
-  * stab_gens: translations by a basis of U, the same coordinate
-    permutations, and additionally the single-column swap (0, h).  For
-    m >= 6 the closure of these is the full neighbour-set stabilizer
-    N_U >| K' with K' the wreath product S_2 wr S_h; the column swap is
-    what extends the half-swap's simultaneous action to independent
-    per-column swaps.  (m = 4 is exceptional: there the stabilizer is
-    the larger group N_W >| S_4, with W all even-weight words.)
+Generator sets, built from one basis of U (the translations by the
+doubled unit words e_i) and the coordinate swaps of
+wreath_group._coordinate_swaps, with h = m/2:
+  * autC_gens: translations by a basis of C, the products of adjacent U
+    basis elements (the doubled words e_i + e_{i+1}), the doubled
+    adjacent transpositions (i i+1)(i+h i+1+h) for i < h-1, and the
+    half-swap prod_i (i, i+h).  These generate the transitive subgroup
+    used to prove neighbour transitivity (closure order |C| * h! * 2).
+  * stab_gens: the U basis, the same coordinate permutations, and
+    additionally the single-column swap (0, h).  For m >= 6 the closure
+    of these is the full neighbour-set stabilizer N_U >| K' with K' the
+    wreath product S_2 wr S_h; the column swap is what extends the
+    half-swap's simultaneous action to independent per-column swaps.
+    (m = 4 is exceptional: there the stabilizer is the larger group
+    N_W >| S_4, with W all even-weight words.)
+  * witness: the first U basis element, the translation by the doubled
+    e_0, which lies in U \\ C.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .transitivity import is_neighbour_transitive
 # unused here, but perfbench's tracer self-test checks that tracing rebinds it
 from .transitivity import setwise_stabilizer  # noqa: F401
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           translation)
+                           _coordinate_swaps, translation)
 
 
 @dataclass(frozen=True)
@@ -93,30 +97,6 @@ def _doubled(scheme: HammingScheme, beta: tuple[int, ...]) -> Vertex:
     return Vertex(scheme, beta + beta)
 
 
-def _doubled_transposition(scheme: HammingScheme, i: int) -> Automorphism:
-    """Coordinate permutation (i i+1)(i+h i+1+h): same transposition on both halves."""
-    h = scheme.m // 2
-    images = list(range(scheme.m))
-    images[i], images[i + 1] = images[i + 1], images[i]
-    images[i + h], images[i + 1 + h] = images[i + 1 + h], images[i + h]
-    return Automorphism.from_coord_perm(scheme, images)
-
-
-def _half_swap(scheme: HammingScheme) -> Automorphism:
-    """Coordinate permutation exchanging the two halves wholesale."""
-    h = scheme.m // 2
-    return Automorphism.from_coord_perm(
-        scheme, [(i + h) % scheme.m for i in range(scheme.m)])
-
-
-def _column_swap(scheme: HammingScheme) -> Automorphism:
-    """Coordinate transposition (0, h): swaps the halves in column 0 only."""
-    h = scheme.m // 2
-    images = list(range(scheme.m))
-    images[0], images[h] = images[h], images[0]
-    return Automorphism.from_coord_perm(scheme, images)
-
-
 def build_family(m: int) -> FamilyInstance:
     """Construct U, C, the generator sets, and the non-fixing witness.
     The enumeration cap bounds the entries of what the family builds:
@@ -134,31 +114,21 @@ def build_family(m: int) -> FamilyInstance:
     U = Code(scheme, (_doubled(scheme, b) for b in halves))
     C = Code(scheme, (_doubled(scheme, b) for b in halves if sum(b) % 2 == 0))
 
-    # basis of C: doubled adjacent weight-2 words e_i + e_{i+1}
-    c_basis = []
-    for i in range(h - 1):
-        b = [0] * h
-        b[i] = b[i + 1] = 1
-        c_basis.append(translation(_doubled(scheme, tuple(b))))
-    # basis of U: doubled unit words
-    u_basis = []
-    for i in range(h):
-        b = [0] * h
-        b[i] = 1
-        u_basis.append(translation(_doubled(scheme, tuple(b))))
-
-    k_gens = [_doubled_transposition(scheme, i) for i in range(h - 1)]
-    k_gens.append(_half_swap(scheme))
+    # translations by the doubled unit words, a basis of U; their
+    # adjacent products translate by a basis of C
+    u_basis = [translation(_doubled(scheme, tuple([int(j == i) for j in range(h)])))
+               for i in range(h)]
+    c_basis = [u_basis[i].compose(u_basis[i + 1]) for i in range(h - 1)]
+    swaps = [[(i, i + 1), (i + h, i + 1 + h)] for i in range(h - 1)]
+    swaps.append([(i, i + h) for i in range(h)])
+    k_gens = [_coordinate_swaps(scheme, pairs) for pairs in swaps]
 
     autC_gens = GeneratorSet(scheme, tuple(c_basis + k_gens))
-    stab_gens = GeneratorSet(scheme, tuple(u_basis + k_gens + [_column_swap(scheme)]))
-
-    e0 = [0] * h
-    e0[0] = 1
-    witness = translation(_doubled(scheme, tuple(e0)))
+    stab_gens = GeneratorSet(scheme, tuple(
+        u_basis + k_gens + [_coordinate_swaps(scheme, [(0, h)])]))
 
     return FamilyInstance(m=m, scheme=scheme, U=U, C=C, autC_gens=autC_gens,
-                          stab_gens=stab_gens, witness=witness)
+                          stab_gens=stab_gens, witness=u_basis[0])
 
 
 def verify_family(m: int, exhaustive: bool = False,

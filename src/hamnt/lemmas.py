@@ -46,14 +46,16 @@ class LemmaSuiteReport:
                 "all_pass": self.all_pass}
 
 
-def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list[Code]:
-    verts = list(scheme.vertices())
+def _sample_codes(scheme: HammingScheme, vertices: list[tuple[int, ...]],
+                  rng: random.Random, count: int) -> list[Code]:
+    """The family C where the scheme has one, then codes of 2 or 3 words
+    drawn from the vertices (entry tuples in canonical order)."""
     codes = []
     if scheme.q == 2 and scheme.m >= 4 and scheme.m % 2 == 0:
         codes.append(build_family(scheme.m).C)
     while len(codes) < count:
-        size = min(rng.choice((2, 3)), len(verts))
-        codes.append(Code(scheme, rng.sample(verts, size)))
+        size = min(rng.choice((2, 3)), len(vertices))
+        codes.append(Code.from_entries(scheme, rng.sample(vertices, size)))
     return codes
 
 
@@ -155,7 +157,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     else:
         checks.append(ClauseResult("triples_single_orbit", True,
                                    "no triples exist at m = 1"))
-    codes = _sample_codes(scheme, random.Random(seed), 6)
+    codes = _sample_codes(scheme, vertices, random.Random(seed), 6)
     implication_ok, aut_count = True, 0
     for code in codes:
         aut = _stabilizer_chain(code._entries, scheme)

@@ -66,7 +66,7 @@ def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
     if gens.scheme != code.scheme:
         raise SchemeMismatchError("generators from a different scheme")
     if not code._neighbour_entries:
-        raise ValueError("neighbour set is empty; transitivity is undefined")
+        raise HypothesisError("neighbour set is empty; transitivity is undefined")
     return (_neighbours_fixed_by(code, gens.generators)
             and _transitive_on_neighbours(code, gens.generators))
 

@@ -204,6 +204,15 @@ def group_order(scheme: HammingScheme) -> int:
     return math.factorial(scheme.q) ** scheme.m * math.factorial(scheme.m)
 
 
+def _coordinate_swaps(scheme: HammingScheme, pairs) -> Automorphism:
+    """The coordinate permutation swapping positions i and j for each of
+    the disjoint pairs (i, j)."""
+    images = list(range(scheme.m))
+    for i, j in pairs:
+        images[i], images[j] = j, i
+    return Automorphism.from_coord_perm(scheme, images)
+
+
 def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
     """Standard generators of the full group: S_q on coordinate 0 plus S_m."""
     m, q = scheme.m, scheme.q
@@ -217,9 +226,7 @@ def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
         gens.append(Automorphism(scheme, (cycle,) + (ident,) * (m - 1),
                                  tuple(range(m))))
     if m > 1:
-        images = list(range(m))
-        images[0], images[1] = images[1], images[0]
-        gens.append(Automorphism.from_coord_perm(scheme, images))
+        gens.append(_coordinate_swaps(scheme, [(0, 1)]))
         if m > 2:
             gens.append(Automorphism.from_coord_perm(
                 scheme, [(i + 1) % m for i in range(m)]))

@@ -210,6 +210,31 @@ def test_analyze_by_arithmetic_when_delta_at_least_3(tmp_path):
     assert "neighbour_set" not in vars(huge)
 
 
+
+def test_every_command_checks_the_neighbour_set_enumeration_cap(tmp_path, monkeypatch):
+    # with a cap of 10, the neighbourhoods of the family's 8 (C) and 16 (U)
+    # words at m = 8 are over it; analyze counts C's Gamma_1 by arithmetic
+    # (delta = 4), and every command that builds a Gamma_1 refuses it with
+    # the one message
+    monkeypatch.setattr(hamnt.code_model, "DEFAULT_ENUMERATION_CAP", 10)
+    inst = build_family(8)
+    paths = {}
+    for name in ("C", "U"):
+        paths[name] = str(tmp_path / f"{name}.code")
+        write_code_file(getattr(inst, name), paths[name])
+
+    def refused(words):
+        return (2, "", f"feasibility: the neighbourhoods of {words} codewords of "
+                f"H(8,2) hold {8 * words} vertices, over the enumeration cap 10\n")
+
+    assert run(["analyze", "--input", paths["U"]]) == refused(16)
+    assert run(["stabilizer", "--input", paths["U"]]) == refused(16)
+    for command in ("classify", "stabilizer"):
+        assert run([command, "--input", paths["C"]]) == refused(8)
+    code, out, err = run(["analyze", "--input", paths["C"]])
+    assert (code, err) == (0, "")
+    assert "neighbour_count: 64" in out.splitlines()
+
 def test_stabilizer_command_agrees_with_classify(tmp_path):
     rng = random.Random(11)
     h33 = HammingScheme(3, 3)

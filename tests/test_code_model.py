@@ -99,6 +99,18 @@ def test_neighbourhoods_disjoint_checks_the_enumeration_cap(monkeypatch):
             f(code)
 
 
+
+def test_neighbour_set_checks_the_enumeration_cap(monkeypatch):
+    # delta = 4: neighbour_count is arithmetic, but building Gamma_1(C), 16
+    # vertices, is refused under a cap of 10; the empty code builds nothing
+    monkeypatch.setattr(hamnt.code_model, "DEFAULT_ENUMERATION_CAP", 10)
+    code = Code.from_entries(HammingScheme(4, 3), [[0, 0, 0, 0], [1, 1, 1, 1]])
+    assert neighbour_count(code) == 16
+    with pytest.raises(FeasibilityError, match="hold 16 vertices, over the "
+                       "enumeration cap 10"):
+        code.neighbour_set
+    assert Code(HammingScheme(4, 3), []).neighbour_set == ()
+
 def test_shell_examples():
     assert shell(H42.zero(), 0) == (H42.zero(),)
     assert len(shell(H42.vertex([1, 0, 1, 0]), 2)) == 6

@@ -5,8 +5,8 @@ import math
 import pytest
 
 import hamnt.family_codes
-from hamnt import (Automorphism, ClauseResult, GeneratorSet, classify_theorem,
-                   closure, translation, vertex_to_text)
+from hamnt import (Automorphism, ClauseResult, GeneratorSet, HammingScheme,
+                   Vertex, classify_theorem, closure, translation, vertex_to_text)
 from hamnt.cli import main
 from hamnt.family_codes import build_family, verify_family
 from hamnt.transitivity import CASE2, VERDICT_NONFIXING
@@ -59,6 +59,34 @@ def test_autC_closure_order_formula():
         expected = len(inst.C) * math.factorial(m // 2) * 2
         assert len(closure(inst.autC_gens)) == expected
 
+
+
+@pytest.mark.parametrize("m", range(4, 13, 2))
+def test_generators_match_the_construction_spelled_out(m):
+    # translations by doubled words, and coordinate permutations as image
+    # lists: (i i+1)(i+h i+1+h) for i < h-1, the half swap, the column swap
+    scheme, h = HammingScheme(m, 2), m // 2
+
+    def doubled(*ones):
+        beta = [int(j in ones) for j in range(h)]
+        return translation(Vertex(scheme, tuple(beta + beta)))
+
+    def coords(images):
+        return Automorphism.from_coord_perm(scheme, images)
+
+    k_gens = [coords([j + 1 if j % h == i else j - 1 if j % h == i + 1 else j
+                      for j in range(m)]) for i in range(h - 1)]
+    k_gens.append(coords([(j + h) % m for j in range(m)]))
+    column = coords([h if j == 0 else 0 if j == h else j for j in range(m)])
+    if m == 4:
+        assert [x.coord_perm for x in k_gens + [column]] == [
+            (1, 0, 3, 2), (2, 3, 0, 1), (2, 1, 0, 3)]
+    inst = build_family(m)
+    assert inst.autC_gens.generators == tuple(
+        [doubled(i, i + 1) for i in range(h - 1)] + k_gens)
+    assert inst.stab_gens.generators == tuple(
+        [doubled(i) for i in range(h)] + k_gens + [column])
+    assert inst.witness == doubled(0)
 
 def test_verify_family_m4_exhaustive():
     report = verify_family(4, exhaustive=True)

@@ -121,7 +121,7 @@ def test_is_neighbour_transitive():
 
 def test_is_neighbour_transitive_empty_neighbour_set():
     everything = Code(H22, list(H22.vertices()))
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError, match="neighbour set is empty"):
         is_neighbour_transitive(everything, GeneratorSet(H22, ()))
 
 
