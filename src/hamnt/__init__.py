@@ -6,9 +6,8 @@ verification, the doubled-vector binary family, and the structural
 lemma suite."""
 
 from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
-                     ImageInCodeError, LemmaViolationError, MinDistanceError,
-                     NotACodewordError, NotNeighbourStabilizerError,
-                     SchemeMismatchError)
+                     ImageInCodeError, MinDistanceError, NotACodewordError,
+                     NotNeighbourStabilizerError, SchemeMismatchError)
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Triple,
                            Vertex, common_neighbours, distance,
                            enumerate_triples, neighbours, shell,
@@ -24,8 +23,7 @@ from .code_model import (Code, code_to_text, find_equivalence,
                          neighbour_count, neighbour_stabilizer,
                          neighbourhoods_disjoint, parse_code_text,
                          read_code_file, stabilizes_set, write_code_file)
-from .precodeword import (PreReport, c_of_pi, pre_codewords,
-                          pre_for_neighbour, verify_pre_structure)
+from .precodeword import PreReport, pre_codewords, verify_pre_structure
 from .transitivity import (CASE2, CASE3, VERDICT_FIXED, VERDICT_NONFIXING,
                            VIOLATION, ClassificationReport, StabilizerAnalysis,
                            analyze_stabilizer, classify_theorem,
@@ -51,8 +49,7 @@ __all__ = [
     "neighbour_stabilizer", "neighbourhoods_disjoint",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",
     "write_code_file",
-    "PreReport", "pre_codewords", "pre_for_neighbour", "c_of_pi",
-    "verify_pre_structure",
+    "PreReport", "pre_codewords", "verify_pre_structure",
     "ClassificationReport", "setwise_stabilizer", "is_neighbour_transitive",
     "classify_theorem", "StabilizerAnalysis",
     "analyze_stabilizer", "VERDICT_FIXED", "VERDICT_NONFIXING", "CASE2",
@@ -62,5 +59,5 @@ __all__ = [
     "ClauseResult",
     "SchemeMismatchError", "FeasibilityError", "CodeFormatError",
     "HypothesisError", "MinDistanceError", "NotACodewordError",
-    "NotNeighbourStabilizerError", "ImageInCodeError", "LemmaViolationError",
+    "NotNeighbourStabilizerError", "ImageInCodeError",
 ]

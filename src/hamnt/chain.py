@@ -53,7 +53,7 @@ import random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SchemeMismatchError
-from .hamming_core import HammingScheme, Vertex
+from .hamming_core import DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex, check_cap
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            _images, _invert, _mover, _points, check_group_cap)
 
@@ -88,9 +88,13 @@ def _pruning_model(words: Sequence[tuple[int, ...]], targets: Sequence[tuple[int
     symbol c, where pos_val[p][c] is the bitmask of the targets t with
     t[p] == c; levels[k] lists the distinct source prefixes w[:k+1] as
     (parent, symbol, size): parent indexes the prefixes w[:k] of
-    levels[k-1], and size counts the sources with that prefix.
+    levels[k-1], and size counts the sources with that prefix.  The rows
+    hold m * q! * q masks, checked against the enumeration cap first.
     """
     m, q = scheme.m, scheme.q
+    check_cap(math.log(m * q) + math.lgamma(q + 1), lambda: m * math.factorial(q) * q,
+              DEFAULT_ENUMERATION_CAP, f"the search's permutation table for {scheme} "
+              f"holds {{size}} masks, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     perms = list(itertools.permutations(range(q)))
     pos_val = [[0] * q for _ in range(m)]
     for t, w in enumerate(targets):

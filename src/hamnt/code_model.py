@@ -224,13 +224,18 @@ def _determined_entries(code: Code) -> list[tuple[int, ...]]:
     neighbours of a pre-codeword, but at most (m-1)(q-1) of a vertex in
     Gamma_1(C), and none of a codeword.  So the pre-codewords are the
     vertices at distance 2 from exactly m(q-1)/2 codewords, and none exist
-    when m(q-1) is odd or C has fewer words.
+    when m(q-1) is odd or C has fewer words.  Its len(C) C(m,2) (q-1)^2
+    steps are checked against the enumeration cap first.
     """
     m, q = code.scheme.m, code.scheme.q
     words = list(code._entries)
     half, odd = divmod(m * (q - 1), 2)
     if odd or len(words) < half:
         return words
+    total = len(words) * math.comb(m, 2) * (q - 1) ** 2
+    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
+              f"the distance-2 shells of {len(words)} codewords of {code.scheme} hold "
+              f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     # each vertex as a base-q number, first entry most significant: a
     # distance-2 step adds the changes of two digits
     place = [q ** (m - 1 - i) for i in range(m)]

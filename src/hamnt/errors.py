@@ -2,7 +2,8 @@
 
 Exit-code mapping, applied once in `hamnt.cli.main`:
   * HypothesisError / FeasibilityError / format and file errors -> usage (2)
-  * LemmaViolationError -> mathematical falsification (1)
+  * a failed clause or a VIOLATION verdict in a command's report, not an
+    exception -> mathematical falsification (1)
 """
 
 
@@ -43,8 +44,3 @@ class NotNeighbourStabilizerError(HypothesisError):
 
 class ImageInCodeError(HypothesisError):
     """The automorphism maps the chosen codeword back into the code."""
-
-
-class LemmaViolationError(RuntimeError):
-    """An internally asserted lemma failed; this falsifies the mathematics
-    the package checks and is never expected on valid inputs."""

@@ -8,8 +8,8 @@ group or builds an orbit over the triples."""
 from __future__ import annotations
 
 import itertools
-import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +18,7 @@ from .chain import (StabilizerChain, _rebase, _stabilizer_chain, _walk,
 from .code_model import Code, neighbour_stabilizer
 from .family_codes import build_family
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, _ball1,
-                           _triple_entries, check_enumeration_cap)
+                           _shell_entries, check_enumeration_cap)
 from .precodeword import verify_pre_structure
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images, _mover,
@@ -118,7 +118,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     the number of all of them.  No clause lists a group.  The standard
     generators count once Schreier-Sims certifies that they generate the
     full group G; the triple orbit then has |G| / |G_t| elements for the
-    first triple t, set against the enumerated triple count.  Aut(C) is
+    first triple t, set against the walk's triple count.  Aut(C) is
     the stabilizer chain of C; the elements stabilizing a set form a
     subgroup, so its strong generators cover every element.
     """
@@ -130,16 +130,21 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
 
     vertices = list(itertools.product(range(q), repeat=m))
     balls = {v: set(_ball1(v, q)) for v in vertices}
-    pairs = [(u, v) for u, v in itertools.combinations(vertices, 2)
-             if sum(map(operator.ne, u, v)) == 2]
-    size2_ok = all(len(balls[u] & balls[v]) == 2 for u, v in pairs)
+    # the ordered distance-2 pairs by their number of common neighbours: a
+    # triple is such a pair with one of them, t0 the first pair's least
+    sizes = Counter()
+    for u in vertices:
+        ball = balls[u]
+        sizes.update([len(ball & balls[v]) for v in _shell_entries(u, q, 2)])
+    alpha, ring = vertices[0], _shell_entries(vertices[0], q, 2)
+    first = ring and balls[alpha] & balls[ring[0]]
+    t0 = alpha + min(first) + ring[0] if first else None
     checks.append(ClauseResult(
-        "two_common_neighbours", size2_ok, f"{len(pairs)} distance-2 pairs"))
+        "two_common_neighbours", set(sizes) <= {2},
+        f"{sum(sizes.values()) // 2} distance-2 pairs"))
 
-    triples = iter(_triple_entries(scheme))
-    t0 = next(triples, None)
     if t0 is not None:
-        count = 1 + sum(1 for _ in triples)
+        count = sum(k * n for k, n in sizes.items())
         gens = full_group_generators(scheme)
         # bounded by |G|, Schreier-Sims reaches it iff gens generate G
         certified = schreier_sims(gens, order).order == order

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .code_model import Code, _neighbours_fixed_by
-from .errors import (ImageInCodeError, LemmaViolationError, MinDistanceError,
-                     NotACodewordError, NotNeighbourStabilizerError,
-                     SchemeMismatchError)
-from .hamming_core import (Vertex, _ball1, _shell_entries, distance, shell,
-                           vertex_to_text)
+from .errors import (ImageInCodeError, MinDistanceError, NotACodewordError,
+                     NotNeighbourStabilizerError, SchemeMismatchError)
+from .hamming_core import Vertex, _ball1, _shell_entries, vertex_to_text
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import Automorphism, _images, automorphism_to_text
 
@@ -99,32 +97,6 @@ def pre_codewords(code: Code, alpha: Vertex, y: Automorphism) -> tuple[Vertex, .
     return tuple([Vertex(code.scheme, pi) for pi in _pre_entries(code, alpha, y)])
 
 
-def pre_for_neighbour(code: Code, alpha: Vertex, y: Automorphism,
-                      nu: Vertex) -> Vertex:
-    """The unique pre-codeword adjacent to the given neighbour nu of alpha."""
-    if distance(alpha, nu) != 1:
-        raise ValueError(f"{vertex_to_text(nu)} is not a neighbour of "
-                         f"{vertex_to_text(alpha)}")
-    candidates = [pi for pi in pre_codewords(code, alpha, y)
-                  if distance(nu, pi) == 1]
-    if len(candidates) != 1:
-        raise LemmaViolationError(
-            f"expected exactly one pre-codeword adjacent to {vertex_to_text(nu)}, "
-            f"found {len(candidates)}: this falsifies the uniqueness lemma")
-    return candidates[0]
-
-
-def c_of_pi(code: Code, pi: Vertex) -> tuple[Vertex, ...]:
-    """Codewords at distance exactly 2 from pi (the dual set of pi)."""
-    if pi.scheme != code.scheme:
-        raise SchemeMismatchError("pi from a different scheme")
-    if code.min_distance < 3:
-        raise MinDistanceError("the dual set needs minimum distance >= 3")
-    if pi in code:
-        raise ValueError(f"{vertex_to_text(pi)} is a codeword")
-    return tuple(b for b in shell(pi, 2) if b in code)
-
-
 def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreReport:
     """Exhaustively check the pre-codeword structure for one (alpha, y) pair.
 
@@ -161,20 +133,16 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
         "pre_neighbours_inside_code_neighbours", inside,
         f"checked {len(pre)} pre-codewords"))
 
-    dual_ok = True
-    images_ok = True
-    dual_detail = []
+    images_ok, failed = True, []
     for pi in pre:
         duals = [b for b in _shell_entries(pi, q, 2) if b in words]
         _, sizes_ok, disjoint_pi, covered_pi = _cells(set(_ball1(pi, q)), duals, q)
-        if not words.isdisjoint(_images(y._moves, duals)):
-            images_ok = False
+        images_ok = images_ok and words.isdisjoint(_images(y._moves, duals))
         if not (2 * len(duals) == target and sizes_ok and disjoint_pi and covered_pi):
-            dual_ok = False
-            dual_detail.append(vertex_to_text(Vertex(scheme, pi)))
+            failed.append(vertex_to_text(Vertex(scheme, pi)))
     clauses.append(ClauseResult(
-        "dual_cells_partition", dual_ok,
-        "all pre-codewords" if dual_ok else f"failed at {','.join(dual_detail)}"))
+        "dual_cells_partition", not failed,
+        f"failed at {','.join(failed)}" if failed else "all pre-codewords"))
     clauses.append(ClauseResult(
         "dual_images_outside_code", images_ok,
         f"checked duals of {len(pre)} pre-codewords"))

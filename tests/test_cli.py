@@ -235,6 +235,44 @@ def test_every_command_checks_the_neighbour_set_enumeration_cap(tmp_path, monkey
     assert (code, err) == (0, "")
     assert "neighbour_count: 64" in out.splitlines()
 
+def test_every_command_checks_the_distance_2_count_of_d(tmp_path, monkeypatch):
+    # with a cap of 100 on code_model's counts, the family C at m = 8 has a
+    # Gamma_1 total of 8 * 8 = 64, within it, but counting D = C plus its
+    # pre-codewords steps over 8 * C(8,2) = 224 distance-2 vertices;
+    # analyze builds no D
+    monkeypatch.setattr(hamnt.code_model, "DEFAULT_ENUMERATION_CAP", 100)
+    path = str(tmp_path / "C.code")
+    write_code_file(build_family(8).C, path)
+    refused = (2, "", "feasibility: the distance-2 shells of 8 codewords of H(8,2) "
+               "hold 224 vertices, over the enumeration cap 100\n")
+    for command in ("classify", "stabilizer"):
+        assert run([command, "--input", path]) == refused
+    code, out, err = run(["analyze", "--input", path])
+    assert (code, err) == (0, "")
+    assert "neighbour_count: 64" in out.splitlines()
+
+
+def test_search_checks_its_permutation_table_against_the_enumeration_cap(
+        tmp_path, monkeypatch):
+    # the search tabulates m * q! * q masks: 600 for H(1,5) and 4320 for
+    # H(1,6) against a cap of 1000
+    monkeypatch.setattr(hamnt.chain, "DEFAULT_ENUMERATION_CAP", 1000)
+    assert run(["lemmas", "--m", "1", "--q", "5"])[0] == 0
+    assert run(["lemmas", "--m", "1", "--q", "6"]) == (
+        2, "", "feasibility: the search's permutation table for H(1,6) holds 4320 "
+        "masks, over the enumeration cap 1000\n")
+    # under the default caps, lemmas on H(1,10) and H(1,11), and stabilizer
+    # on a code of theirs, are refused before the table is built
+    monkeypatch.setattr(hamnt.chain, "DEFAULT_ENUMERATION_CAP", 10**7)
+    for q, size in [(10, 36288000), (11, 439084800)]:
+        line = (f"feasibility: the search's permutation table for H(1,{q}) holds "
+                f"{size} masks, over the enumeration cap 10000000\n")
+        assert run(["lemmas", "--m", "1", "--q", str(q)]) == (2, "", line)
+        path = tmp_path / f"h1{q}.code"
+        path.write_text(f"1 {q}\n3\n")
+        assert run(["stabilizer", "--input", str(path)]) == (2, "", line)
+
+
 def test_stabilizer_command_agrees_with_classify(tmp_path):
     rng = random.Random(11)
     h33 = HammingScheme(3, 3)

@@ -29,3 +29,29 @@ def test_every_tracer_target_resolves():
         for part in cls_path:
             owner = getattr(owner, part)
         assert attr in vars(owner), f"{layer}.{target}"
+
+
+def test_every_import_in_the_package_is_used():
+    # no linter runs on the package, so this is its unused-import check;
+    # __init__.py re-exports and a line marked noqa is kept on purpose
+    root = Path(hamnt.__file__).resolve().parent
+    unused = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

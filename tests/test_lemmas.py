@@ -5,6 +5,7 @@ counts of the triple orbit and the pre-codeword witnesses."""
 import dataclasses
 import io
 import json
+import math
 import random
 from pathlib import Path
 
@@ -23,8 +24,11 @@ from hamnt.wreath_group import DEFAULT_GROUP_CAP, _orbit
 from helpers import listed_witnesses, random_code_min_distance, vertex_pre_structure
 
 # `lemmas --format json` on each (m, q, seed), keyed "m,q,seed", as
-# [exit code, stdout], recorded at commit f4990cd, where the triple orbit
-# streamed the full group and Aut(C) was listed element by element.
+# [exit code, stdout].  The keys with m, q in H(1..6,2), H(1..4,3) and
+# H(2,4) were recorded at commit f4990cd, where the triple orbit streamed
+# the full group and Aut(C) was listed element by element; H(7,2),
+# H(5,3), H(6,3), H(4,4), H(3,5) and H(2,6) at seed 0 at commit 9c6e197,
+# where an all-pairs scan counted the distance-2 pairs.
 PINNED = json.loads((Path(__file__).parent / "data" / "lemmas_pinned.json").read_text())
 
 
@@ -144,24 +148,60 @@ def test_triple_orbit_fails_under_proper_subgroup(subgroup, detail, monkeypatch)
 
 
 def test_triple_orbit_fails_when_a_triple_is_missing(monkeypatch):
-    real = hamnt.lemmas._triple_entries
-    monkeypatch.setattr(hamnt.lemmas, "_triple_entries",
-                        lambda scheme: list(real(scheme))[:-1])
+    # the walk misses the last ordered pair (1111, 1100), and with it the
+    # two triples through that pair
+    real = hamnt.lemmas._shell_entries
+    monkeypatch.setattr(
+        hamnt.lemmas, "_shell_entries",
+        lambda w, q, r: real(w, q, r)[:-1] if w == (1, 1, 1, 1) else real(w, q, r))
     code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
     assert code == 1
     assert json.loads(out)["checks"][1] == {
         "clause": "triples_single_orbit", "pass": False,
-        "detail": "orbit 192 of 191 triples under 384 elements"}
+        "detail": "orbit 192 of 190 triples under 384 elements"}
 
 
 def test_two_common_neighbours_fails_when_a_neighbour_is_missing(monkeypatch):
+    # each ball misses its first neighbour, so some pairs share fewer than
+    # two neighbours, and the triples through them are missing too
     real = hamnt.lemmas._ball1
     monkeypatch.setattr(hamnt.lemmas, "_ball1", lambda w, q: real(w, q)[1:])
     code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
     assert code == 1
-    assert json.loads(out)["checks"][0] == {
-        "clause": "two_common_neighbours", "pass": False,
-        "detail": "48 distance-2 pairs"}
+    assert json.loads(out)["checks"][:2] == [
+        {"clause": "two_common_neighbours", "pass": False,
+         "detail": "48 distance-2 pairs"},
+        {"clause": "triples_single_orbit", "pass": False,
+         "detail": "orbit 192 of 96 triples under 384 elements"}]
+
+
+# every (m, q) with m >= 2 and q^m <= 729 that the default caps admit; at
+# m = 1 there is no pair, as the pinned H(1,3) outputs show
+ORACLE_SCHEMES = [(m, 2) for m in range(2, 9)] + [(m, 3) for m in range(2, 7)] + [
+    (2, 4), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6), (2, 7)]
+
+
+@pytest.mark.parametrize("m, q", ORACLE_SCHEMES)
+def test_pair_walk_matches_closed_form(m, q, monkeypatch):
+    """The walk counts q^m C(m,2) (q-1)^2 / 2 distance-2 pairs, each with
+    two common neighbours, and twice as many triples as ordered pairs;
+    the triple it hands to the orbit-stabilizer count is the first one
+    _triple_entries yields."""
+    real = hamnt.lemmas._triple_stabilizer_order
+    seen = []
+
+    def recorded(scheme, triple):
+        seen.append(triple)
+        return real(scheme, triple)
+
+    monkeypatch.setattr(hamnt.lemmas, "_triple_stabilizer_order", recorded)
+    ordered = q**m * math.comb(m, 2) * (q - 1) ** 2
+    report = run_lemma_suite(m, q)
+    assert report.checks[0] == ClauseResult(
+        "two_common_neighbours", True, f"{ordered // 2} distance-2 pairs")
+    assert report.checks[1].passed
+    assert report.checks[1].detail.startswith(f"orbit {2 * ordered} of {2 * ordered} triples")
+    assert seen == [next(_triple_entries(HammingScheme(m, q)))]
 
 
 def test_implication_fails_when_a_code_automorphism_moves_the_neighbours(monkeypatch):

@@ -4,9 +4,8 @@ import pytest
 
 from hamnt import (Automorphism, Code, HammingScheme, ImageInCodeError,
                    MinDistanceError, NotACodewordError,
-                   NotNeighbourStabilizerError, c_of_pi, pre_codewords,
-                   pre_for_neighbour, shell, translation, vertex_to_text,
-                   verify_pre_structure)
+                   NotNeighbourStabilizerError, pre_codewords, shell,
+                   translation, vertex_to_text, verify_pre_structure)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import _ball1
 from hamnt.precodeword import _cells
@@ -67,32 +66,13 @@ def test_pre_codewords_hypothesis_errors():
         pre_codewords(short, short.words[0], Automorphism.identity(short.scheme))
 
 
-def test_pre_for_neighbour_m4():
-    alpha = H42.zero()
-    cases = {
-        (0, 1, 0, 0): "0101",
-        (1, 0, 0, 0): "1010",
-        (0, 0, 0, 1): "0101",
-        (0, 0, 1, 0): "1010",
-    }
-    for entries, expected in cases.items():
-        pi = pre_for_neighbour(INST4.C, alpha, Y4, H42.vertex(entries))
-        assert vertex_to_text(pi) == expected
-
-
-def test_pre_for_neighbour_rejects_non_neighbour():
-    with pytest.raises(ValueError):
-        pre_for_neighbour(INST4.C, H42.zero(), Y4, H42.vertex([1, 1, 0, 0]))
-
-
-def test_c_of_pi_examples():
-    got = c_of_pi(INST4.C, H42.vertex([0, 1, 0, 1]))
-    assert vset(got) == {"0000", "1111"}
-    assert 2 * len(got) == 4  # m(q-1)
-    got = c_of_pi(INST4.C, H42.vertex([1, 1, 0, 0]))
-    assert vset(got) == {"0000", "1111"}
-    with pytest.raises(ValueError):
-        c_of_pi(INST4.C, H42.zero())
+def test_cells_map_each_neighbour_to_its_pre_codeword_m4():
+    # the cells G1(alpha) & G1(pi) give each neighbour nu of alpha the one
+    # pre-codeword pi adjacent to it
+    report = verify_pre_structure(INST4.C, H42.zero(), Y4)
+    pre_of = {vertex_to_text(nu): vertex_to_text(pi)
+              for pi, cell in report.cells for nu in cell}
+    assert pre_of == {"0100": "0101", "1000": "1010", "0001": "0101", "0010": "1010"}
 
 
 def test_verify_pre_structure_m4():
