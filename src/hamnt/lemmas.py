@@ -19,7 +19,7 @@ from .code_model import Code, neighbour_stabilizer
 from .family_codes import build_family
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, _ball1,
                            _shell_entries, check_enumeration_cap)
-from .precodeword import verify_pre_structure
+from .precodeword import _verify_pre_structures
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images, _mover,
                            _orbit, check_group_cap, full_group_generators)
@@ -114,13 +114,14 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     one-orbit law for triples under the full group; the implication
     "fixes the code => stabilizes its neighbour set" on Aut(C) for
     sampled codes; and the full pre-codeword structure on the first
-    MAX_PRE_VERIFICATIONS (alpha, y) neighbour-stabilizer witnesses, with
-    the number of all of them.  No clause lists a group.  The standard
-    generators count once Schreier-Sims certifies that they generate the
-    full group G; the triple orbit then has |G| / |G_t| elements for the
-    first triple t, set against the walk's triple count.  Aut(C) is
-    the stabilizer chain of C; the elements stabilizing a set form a
-    subgroup, so its strong generators cover every element.
+    MAX_PRE_VERIFICATIONS (alpha, y) neighbour-stabilizer witnesses, one
+    batch per code, with the number of all of them.  No clause lists a
+    group.  The standard generators count once Schreier-Sims certifies
+    that they generate the full group G; the triple orbit then has
+    |G| / |G_t| elements for the first triple t, set against the walk's
+    triple count.  Aut(C) is the stabilizer chain of C; the elements
+    stabilizing a set form a subgroup, so its strong generators cover
+    every element.
     """
     scheme = HammingScheme(m, q)
     check_enumeration_cap(scheme, DEFAULT_ENUMERATION_CAP)
@@ -176,8 +177,12 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         f"{aut_count} code automorphisms over {len(codes)} sampled codes"))
 
     checked, total = _witnesses(codes, group_cap, MAX_PRE_VERIFICATIONS)
-    # a list, so that every witness is checked even after a failure
-    pre_ok = all([verify_pre_structure(*w).all_pass for w in checked])
+    # one batch per code, as the witnesses come code by code; every report
+    # is built before any is read, so every witness is checked after a failure
+    reports = []
+    for code, group in itertools.groupby(checked, key=lambda w: w[0]):
+        reports.extend(_verify_pre_structures(code, [(alpha, y) for _, alpha, y in group]))
+    pre_ok = all(r.all_pass for r in reports)
     checks.append(ClauseResult(
         "pre_structure_on_witnesses", pre_ok,
         f"verified {len(checked)} of {total} discovered (alpha, y) pairs"))

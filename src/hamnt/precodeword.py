@@ -9,6 +9,10 @@ neighbourhood of alpha into 2-element cells, which forces
 pre-codeword pi partition the neighbourhood of pi.  verify_pre_structure
 checks all of this exhaustively and reports per clause; a failing clause
 would falsify the underlying mathematics, so it is expected never to fire.
+It is the one-pair case of _verify_pre_structures, which verifies many
+pairs of one code and does the work that does not depend on the pair
+once: the duals and dual cells of each pre-codeword, and the test that
+each y stabilizes the neighbour set.  Its memos live for one call.
 
 The hypotheses are checked eagerly with typed errors: the statements are
 conditional, and silently proceeding would verify vacuous claims.
@@ -17,7 +21,7 @@ conditional, and silently proceeding would verify vacuous claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .code_model import Code, _neighbours_fixed_by
 from .errors import (ImageInCodeError, MinDistanceError, NotACodewordError,
@@ -54,7 +58,10 @@ class PreReport:
         }
 
 
-def _check_hypotheses(code: Code, alpha: Vertex, y: Automorphism):
+def _check_hypotheses(code: Code, alpha: Vertex, y: Automorphism, stabilizers: set):
+    """Raise the typed error of the first hypothesis that (alpha, y) breaks.
+    stabilizers holds the points of each y already shown to stabilize
+    Gamma_1(C); y joins it once shown."""
     if alpha.scheme != code.scheme or y.scheme != code.scheme:
         raise SchemeMismatchError("alpha, y and code must share one scheme")
     if code.min_distance < 3:
@@ -62,28 +69,31 @@ def _check_hypotheses(code: Code, alpha: Vertex, y: Automorphism):
             f"pre-codewords need minimum distance >= 3, code has {code.min_distance}")
     if alpha not in code:
         raise NotACodewordError(f"{vertex_to_text(alpha)} is not a codeword")
-    # y is a graph automorphism, so the image-code test decides it
-    if not _neighbours_fixed_by(code, (y,)):
-        raise NotNeighbourStabilizerError(
-            "y does not stabilize the code's neighbour set")
+    if y.points not in stabilizers:
+        # y is a graph automorphism, so the image-code test decides it
+        if not _neighbours_fixed_by(code, (y,)):
+            raise NotNeighbourStabilizerError(
+                "y does not stabilize the code's neighbour set")
+        stabilizers.add(y.points)
     if _images(y._moves, (alpha.entries,))[0] in code._entry_set:
         raise ImageInCodeError(
             f"y maps {vertex_to_text(alpha)} back into the code")
 
 
-def _pre_entries(code: Code, alpha: Vertex, y: Automorphism) -> list[tuple[int, ...]]:
-    """Pre(alpha, y) as sorted entry tuples."""
-    ring = _shell_entries(alpha.entries, code.scheme.q, 2)
+def _pre_entries(code: Code, ring: list, y: Automorphism) -> list[tuple[int, ...]]:
+    """Pre(alpha, y) as sorted entry tuples, given ring, the sorted
+    distance-2 shell of alpha."""
     return [pi for pi, img in zip(ring, _images(y._moves, ring)) if img in code._entry_set]
 
 
-def _cells(nbrs: set, others, q: int):
-    """(cells, sizes_ok, disjoint, covered): the cells nbrs & Gamma_1(o)
-    for o in others, and whether each has two elements, whether they are
-    pairwise disjoint and whether they cover nbrs."""
+def _cells(nbrs: frozenset, others, ball):
+    """(cells, sizes_ok, disjoint, covered): the cells nbrs & ball(o) for
+    o in others, where ball(o) is Gamma_1(o), and whether each has two
+    elements, whether they are pairwise disjoint and whether they cover
+    nbrs."""
     cells, seen, sizes_ok, disjoint = [], set(), True, True
     for o in others:
-        cell = nbrs.intersection(_ball1(o, q))
+        cell = nbrs.intersection(ball(o))
         cells.append(cell)
         sizes_ok = sizes_ok and len(cell) == 2
         disjoint = disjoint and not seen & cell
@@ -93,8 +103,9 @@ def _cells(nbrs: set, others, q: int):
 
 def pre_codewords(code: Code, alpha: Vertex, y: Automorphism) -> tuple[Vertex, ...]:
     """Pre(alpha, y): sorted distance-2 vertices that y maps into the code."""
-    _check_hypotheses(code, alpha, y)
-    return tuple([Vertex(code.scheme, pi) for pi in _pre_entries(code, alpha, y)])
+    _check_hypotheses(code, alpha, y, set())
+    ring = _shell_entries(alpha.entries, code.scheme.q, 2)
+    return tuple([Vertex(code.scheme, pi) for pi in _pre_entries(code, ring, y)])
 
 
 def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreReport:
@@ -108,48 +119,73 @@ def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreRepor
       dual_cells_partition           -- for each pi, the sets G1(beta) & G1(pi)
           over beta in C(pi) partition G1(pi) into 2-element cells
       dual_images_outside_code       -- apply(y, beta) not in C for each such beta
+
+    The one-pair case of _verify_pre_structures.
     """
-    _check_hypotheses(code, alpha, y)
+    return _verify_pre_structures(code, [(alpha, y)])[0]
+
+
+def _verify_pre_structures(code: Code, pairs: list) -> list[PreReport]:
+    """verify_pre_structure on each (alpha, y) of pairs in turn, raising at
+    the first pair that breaks a hypothesis.  What does not depend on the
+    pair is found once per call: each vertex's ball, shell and Vertex,
+    G1(C), whether each y stabilizes G1(C), and per pre-codeword pi its
+    duals C(pi), their cells and the test G1(pi) within G1(C).
+    Pre(alpha, y), alpha's cells and the duals' images under y are found
+    per pair."""
     scheme = code.scheme
     q = scheme.q
     target = scheme.m * (q - 1)
     words = code._entry_set
-    pre = _pre_entries(code, alpha, y)
+    stabilizers = set()
+    # built on first use, after a pair has passed the hypotheses, so a
+    # hypothesis error still comes before the enumeration cap's
+    gamma1 = cache(lambda: frozenset(code._neighbour_entries))
+    ball = cache(lambda v: frozenset(_ball1(v, q)))
+    ring = cache(lambda v: _shell_entries(v, q, 2))
+    vertex = cache(lambda v: Vertex(scheme, v))
 
-    cells, cell_sizes_ok, disjoint, covered = _cells(set(_ball1(alpha.entries, q)), pre, q)
-    clauses = [ClauseResult(
-        "cells_partition_neighbourhood",
-        cell_sizes_ok and disjoint and covered,
-        f"cells={len(cells)} sizes_ok={cell_sizes_ok} disjoint={disjoint} "
-        f"covered={covered}")]
+    @cache
+    def dual(pi):
+        """(C(pi), whether its cells partition G1(pi), G1(pi) within G1(C))"""
+        betas = [b for b in ring(pi) if b in words]
+        _, sizes_ok, disjoint, covered = _cells(ball(pi), betas, ball)
+        return (betas, 2 * len(betas) == target and sizes_ok and disjoint and covered,
+                gamma1().issuperset(ball(pi)))
 
-    clauses.append(ClauseResult(
-        "pre_count_half", 2 * len(pre) == target,
-        f"|Pre|={len(pre)}, m(q-1)={target}"))
+    reports = []
+    for alpha, y in pairs:
+        _check_hypotheses(code, alpha, y, stabilizers)
+        pre = _pre_entries(code, ring(alpha.entries), y)
+        ds = [dual(pi) for pi in pre]
 
-    gamma1 = set(code._neighbour_entries)
-    inside = all(gamma1.issuperset(_ball1(pi, q)) for pi in pre)
-    clauses.append(ClauseResult(
-        "pre_neighbours_inside_code_neighbours", inside,
-        f"checked {len(pre)} pre-codewords"))
+        cells, cell_sizes_ok, disjoint, covered = _cells(ball(alpha.entries), pre, ball)
+        clauses = [ClauseResult(
+            "cells_partition_neighbourhood",
+            cell_sizes_ok and disjoint and covered,
+            f"cells={len(cells)} sizes_ok={cell_sizes_ok} disjoint={disjoint} "
+            f"covered={covered}")]
 
-    images_ok, failed = True, []
-    for pi in pre:
-        duals = [b for b in _shell_entries(pi, q, 2) if b in words]
-        _, sizes_ok, disjoint_pi, covered_pi = _cells(set(_ball1(pi, q)), duals, q)
-        images_ok = images_ok and words.isdisjoint(_images(y._moves, duals))
-        if not (2 * len(duals) == target and sizes_ok and disjoint_pi and covered_pi):
-            failed.append(vertex_to_text(Vertex(scheme, pi)))
-    clauses.append(ClauseResult(
-        "dual_cells_partition", not failed,
-        f"failed at {','.join(failed)}" if failed else "all pre-codewords"))
-    clauses.append(ClauseResult(
-        "dual_images_outside_code", images_ok,
-        f"checked duals of {len(pre)} pre-codewords"))
+        clauses.append(ClauseResult(
+            "pre_count_half", 2 * len(pre) == target,
+            f"|Pre|={len(pre)}, m(q-1)={target}"))
 
-    pre_set = tuple([Vertex(scheme, pi) for pi in pre])
-    return PreReport(
-        alpha=alpha, y=y, pre_set=pre_set,
-        cells=tuple([(v, tuple([Vertex(scheme, n) for n in sorted(cell)]))
-                     for v, cell in zip(pre_set, cells)]),
-        clauses=tuple(clauses))
+        clauses.append(ClauseResult(
+            "pre_neighbours_inside_code_neighbours", all(inside for _, _, inside in ds),
+            f"checked {len(pre)} pre-codewords"))
+
+        failed = [vertex_to_text(vertex(pi)) for pi, (_, ok, _) in zip(pre, ds) if not ok]
+        clauses.append(ClauseResult(
+            "dual_cells_partition", not failed,
+            f"failed at {','.join(failed)}" if failed else "all pre-codewords"))
+        clauses.append(ClauseResult(
+            "dual_images_outside_code",
+            words.isdisjoint(_images(y._moves, [b for betas, _, _ in ds for b in betas])),
+            f"checked duals of {len(pre)} pre-codewords"))
+
+        reports.append(PreReport(
+            alpha=alpha, y=y, pre_set=tuple([vertex(pi) for pi in pre]),
+            cells=tuple([(vertex(pi), tuple([vertex(n) for n in sorted(cell)]))
+                         for pi, cell in zip(pre, cells)]),
+            clauses=tuple(clauses)))
+    return reports

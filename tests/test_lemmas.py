@@ -7,12 +7,14 @@ import io
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hamnt.chain
 import hamnt.lemmas
+import hamnt.precodeword
 import hamnt.transitivity
 from hamnt import (Automorphism, ClauseResult, Code, GeneratorSet, HammingScheme,
                    build_family, enumerate_full_group, full_group_generators,
@@ -239,18 +241,19 @@ def test_implication_fails_when_a_code_automorphism_moves_the_neighbours(monkeyp
 def test_pre_structure_clause_fails_when_a_witness_fails(monkeypatch):
     # the first verified witness reports one failing clause; the suite
     # still verifies all 40 and fails the clause with the same detail
-    real = hamnt.lemmas.verify_pre_structure
+    real = hamnt.lemmas._verify_pre_structures
     calls = []
 
-    def failing_first(code, alpha, y):
-        report = real(code, alpha, y)
-        calls.append(report.all_pass)
-        if len(calls) == 1:
-            report = dataclasses.replace(report, clauses=report.clauses + (
+    def failing_first(code, pairs):
+        first = not calls
+        reports = real(code, pairs)
+        calls.extend(r.all_pass for r in reports)
+        if first:
+            reports[0] = dataclasses.replace(reports[0], clauses=reports[0].clauses + (
                 ClauseResult("injected", False, "fails"),))
-        return report
+        return reports
 
-    monkeypatch.setattr(hamnt.lemmas, "verify_pre_structure", failing_first)
+    monkeypatch.setattr(hamnt.lemmas, "_verify_pre_structures", failing_first)
     code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
     assert code == 1
     checks = json.loads(out)["checks"]
@@ -268,15 +271,61 @@ def test_pre_structure_matches_vertex_oracle_on_suite_witnesses(
     them, give the same report as the Vertex-based oracle.  H(6,2) and
     H(4,3) verify every pair they discover; H(8,2) the first 40 of 24576."""
     monkeypatch.setattr(hamnt.lemmas, "MAX_PRE_VERIFICATIONS", cap)
-    real = hamnt.lemmas.verify_pre_structure
+    real = hamnt.lemmas._verify_pre_structures
     seen = []
 
-    def checked(code, alpha, y):
-        report = real(code, alpha, y)
-        assert report.to_json() == vertex_pre_structure(code, alpha, y).to_json()
-        seen.append(report.all_pass)
-        return report
+    def checked(code, pairs):
+        reports = real(code, pairs)
+        for (alpha, y), report in zip(pairs, reports, strict=True):
+            assert report.to_json() == vertex_pre_structure(code, alpha, y).to_json()
+            seen.append(report.all_pass)
+        return reports
 
-    monkeypatch.setattr(hamnt.lemmas, "verify_pre_structure", checked)
+    monkeypatch.setattr(hamnt.lemmas, "_verify_pre_structures", checked)
     assert run_lemma_suite(m, q, seed=0).all_pass
     assert seen == [True] * verified
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_pre_structure_batches_match_vertex_oracle_across_codes(seed, monkeypatch):
+    """On H(4,2) at seeds 5-7 the suite's 576 witnesses come from two
+    codes, one batch each; a memo that leaked from the first code into the
+    second would show against the Vertex-based oracle."""
+    monkeypatch.setattr(hamnt.lemmas, "MAX_PRE_VERIFICATIONS", 10**6)
+    real = hamnt.lemmas._verify_pre_structures
+    batches = []
+
+    def checked(code, pairs):
+        reports = real(code, pairs)
+        for (alpha, y), report in zip(pairs, reports, strict=True):
+            assert report.all_pass
+            assert report.to_json() == vertex_pre_structure(code, alpha, y).to_json()
+        batches.append((code, len(reports)))
+        return reports
+
+    monkeypatch.setattr(hamnt.lemmas, "_verify_pre_structures", checked)
+    assert run_lemma_suite(4, 2, seed=seed).all_pass
+    assert len({id(code) for code, _ in batches}) == len(batches) == 2
+    assert sum(n for _, n in batches) == 576
+
+
+def test_pre_structure_work_is_shared_within_a_code(monkeypatch):
+    # lemmas --m 6 --q 2 verifies 40 witnesses of one code with 4
+    # codewords, 10 elements y and 4 pre-codewords: each y is tested
+    # against G1(C) once, and each pre-codeword's shell is built once
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(hamnt.precodeword, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(hamnt.precodeword, name, wrapper)
+
+    counted("_shell_entries")
+    counted("_neighbours_fixed_by")
+    code, out, _ = run(["lemmas", "--m", "6", "--q", "2", "--format", "json"])
+    assert [code, out] == PINNED["6,2,0"]
+    assert counts["_neighbours_fixed_by"] == 10
+    assert counts["_shell_entries"] <= 44
