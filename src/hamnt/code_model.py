@@ -1,13 +1,15 @@
 """Codes as finite vertex subsets of a Hamming graph.
 
-A Code stores its words sorted and deduplicated and is immutable; the
-derived quantities (minimum distance, neighbour set, kept as entry
-tuples and wrapped as vertices on demand) are cached on first use.
-The neighbour set has one builder, _neighbour_entries, which checks the
+A Code is immutable and stores one representation: its words' entry
+tuples, sorted and deduplicated (_entries), and their frozenset
+(_entry_set) to look them up.  Every reader below the public functions
+uses them.  The Vertex views, words and neighbour_set, are built only
+when a caller reads them; the other derived quantities (minimum
+distance, Gamma_1(C) as entry tuples) are cached on first use.  The
+neighbour set has one builder, _neighbour_entries, which checks the
 enumeration cap first.  Codes are stored extensionally even when they
-happen to be linear: linearity is detected, never declared.  Below the public functions a
-code is its sorted entry tuples (_entries, and _entry_set to look them
-up).  "x fixes a vertex set" has one rule, chain.fixes_entries, on entry
+happen to be linear: linearity is detected, never declared.
+"x fixes a vertex set" has one rule, chain.fixes_entries, on entry
 tuples; stabilizes_set and is_code_automorphism are its boundary
 wrappers, which check the scheme and convert once.  For Gamma_1(C),
 _neighbours_fixed_by tests x through the image code.  find_equivalence
@@ -49,49 +51,46 @@ def _neighbours_of(words, q: int) -> set[tuple[int, ...]]:
 
 
 class Code:
-    """A deduplicated, lexicographically sorted set of vertices of one scheme."""
+    """A set of vertices of one scheme, stored as sorted, deduplicated
+    entry tuples; the Vertex view words is built on first read."""
 
     def __init__(self, scheme: HammingScheme, words: Iterable[Vertex]):
-        ws = sorted(set(words))
-        for w in ws:
-            if w.scheme != scheme:
-                raise SchemeMismatchError(f"word {w} does not belong to {scheme}")
+        words = list(words)
+        foreign = [w for w in words if w.scheme != scheme]
+        if foreign:
+            raise SchemeMismatchError(f"word {min(foreign)} does not belong to {scheme}")
         self.scheme = scheme
-        self.words = tuple(ws)
-        self._word_set = frozenset(ws)
+        self._entry_set = frozenset([w.entries for w in words])
+        self._entries = tuple(sorted(self._entry_set))
 
     @classmethod
     def from_entries(cls, scheme: HammingScheme, rows: Iterable[Iterable[int]]) -> "Code":
         return cls(scheme, (scheme.vertex(row) for row in rows))
 
+    @cached_property
+    def words(self) -> tuple[Vertex, ...]:
+        """The codewords as vertices, sorted."""
+        return tuple([Vertex(self.scheme, w) for w in self._entries])
+
     def __len__(self):
-        return len(self.words)
+        return len(self._entries)
 
     def __iter__(self):
         return iter(self.words)
 
-    def __contains__(self, v: Vertex):
-        return v in self._word_set
+    def __contains__(self, v) -> bool:
+        return (isinstance(v, Vertex) and v.scheme == self.scheme
+                and v.entries in self._entry_set)
 
     def __eq__(self, other):
         return (isinstance(other, Code) and self.scheme == other.scheme
-                and self.words == other.words)
+                and self._entries == other._entries)
 
     def __hash__(self):
-        return hash((self.scheme, self.words))
+        return hash((self.scheme, self._entries))
 
     def __repr__(self):
         return f"Code({self.scheme}, {{{', '.join(vertex_to_text(w) for w in self.words)}}})"
-
-    @cached_property
-    def _entries(self) -> tuple[tuple[int, ...], ...]:
-        """The words as sorted entry tuples."""
-        return tuple([w.entries for w in self.words])
-
-    @cached_property
-    def _entry_set(self) -> frozenset[tuple[int, ...]]:
-        """The words' entry tuples, for membership tests."""
-        return frozenset(self._entries)
 
     @cached_property
     def min_distance(self) -> float:
@@ -125,7 +124,7 @@ class Code:
         """The code {apply(x, w) : w in C}."""
         if x.scheme != self.scheme:
             raise SchemeMismatchError("automorphism from a different scheme")
-        return Code(self.scheme, (x.apply(w) for w in self.words))
+        return Code.from_entries(self.scheme, _images(x._moves, self._entries))
 
 
 def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
@@ -181,15 +180,15 @@ def neighbourhoods_disjoint(code: Code) -> bool:
 
     Their sizes add up to len(C) * m * (q-1); their union is Gamma_1(C)
     plus the codewords adjacent to another codeword (none unless
-    delta = 1).  Gamma_1(C) is counted by neighbour_count.
+    delta = 1).  Gamma_1(C) is counted by neighbour_count, and the
+    adjacent codewords by their balls, m(q-1) lookups each.
     """
     m, q = code.scheme.m, code.scheme.q
     count = neighbour_count(code)
     adjacent = 0
     if code.min_distance == 1:
-        entries = code._entries
-        adjacent = sum(any(sum(map(operator.ne, u, v)) == 1 for v in entries)
-                       for u in entries)
+        words = code._entry_set
+        adjacent = sum(not words.isdisjoint(_ball1(w, q)) for w in code._entries)
     return len(code) * m * (q - 1) == count + adjacent
 
 

@@ -207,21 +207,20 @@ def check_cap(ln_size: float, exact: Callable[[], int], cap: int,
     return size
 
 
-def check_enumeration_cap(scheme: HammingScheme, enumeration_cap: int) -> int:
-    """q^m; FeasibilityError when it exceeds the enumeration cap."""
+def check_enumeration_cap(scheme: HammingScheme) -> int:
+    """q^m; FeasibilityError when it exceeds DEFAULT_ENUMERATION_CAP."""
     return check_cap(
-        scheme.m * math.log(scheme.q), lambda: scheme.vertex_count, enumeration_cap,
-        f"{scheme} has {{size}} vertices, over the enumeration cap {enumeration_cap}")
+        scheme.m * math.log(scheme.q), lambda: scheme.vertex_count, DEFAULT_ENUMERATION_CAP,
+        f"{scheme} has {{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
 
 
-def enumerate_triples(scheme: HammingScheme,
-                      enumeration_cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Triple]:
+def enumerate_triples(scheme: HammingScheme) -> Iterator[Triple]:
     """Yield every triple (alpha, nu, beta) of the scheme.
 
     Order: alpha, then beta, then nu, each lexicographic.  The number of
     triples is q^m * C(m,2) * (q-1)^2 * 2.
     """
-    check_enumeration_cap(scheme, enumeration_cap)
+    check_enumeration_cap(scheme)
     m = scheme.m
     return (Triple(Vertex(scheme, t[:m]), Vertex(scheme, t[m:2 * m]),
                    Vertex(scheme, t[2 * m:])) for t in _triple_entries(scheme))

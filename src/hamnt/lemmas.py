@@ -17,8 +17,8 @@ from .chain import (StabilizerChain, _rebase, _stabilizer_chain, _walk,
                     fixes_entries, schreier_sims)
 from .code_model import Code, neighbour_stabilizer
 from .family_codes import build_family
-from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, _ball1,
-                           _shell_entries, check_enumeration_cap)
+from .hamming_core import (HammingScheme, Vertex, _ball1, _shell_entries,
+                           check_enumeration_cap)
 from .precodeword import _verify_pre_structures
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images, _mover,
@@ -77,9 +77,9 @@ def _walk_witnesses(code: Code, chain: StabilizerChain):
     scheme = code.scheme
     levels, _, transversals = _rebase(chain)
     for u in _walk(transversals, levels, 0, tuple(range(scheme.m * scheme.q))):
-        for alpha, img in zip(code.words, _images(_mover(u, scheme.q), code._entries)):
+        for alpha, img in zip(code._entries, _images(_mover(u, scheme.q), code._entries)):
             if img not in code._entry_set:
-                yield code, alpha, Automorphism._trusted(scheme, u)
+                yield code, Vertex(scheme, alpha), Automorphism._trusted(scheme, u)
 
 
 def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
@@ -124,7 +124,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     every element.
     """
     scheme = HammingScheme(m, q)
-    check_enumeration_cap(scheme, DEFAULT_ENUMERATION_CAP)
+    check_enumeration_cap(scheme)
     order = check_group_cap(scheme, group_cap)
 
     checks = []

@@ -7,18 +7,19 @@ import pytest
 
 import hamnt.code_model
 from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, FeasibilityError,
-                   HammingScheme, SchemeMismatchError, automorphism_to_text,
-                   code_to_text, distance, enumerate_full_group, find_equivalence,
-                   is_code_automorphism, is_linear_binary,
-                   neighbour_count, neighbourhoods_disjoint, neighbours,
-                   parse_code_text, read_code_file, setwise_stabilizer,
+                   HammingScheme, SchemeMismatchError, analyze_stabilizer,
+                   automorphism_to_text, classify_theorem, code_to_text, distance,
+                   enumerate_full_group, find_equivalence, is_code_automorphism,
+                   is_linear_binary, neighbour_count, neighbourhoods_disjoint,
+                   neighbours, parse_code_text, read_code_file, setwise_stabilizer,
                    shell, stabilizer_chain, stabilizes_set, translation,
-                   write_code_file)
+                   vertex_to_text, write_code_file)
 from hamnt.chain import _leaves, _pruning_model, _stabilizer_chain, fixes_entries
 from hamnt.code_model import (_determined_entries, _neighbours_fixed_by,
                               neighbour_stabilizer)
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
+from hamnt.lemmas import _witnesses
 from helpers import (HAMMING_7_4, binary_span, brute_determined, brute_distance,
                      brute_neighbours, conjugated_by, greedy_code,
                      random_automorphism, random_code, raw_apply, raw_full_group)
@@ -40,6 +41,76 @@ def test_code_normalization():
 def test_code_scheme_check():
     with pytest.raises(SchemeMismatchError):
         Code(H42, [H33.zero()])
+    # the least foreign word (by entries) is the one named
+    words = [H33.vertex([2, 2, 2]), H42.vertex([1, 0, 0, 0]), H42.vertex([0, 1, 1, 1]),
+             H33.zero()]
+    with pytest.raises(SchemeMismatchError, match=r"^word 0111 does not belong to H\(3,3\)$"):
+        Code(H33, words)
+
+
+def test_code_matches_a_vertex_level_oracle():
+    # the oracle sorts and deduplicates Vertex objects; the input comes in
+    # any order with any number of duplicates, and q = 12 uses the comma form
+    rng = random.Random(19)
+    for scheme in (H33, H42, HammingScheme(2, 4), HammingScheme(2, 12)):
+        vertices = list(scheme.vertices())
+        for _ in range(40):
+            drawn = [rng.choice(vertices) for _ in range(rng.randrange(0, 12))]
+            want = sorted(set(drawn))
+            code = Code(scheme, drawn)
+            shuffled = drawn + drawn[:3]
+            rng.shuffle(shuffled)
+            again = Code(scheme, shuffled)
+            assert code == again and hash(code) == hash(again)
+            assert len(code) == len(want)
+            assert code.words == tuple(want) and list(code) == want
+            texts = [vertex_to_text(w) for w in want]
+            assert repr(code) == f"Code({scheme}, {{{', '.join(texts)}}})"
+            assert code_to_text(code) == "\n".join([f"{scheme.m} {scheme.q}"] + texts) + "\n"
+            if want:
+                assert Code(scheme, want[1:]) != code
+    # the same entries in another scheme make another code
+    assert Code.from_entries(H33, [[0, 0, 0]]) != Code.from_entries(
+        HammingScheme(3, 4), [[0, 0, 0]])
+
+
+def test_membership_is_false_for_anything_but_a_vertex_of_the_scheme():
+    code = Code.from_entries(H33, [[0, 0, 0], [1, 1, 1]])
+    assert H33.vertex([0, 0, 0]) in code and H33.vertex([1, 1, 1]) in code
+    assert H33.vertex([2, 2, 2]) not in code
+    for other in ((0, 0, 0), [0, 0, 0], "000", None,
+                  HammingScheme(3, 4).vertex([0, 0, 0])):
+        assert other not in code
+
+
+def test_image_matches_per_word_apply():
+    rng = random.Random(20)
+    for scheme in (H33, H42, HammingScheme(2, 4), HammingScheme(5, 2)):
+        for _ in range(30):
+            code = random_code(rng, scheme, rng.randrange(0, 6))
+            x = random_automorphism(rng, scheme)
+            assert code.image(x) == Code(scheme, [x.apply(w) for w in code.words])
+    with pytest.raises(SchemeMismatchError):
+        REP4.image(Automorphism.identity(H33))
+
+
+def test_library_functions_build_no_vertex_view():
+    # the internal readers use the entry tuples: neither Vertex view is
+    # built, on a delta = 4 code and on a delta = 1 code
+    rep = Code.from_entries(H42, [[0, 0, 0, 0], [1, 1, 1, 1]])
+    classify_theorem(rep)
+    near = Code.from_entries(H33, [[0, 0, 0], [0, 0, 1], [2, 2, 2]])
+    for code in (rep, near):
+        analyze_stabilizer(code)
+        neighbour_count(code)
+        neighbourhoods_disjoint(code)
+        is_linear_binary(code)
+        find_equivalence(code, code)
+    family = build_family(6).C
+    first, total = _witnesses([family], DEFAULT_GROUP_CAP, 10**6)
+    assert len(first) == total > 0
+    for code in (rep, near, family):
+        assert "words" not in vars(code) and "neighbour_set" not in vars(code)
 
 
 def test_min_distance_examples():
@@ -86,6 +157,32 @@ def test_neighbourhoods_disjoint_matches_union_count():
     assert seen == {(1, True, True), (1, True, False), (1, False, False),
                     (2, True, False), (2, False, False),
                     (3, True, True), (3, False, True)}
+
+
+class _Symbol(int):
+    """An alphabet symbol that counts the != tests between two symbols."""
+
+    tests = 0
+
+    def __ne__(self, other):
+        if isinstance(other, _Symbol):
+            _Symbol.tests += 1
+        return int(self) != int(other)
+
+
+def test_neighbourhoods_disjoint_compares_no_two_codewords():
+    # delta = 1: the adjacent codewords are found from each codeword's ball,
+    # not by comparing the codewords pairwise; min_distance (all pairs) is
+    # cached first
+    rng = random.Random(45)
+    rows = rng.sample(list(itertools.product(range(3), repeat=6)), 60)
+    code = Code.from_entries(HammingScheme(6, 3), [[_Symbol(e) for e in r] for r in rows])
+    assert code.min_distance == 1 and _Symbol.tests > 0
+    nbhds = [brute_neighbours(w) for w in code.words]
+    expected = sum(map(len, nbhds)) == len(set().union(*nbhds))
+    _Symbol.tests = 0
+    assert neighbourhoods_disjoint(code) == expected
+    assert _Symbol.tests == 0
 
 
 def test_neighbourhoods_disjoint_checks_the_enumeration_cap(monkeypatch):

@@ -55,3 +55,36 @@ def test_every_import_in_the_package_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_module_name_in_the_package_is_used():
+    # a module-level _name that nothing else in the package reads is dead
+    # code, even when a test or the benchmark still calls it; a reference
+    # inside the name's own definition (recursion) does not count
+    root = Path(hamnt.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(root.glob("*.py"))}
+    refs: dict[str, list] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((module, node.lineno))
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(m != module or not node.lineno <= line <= node.end_lineno
+                           for m, line in refs.get(name, [])):
+                    orphans.append(f"{module}:{node.lineno} {name}")
+    assert orphans == []

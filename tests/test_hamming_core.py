@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import hamnt.hamming_core
 from hamnt import (FeasibilityError, HammingScheme, SchemeMismatchError,
                    Triple, common_neighbours, distance, enumerate_triples,
                    neighbours, shell, vertex_from_text, vertex_to_text, weight)
@@ -128,9 +129,11 @@ def test_enumerate_triples_counts_frozen():
     assert sum(1 for _ in enumerate_triples(HammingScheme(3, 2))) == 48
 
 
-def test_enumerate_triples_cap():
+def test_enumerate_triples_cap(monkeypatch):
+    # the cap is read at call time, so a patched constant bounds the sweep
+    monkeypatch.setattr(hamnt.hamming_core, "DEFAULT_ENUMERATION_CAP", 10)
     with pytest.raises(FeasibilityError):
-        enumerate_triples(HammingScheme(4, 2), enumeration_cap=10)
+        enumerate_triples(HammingScheme(4, 2))
 
 
 def test_vertex_text_round_trip():

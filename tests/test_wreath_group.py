@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import hamnt.chain
+import hamnt.hamming_core
 from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, Vertex,
                    automorphism_to_text, closure,
@@ -175,7 +176,7 @@ def test_enumerate_full_group_cap():
         enumerate_full_group(HammingScheme(12, 5))
 
 
-def test_cap_checks_print_short_sizes_exactly_and_never_build_huge_ones():
+def test_cap_checks_print_short_sizes_exactly_and_never_build_huge_ones(monkeypatch):
     with pytest.raises(FeasibilityError, match=r"^full group of H\(10,2\) has order "
                        r"3715891200, over the group cap 1000$"):
         check_group_cap(HammingScheme(10, 2), 1000)
@@ -184,11 +185,13 @@ def test_cap_checks_print_short_sizes_exactly_and_never_build_huge_ones():
         check_group_cap(HammingScheme(3, 200000), 10**8)
     assert info.value.required is None
     with pytest.raises(FeasibilityError, match=r"^H\(20000,2\) has about 10\^6021 vertices"):
-        check_enumeration_cap(HammingScheme(20000, 2), 10**7)
-    # a long size near the cap is decided exactly
-    assert check_enumeration_cap(HammingScheme(400, 2), 2**400) == 2**400
+        check_enumeration_cap(HammingScheme(20000, 2))
+    # a long size near the cap is decided exactly; the cap is read at call time
+    monkeypatch.setattr(hamnt.hamming_core, "DEFAULT_ENUMERATION_CAP", 2**400)
+    assert check_enumeration_cap(HammingScheme(400, 2)) == 2**400
+    monkeypatch.setattr(hamnt.hamming_core, "DEFAULT_ENUMERATION_CAP", 2**400 - 1)
     with pytest.raises(FeasibilityError) as info:
-        check_enumeration_cap(HammingScheme(400, 2), 2**400 - 1)
+        check_enumeration_cap(HammingScheme(400, 2))
     assert info.value.required == 2**400
 
 
