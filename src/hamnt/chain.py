@@ -219,8 +219,8 @@ def _stabilizer_chain(words: Sequence[tuple[int, ...]], scheme: HammingScheme) -
     transversals = [{_key(ident, b): ident} for b in blocks]
     strong: list[tuple[int, ...]] = []
     for k in reversed(range(m)):
+        # trans starts closed: each generator so far, found deeper, fixes blocks 0..k pointwise
         trans = transversals[k]
-        _grow(trans, blocks[k], strong)
         for p in range(k, m):
             free = [r for r in range(k, m) if r != p]
             for g, row in rows[p]:

@@ -37,7 +37,8 @@ from .chain import (StabilizerChain, _least_equivalence, _stabilizer_chain,
                     fixes_entries)
 from .errors import CodeFormatError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
-                           _ball1, check_cap, vertex_from_text, vertex_to_text)
+                           _ball1, _index_shell, _index_steps, check_cap,
+                           vertex_from_text, vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images,
                            check_group_cap)
 
@@ -224,7 +225,7 @@ def _determined_entries(code: Code) -> list[tuple[int, ...]]:
     Gamma_1(C), and none of a codeword.  So the pre-codewords are the
     vertices at distance 2 from exactly m(q-1)/2 codewords, and none exist
     when m(q-1) is odd or C has fewer words.  Its len(C) C(m,2) (q-1)^2
-    steps are checked against the enumeration cap first.
+    steps on vertex indices are checked against the enumeration cap first.
     """
     m, q = code.scheme.m, code.scheme.q
     words = list(code._entries)
@@ -235,15 +236,11 @@ def _determined_entries(code: Code) -> list[tuple[int, ...]]:
     check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
               f"the distance-2 shells of {len(words)} codewords of {code.scheme} hold "
               f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    # each vertex as a base-q number, first entry most significant: a
-    # distance-2 step adds the changes of two digits
     place = [q ** (m - 1 - i) for i in range(m)]
     pairs = list(itertools.combinations(range(m), 2))
     counts = Counter()
     for w in words:
-        steps = [[(c - e) * p for c in range(q) if c != e] for e, p in zip(w, place)]
-        x = sum(map(operator.mul, w, place))
-        counts.update([x + a + b for i, j in pairs for a in steps[i] for b in steps[j]])
+        counts.update(_index_shell(*_index_steps(w, q, place), pairs))
     pre = [tuple([v // p % q for p in place]) for v, n in counts.items() if n == half]
     return sorted(words + pre)
 

@@ -9,6 +9,8 @@ here is safe to share between threads.
 
 The combinatorics run on entry tuples: _ball1 (distance 1),
 _shell_entries (distance r) and _triple_entries (every triple, flat).
+Walks that need no tuples run on base-q vertex indices: _index_steps gives
+the digit changes, _index_ball and _index_shell add one or two of them.
 The public functions are thin wrappers that build one validated Vertex
 or Triple per result; the library's hot paths call the kernels directly.
 """
@@ -148,6 +150,23 @@ def _shell_entries(entries: tuple[int, ...], q: int,
             out.append(tuple(w))
     out.sort()
     return out
+
+
+def _index_steps(entries: tuple[int, ...], q: int, place: list[int]):
+    """(x, steps): entries as the base-q number x, place[i] = q^(m-1-i), so
+    index order is lexicographic; steps[i] moves entry i to each other symbol."""
+    return (sum([e * p for e, p in zip(entries, place)]),
+            [[(c - e) * p for c in range(q) if c != e] for e, p in zip(entries, place)])
+
+
+def _index_ball(x: int, steps: list[list[int]]) -> list[int]:
+    """The indices at distance 1 from x, by position then symbol."""
+    return [x + a for s in steps for a in s]
+
+
+def _index_shell(x: int, steps: list[list[int]], pairs) -> list[int]:
+    """The indices at distance 2 from x, over the position pairs i < j."""
+    return [x + a + b for i, j in pairs for a in steps[i] for b in steps[j]]
 
 
 def _triple_entries(scheme: HammingScheme) -> Iterator[tuple[int, ...]]:

@@ -17,8 +17,8 @@ from .chain import (StabilizerChain, _rebase, _stabilizer_chain, _walk,
                     fixes_entries, schreier_sims)
 from .code_model import Code, neighbour_stabilizer
 from .family_codes import build_family
-from .hamming_core import (HammingScheme, Vertex, _ball1, _shell_entries,
-                           check_enumeration_cap)
+from .hamming_core import (HammingScheme, Vertex, _index_ball, _index_shell,
+                           _index_steps, check_enumeration_cap)
 from .precodeword import _verify_pre_structures
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images, _mover,
@@ -106,22 +106,39 @@ def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
     return first, total
 
 
+def _pair_walk(vertices: list[tuple[int, ...]], q: int):
+    """(sizes, t0) on the indices x of vertices[x], in lexicographic order:
+    the ordered distance-2 pairs by their number of common neighbours, and
+    the first triple (a pair with one of them) or None."""
+    m = len(vertices[0])
+    place, pairs = [q ** (m - 1 - i) for i in range(m)], list(itertools.combinations(range(m), 2))
+    steps = [_index_steps(v, q, place)[1] for v in vertices]
+    balls = [frozenset(_index_ball(x, s)) for x, s in enumerate(steps)]
+    sizes = Counter()
+    for x, s in enumerate(steps):
+        ball = balls[x]
+        sizes.update([len(ball & balls[y]) for y in _index_shell(x, s, pairs)])
+    ring = _index_shell(0, steps[0], pairs)
+    first = ring and balls[0] & balls[min(ring)]
+    return sizes, (vertices[0] + vertices[min(first)] + vertices[min(ring)] if first else None)
+
+
 def run_lemma_suite(m: int, q: int, seed: int = 0,
                     group_cap: int = DEFAULT_GROUP_CAP) -> LemmaSuiteReport:
     """Exhaustive small-scheme checks of the structural lemmas.
 
-    Runs: the two-common-neighbours law over every distance-2 pair; the
-    one-orbit law for triples under the full group; the implication
-    "fixes the code => stabilizes its neighbour set" on Aut(C) for
-    sampled codes; and the full pre-codeword structure on the first
-    MAX_PRE_VERIFICATIONS (alpha, y) neighbour-stabilizer witnesses, one
-    batch per code, with the number of all of them.  No clause lists a
-    group.  The standard generators count once Schreier-Sims certifies
-    that they generate the full group G; the triple orbit then has
-    |G| / |G_t| elements for the first triple t, set against the walk's
-    triple count.  Aut(C) is the stabilizer chain of C; the elements
-    stabilizing a set form a subgroup, so its strong generators cover
-    every element.
+    Runs: the two-common-neighbours law over every distance-2 pair, on
+    vertex indices (_pair_walk); the one-orbit law for triples under the
+    full group; the implication "fixes the code => stabilizes its
+    neighbour set" on Aut(C) for sampled codes; and the full pre-codeword
+    structure on the first MAX_PRE_VERIFICATIONS (alpha, y)
+    neighbour-stabilizer witnesses, one batch per code, with the number of
+    all of them.  No clause lists a group.  The standard generators count
+    once Schreier-Sims certifies that they generate the full group G; the
+    triple orbit then has |G| / |G_t| elements for the first triple t, set
+    against the walk's triple count.  Aut(C) is the stabilizer chain of C;
+    the elements stabilizing a set form a subgroup, so its strong
+    generators cover every element.
     """
     scheme = HammingScheme(m, q)
     check_enumeration_cap(scheme)
@@ -130,16 +147,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     checks = []
 
     vertices = list(itertools.product(range(q), repeat=m))
-    balls = {v: set(_ball1(v, q)) for v in vertices}
-    # the ordered distance-2 pairs by their number of common neighbours: a
-    # triple is such a pair with one of them, t0 the first pair's least
-    sizes = Counter()
-    for u in vertices:
-        ball = balls[u]
-        sizes.update([len(ball & balls[v]) for v in _shell_entries(u, q, 2)])
-    alpha, ring = vertices[0], _shell_entries(vertices[0], q, 2)
-    first = ring and balls[alpha] & balls[ring[0]]
-    t0 = alpha + min(first) + ring[0] if first else None
+    sizes, t0 = _pair_walk(vertices, q)
     checks.append(ClauseResult(
         "two_common_neighbours", set(sizes) <= {2},
         f"{sum(sizes.values()) // 2} distance-2 pairs"))

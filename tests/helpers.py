@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import hamnt.chain
 from hamnt import (Automorphism, ClauseResult, Code, HammingScheme, PreReport,
                    Vertex, neighbours, setwise_stabilizer, shell, vertex_to_text)
+from hamnt.hamming_core import _ball1, _shell_entries
 
 
 def random_automorphism(rng: random.Random, scheme: HammingScheme) -> Automorphism:
@@ -252,3 +254,18 @@ def brute_determined(code: Code) -> set[tuple[int, ...]]:
     gamma1 = set().union(*map(ball, words)) - words
     return {v for v in itertools.product(range(q), repeat=code.scheme.m)
             if v not in gamma1 and ball(v) <= gamma1}
+
+
+def tuple_pair_walk(m: int, q: int):
+    """(sizes, t0) of the lemma suite's pair walk on entry tuples, the walk
+    that the index walk replaced: the ordered distance-2 pairs by their
+    number of common neighbours, and the first pair's least triple, or
+    None when there is no pair."""
+    vertices = list(itertools.product(range(q), repeat=m))
+    balls = {v: set(_ball1(v, q)) for v in vertices}
+    sizes = Counter()
+    for u in vertices:
+        sizes.update([len(balls[u] & balls[v]) for v in _shell_entries(u, q, 2)])
+    alpha, ring = vertices[0], _shell_entries(vertices[0], q, 2)
+    first = ring and balls[alpha] & balls[ring[0]]
+    return sizes, alpha + min(first) + ring[0] if first else None

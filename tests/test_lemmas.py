@@ -4,15 +4,19 @@ counts of the triple orbit and the pre-codeword witnesses."""
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hamnt.chain
+import hamnt.code_model
+import hamnt.hamming_core
 import hamnt.lemmas
 import hamnt.precodeword
 import hamnt.transitivity
@@ -21,9 +25,10 @@ from hamnt import (Automorphism, ClauseResult, Code, GeneratorSet, HammingScheme
                    group_order, stabilizes_set)
 from hamnt.cli import main
 from hamnt.hamming_core import _triple_entries
-from hamnt.lemmas import _triple_stabilizer_order, _witnesses, run_lemma_suite
+from hamnt.lemmas import _pair_walk, _triple_stabilizer_order, _witnesses, run_lemma_suite
 from hamnt.wreath_group import DEFAULT_GROUP_CAP, _orbit
-from helpers import listed_witnesses, random_code_min_distance, vertex_pre_structure
+from helpers import (listed_witnesses, random_code_min_distance, tuple_pair_walk,
+                     vertex_pre_structure)
 
 # `lemmas --format json` on each (m, q, seed), keyed "m,q,seed", as
 # [exit code, stdout].  The keys with m, q in H(1..6,2), H(1..4,3) and
@@ -32,6 +37,14 @@ from helpers import listed_witnesses, random_code_min_distance, vertex_pre_struc
 # H(5,3), H(6,3), H(4,4), H(3,5) and H(2,6) at seed 0 at commit 9c6e197,
 # where an all-pairs scan counted the distance-2 pairs.
 PINNED = json.loads((Path(__file__).parent / "data" / "lemmas_pinned.json").read_text())
+
+
+def counting(real, name, callers):
+    """real, counting its calls in callers by (name, calling module)."""
+    def wrapper(*args):
+        callers[name, sys._getframe(1).f_globals["__name__"]] += 1
+        return real(*args)
+    return wrapper
 
 
 def run(argv):
@@ -151,11 +164,14 @@ def test_triple_orbit_fails_under_proper_subgroup(subgroup, detail, monkeypatch)
 
 def test_triple_orbit_fails_when_a_triple_is_missing(monkeypatch):
     # the walk misses the last ordered pair (1111, 1100), and with it the
-    # two triples through that pair
-    real = hamnt.lemmas._shell_entries
-    monkeypatch.setattr(
-        hamnt.lemmas, "_shell_entries",
-        lambda w, q, r: real(w, q, r)[:-1] if w == (1, 1, 1, 1) else real(w, q, r))
+    # two triples through that pair; 1111 is vertex 15 and 1100 vertex 12
+    real = hamnt.lemmas._index_shell
+
+    def shell(x, steps, pairs):
+        ring = real(x, steps, pairs)
+        return [y for y in ring if y != 12] if x == 15 else ring
+
+    monkeypatch.setattr(hamnt.lemmas, "_index_shell", shell)
     code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
     assert code == 1
     assert json.loads(out)["checks"][1] == {
@@ -166,8 +182,8 @@ def test_triple_orbit_fails_when_a_triple_is_missing(monkeypatch):
 def test_two_common_neighbours_fails_when_a_neighbour_is_missing(monkeypatch):
     # each ball misses its first neighbour, so some pairs share fewer than
     # two neighbours, and the triples through them are missing too
-    real = hamnt.lemmas._ball1
-    monkeypatch.setattr(hamnt.lemmas, "_ball1", lambda w, q: real(w, q)[1:])
+    real = hamnt.lemmas._index_ball
+    monkeypatch.setattr(hamnt.lemmas, "_index_ball", lambda x, steps: real(x, steps)[1:])
     code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
     assert code == 1
     assert json.loads(out)["checks"][:2] == [
@@ -204,6 +220,29 @@ def test_pair_walk_matches_closed_form(m, q, monkeypatch):
     assert report.checks[1].passed
     assert report.checks[1].detail.startswith(f"orbit {2 * ordered} of {2 * ordered} triples")
     assert seen == [next(_triple_entries(HammingScheme(m, q)))]
+
+
+@pytest.mark.parametrize("m, q", ORACLE_SCHEMES)
+def test_pair_walk_matches_tuple_walk(m, q):
+    """The index walk gives the tuple walk's whole count of sizes, and so
+    its pair and triple counts, and its first triple t0."""
+    vertices = list(itertools.product(range(q), repeat=m))
+    assert _pair_walk(vertices, q) == tuple_pair_walk(m, q)
+
+
+def test_pair_walk_builds_no_entry_tuples(monkeypatch):
+    # lemmas --m 6 --q 2 calls neither tuple kernel from the lemmas
+    # module; the pre-codeword check still calls them from its own
+    callers = Counter()
+    for module in [hamnt.hamming_core, hamnt.code_model, hamnt.precodeword, hamnt.lemmas]:
+        for name in ["_ball1", "_shell_entries"]:
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(module, name, counting(real, name, callers))
+    code, out, _ = run(["lemmas", "--m", "6", "--q", "2", "--format", "json"])
+    assert [code, out] == PINNED["6,2,0"]
+    assert callers["_shell_entries", "hamnt.precodeword"] > 0
+    assert not [key for key in callers if key[1] == "hamnt.lemmas"]
 
 
 def test_implication_fails_when_a_code_automorphism_moves_the_neighbours(monkeypatch):
