@@ -3,30 +3,35 @@ automorphisms x mapping a vertex set S into a vertex set T.
 
 The search takes S and T as sorted entry tuples; stabilizer_chain, the
 public entry, converts and scheme-checks its vertices once.  The search
-(_pruning_model, _narrow, _leaves) is a backtrack: depth k
+(_pruning_model, _narrow, _first_leaf) is a backtrack: depth k
 picks the image position p = sigma(k) among the positions still free
 (ascending), then g_k.  Each distinct source prefix s[:k+1] keeps a
 bitmask of the members of T that agree with its image on the positions
 sigma(0)..sigma(k).  x is injective, so a branch dies when some mask
 holds fewer targets than its prefix has sources, and every sigma with a
 given prefix shares that prefix's pruning.  A leaf maps S into T, onto
-T when |S| = |T|.
+T when |S| = |T|; callers need only the first.  The per-scheme tables
+(_tables) are kept for a few schemes, behind the search's cap check.
 
 A chain holds elements as their point tuples (module wreath_group).
 A level (lo, hi, d) keys u by tuple(u[lo:hi]), each point divided by
 d; the block levels (k*q, (k+1)*q, 1) key by block k's image.  Level k
-holds the transversal (key -> element) of G^(k), the subgroup fixing
-the keys of levels 0..k-1, and the order is the product of the
-transversal sizes (Seress, Permutation Group Algorithms, 2003, ch. 4).
-Two builders share _grow and _sift: stabilizer_chain(S), by Sims'
+holds the transversal of G^(k), the subgroup fixing the keys of levels
+0..k-1, as a Schreier vector: each key points to its parent key and the
+generator between them.  The order is the product of the transversal
+sizes (Seress, Permutation Group Algorithms, 2003, ch. 4 and 4.1).
+A key's image follows from the key alone, so _grow closes the keys
+without building elements, and a _Transversal builds a key's element on
+first read.  Two builders share _grow: stabilizer_chain(S), by Sims'
 backtrack over the search with S = T on the block levels m-1 down to 0
 (each image of block k that the subgroup found so far does not reach
 gets a search for one element fixing blocks 0..k-1 pointwise and moving
-block k there), and schreier_sims(gens), by Schreier-Sims: given a
-bound on the order, random elements are sifted until the transversal
-sizes multiply to it, and a deterministic pass over the Schreier
-generators completes the chain when they do not.
-_grow meets the old transversal entries with the new generator only.
+block k there), which reads only keys, and schreier_sims(gens), by
+Schreier-Sims, which reads elements in _sift: given a bound on the
+order, random elements are sifted until the transversal sizes multiply
+to it, and a deterministic pass over the Schreier generators completes
+the chain when they do not.  _grow meets the old keys with the new
+generator only.
 Sims' backtrack takes the first leaf under each prefix, the least
 element of the group with that prefix, so sets with one stabilizer give
 one chain.  So code_model.neighbour_stabilizer searches D = C plus its
@@ -47,8 +52,10 @@ lemma suite's first witnesses, walked lazily.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -78,6 +85,16 @@ def _canonical_levels(m: int, q: int) -> list[tuple[int, int, int]]:
     return [(k * q, k * q + 1, q) for k in range(m)] + _block_levels(m, q)
 
 
+@functools.lru_cache(maxsize=4)  # at q = 9 a scheme's tables hold 362,880 permutations
+def _tables(m: int, q: int) -> tuple[tuple, tuple]:
+    """(perms, keys): each alphabet permutation g, lexicographic, with
+    itemgetter(*g); keys[p], aligned, g's block key p*q + g(c) at p."""
+    perms = tuple(itertools.permutations(range(q)))
+    # block 0's key is g itself
+    keys = [perms] + [tuple([tuple([p * q + c for c in g]) for g in perms]) for p in range(1, m)]
+    return tuple([(g, operator.itemgetter(*g)) for g in perms]), tuple(keys)
+
+
 def _pruning_model(words: Sequence[tuple[int, ...]], targets: Sequence[tuple[int, ...]],
                    scheme: HammingScheme):
     """The pruning model of the search from S and T as sorted entry
@@ -89,18 +106,19 @@ def _pruning_model(words: Sequence[tuple[int, ...]], targets: Sequence[tuple[int
     t[p] == c; levels[k] lists the distinct source prefixes w[:k+1] as
     (parent, symbol, size): parent indexes the prefixes w[:k] of
     levels[k-1], and size counts the sources with that prefix.  The rows
-    hold m * q! * q masks, checked against the enumeration cap first.
+    hold m * q! * q masks, checked against the enumeration cap before
+    any table is built.
     """
     m, q = scheme.m, scheme.q
     check_cap(math.log(m * q) + math.lgamma(q + 1), lambda: m * math.factorial(q) * q,
               DEFAULT_ENUMERATION_CAP, f"the search's permutation table for {scheme} "
               f"holds {{size}} masks, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    perms = list(itertools.permutations(range(q)))
+    perms = _tables(m, q)[0]
     pos_val = [[0] * q for _ in range(m)]
     for t, w in enumerate(targets):
         for p, c in enumerate(w):
             pos_val[p][c] |= 1 << t
-    rows = [[(g, [pv[g[c]] for c in range(q)]) for g in perms] for pv in pos_val]
+    rows = [[(g, get(pv)) for g, get in perms] for pv in pos_val]
     levels, index = [], {(): 0}
     for k in range(m):
         level: dict[tuple[int, ...], list[int]] = {}
@@ -124,14 +142,13 @@ def _narrow(level: tuple, row: list[int], masks: list[int]) -> list[int] | None:
     return nxt
 
 
-def _leaves(levels: list, rows: list, free: list[int], masks: list[int],
-            chosen: list):
-    """Yield chosen, the (sigma(d), g_d) of the depths above, completed at
-    every leaf below it that no mask prunes: sigma(d) from free ascending,
-    then g_d.  chosen is the same list each time, changed in place."""
+def _first_leaf(levels: list, rows: list, free: list[int], masks: list[int],
+                chosen: list) -> list | None:
+    """chosen, the (sigma(d), g_d) of the depths above, completed in place
+    at the first leaf below it that no mask prunes (sigma(d) from free
+    ascending, then g_d), or None when there is none."""
     if not free:
-        yield chosen
-        return
+        return chosen
     level = levels[len(chosen)]
     for i, p in enumerate(free):
         rest = free[:i] + free[i + 1:]
@@ -139,27 +156,51 @@ def _leaves(levels: list, rows: list, free: list[int], masks: list[int],
             nxt = _narrow(level, row, masks)
             if nxt is not None:
                 chosen.append((p, g))
-                yield from _leaves(levels, rows, rest, nxt, chosen)
+                if _first_leaf(levels, rows, rest, nxt, chosen) is not None:
+                    return chosen
                 chosen.pop()
+    return None
 
 
 def _grow(trans: dict, level: tuple[int, int, int], gens: list[tuple[int, ...]],
           closed: int = 0) -> None:
-    """Close trans, the transversal of a level (key -> element with that
-    key), under gens in place, given that it is closed under gens[:closed]:
-    the old entries meet only the later generators, the new ones all of
-    them.  Entries keep their element."""
-    lo, hi, d = level
-    frontier, step = list(trans.values()), gens[closed:]
+    """Close trans, the Schreier vector of a level (key -> (parent key,
+    generator)), under gens in place, given that it is closed under
+    gens[:closed]: the old keys meet only the later generators, the new
+    ones all of them.  The image of a key b under s is [s[i] for i in b]
+    on a block level and s[b*d] // d, block b's image, on a sigma level."""
+    d = level[2]
+    frontier, step = list(trans), gens[closed:]
     while frontier:
         new = []
-        for u in frontier:
+        for b in frontier:
             for s in step:
-                b = tuple([s[i] // d for i in u[lo:hi]])
-                if b not in trans:
-                    trans[b] = v = tuple([s[i] for i in u])
-                    new.append(v)
+                c = tuple([s[i] for i in b]) if d == 1 else (s[b[0] * d] // d,)
+                if c not in trans:
+                    trans[c] = (b, s)
+                    new.append(c)
         frontier, step = new, gens
+
+
+class _Transversal(dict):
+    """A level's Schreier vector, key -> (parent key, generator), the base
+    key -> None, whose elements are built on first read and kept."""
+
+    def __init__(self, base: tuple[int, ...], ident: tuple[int, ...]):
+        super().__init__({base: None})
+        self.elements = {base: ident}
+
+    def element(self, b: tuple[int, ...]) -> tuple[int, ...]:
+        """The element with key b: its parent's element times the generator."""
+        path, elements = [], self.elements
+        while b not in elements:
+            path.append(b)
+            b = self[b][0]
+        u = elements[b]
+        for b in reversed(path):
+            s = self[b][1]
+            u = elements[b] = tuple([s[i] for i in u])
+        return u
 
 
 def _sift(x: tuple[int, ...], transversals: list[dict], inverses: list[dict],
@@ -174,10 +215,9 @@ def _sift(x: tuple[int, ...], transversals: list[dict], inverses: list[dict],
         b = b if d == 1 else tuple([pt // d for pt in b])
         uinv = inverses[k].get(b)
         if uinv is None:
-            u = transversals[k].get(b)
-            if u is None:
+            if b not in transversals[k]:
                 return x, k
-            inverses[k][b] = uinv = _invert(u)
+            inverses[k][b] = uinv = _invert(transversals[k].element(b))
         x = tuple([uinv[i] for i in x])
     return x, len(levels)
 
@@ -209,27 +249,28 @@ def _stabilizer_chain(words: Sequence[tuple[int, ...]], scheme: HammingScheme) -
     cap already checked."""
     full, rows, levels = _pruning_model(words, words, scheme)
     m, q = scheme.m, scheme.q
+    keys = _tables(m, q)[1]
     # the identity on blocks 0..k-1 prunes nothing; rows[k][0] is g_k = id
     fixed = [(k, rows[k][0][0]) for k in range(m)]
     prefix_masks = [[full]]
     for k in range(m - 1):
         prefix_masks.append(_narrow(levels[k], rows[k][0][1], prefix_masks[k]))
-    ident = _points(fixed, q)
     blocks = _block_levels(m, q)
-    transversals = [{_key(ident, b): ident} for b in blocks]
+    # keys only: the chain's order is the product of the transversal sizes
+    transversals = [{keys[k][0]: None} for k in range(m)]
     strong: list[tuple[int, ...]] = []
     for k in reversed(range(m)):
         # trans starts closed: each generator so far, found deeper, fixes blocks 0..k pointwise
         trans = transversals[k]
         for p in range(k, m):
             free = [r for r in range(k, m) if r != p]
-            for g, row in rows[p]:
-                if tuple([p * q + c for c in g]) in trans:
+            for (g, row), key in zip(rows[p], keys[p]):
+                if key in trans:
                     continue
                 nxt = _narrow(levels[k], row, prefix_masks[k])
                 if nxt is None:
                     continue
-                leaf = next(_leaves(levels, rows, free, nxt, fixed[:k] + [(p, g)]), None)
+                leaf = _first_leaf(levels, rows, free, nxt, fixed[:k] + [(p, g)])
                 if leaf:
                     strong.append(_points(leaf, q))
                     _grow(trans, blocks[k], strong, len(strong) - 1)
@@ -257,7 +298,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
     and found hold, and the canonical levels determine every element."""
     ident = tuple(range(n))
     base = [_key(ident, lv) for lv in levels]
-    transversals = [{b: ident} for b in base]
+    transversals = [_Transversal(b, ident) for b in base]
     strong: list[list[tuple[int, ...]]] = [[] for _ in levels]
     found: list[tuple[int, ...]] = []
 
@@ -271,7 +312,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
         if s != ident and s not in found:
             add(s, 0, next(k for k, lv in enumerate(levels) if _key(s, lv) != base[k]))
     checked: list[set] = [set() for _ in levels]
-    # transversal entries keep their element, so their inverses keep too
+    # transversal elements are built once, so their inverses keep too
     inverses: list[dict] = [{} for _ in levels]
     stop = bound if order is None else order
     if stop is not None and math.prod([len(t) for t in transversals]) != stop:
@@ -294,7 +335,8 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
     while k >= 0 and math.prod([len(t) for t in transversals]) != stop:
         # levels k+1.. are complete: sift the Schreier generators of level k
         residue = None
-        for b, u in transversals[k].items():
+        for b in transversals[k]:
+            u = transversals[k].element(b)
             for i, s in enumerate(strong[k]):
                 if (b, i) in checked[k]:
                     continue
@@ -339,12 +381,16 @@ def _rebase(chain: StabilizerChain):
     return levels, strong, transversals
 
 
-def _children(transversal: dict, level: tuple, u: tuple) -> list[tuple[int, ...]]:
-    """t u for each t in a level's transversal, by their keys at the level."""
-    lo, hi, d = level
-    # the key of t u at the level, without building t u
-    ts = sorted(transversal.values(), key=lambda t: [u[pt] // d for pt in t[lo:hi]])
-    return [tuple([u[pt] for pt in t]) for t in ts]
+def _children(transversal: _Transversal, level: tuple, u: tuple) -> Iterator[tuple[int, ...]]:
+    """t u for each t in a level's transversal, lazily, by their keys at
+    the level: t's key b gives t u's, [u[pt] for pt in b] on a block level
+    and u[b*d] // d on a sigma level, so only the elements read are built."""
+    d = level[2]
+    if d == 1:
+        keys = sorted(transversal, key=lambda b: [u[pt] for pt in b])
+    else:
+        keys = sorted(transversal, key=lambda b: u[b[0] * d] // d)
+    return (tuple([u[pt] for pt in transversal.element(b)]) for b in keys)
 
 
 def _walk(transversals: list[dict], levels: list, k: int, u: tuple) -> Iterator[tuple]:
@@ -382,7 +428,9 @@ def least_outside(chain: StabilizerChain,
     None when H = G.  With G^(k) in H for k >= deep, every coset above
     deep meets G \\ H and its least child holds the identity, and a coset
     at deep lies in H iff u does: the answer is the first element below
-    the least child of the identity at level deep - 1 that is not in H."""
+    the least child of the identity at level deep - 1 that is not in H.
+    Each strong generator is tested once, however many levels hold it."""
+    inside = functools.cache(inside)
     if all(inside(x.points) for x in chain.generators):
         return None
     levels, strong, transversals = _rebase(chain)
@@ -404,7 +452,7 @@ def _least_equivalence(source: Sequence[tuple[int, ...]], target: Sequence[tuple
     once a leaf is found."""
     check_group_cap(scheme, group_cap)
     full, rows, levels = _pruning_model(source, target, scheme)
-    leaf = next(_leaves(levels, rows, list(range(scheme.m)), [full], []), None)
+    leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
     if leaf is None:
         return None
     y = _points(leaf, scheme.q)

@@ -107,13 +107,9 @@ class Code:
 
     @cached_property
     def _neighbour_entries(self) -> tuple[tuple[int, ...], ...]:
-        """Gamma_1(C) as sorted entry tuples, built only when the codewords'
-        neighbourhoods, len(C) * m * (q-1) vertices in all, are within the
-        enumeration cap."""
-        total = len(self) * self.scheme.m * (self.scheme.q - 1)
-        check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
-                  f"the neighbourhoods of {len(self)} codewords of {self.scheme} hold "
-                  f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+        """Gamma_1(C) as sorted entry tuples, built only within the
+        enumeration cap (_check_neighbour_cap)."""
+        _check_neighbour_cap(self)
         return tuple(sorted(_neighbours_of(self._entries, self.scheme.q)))
 
     @cached_property
@@ -126,6 +122,15 @@ class Code:
         if x.scheme != self.scheme:
             raise SchemeMismatchError("automorphism from a different scheme")
         return Code.from_entries(self.scheme, _images(x._moves, self._entries))
+
+
+def _check_neighbour_cap(code: Code) -> None:
+    """FeasibilityError unless the codewords' neighbourhoods, len(C) * m *
+    (q-1) vertices in all, are within the enumeration cap."""
+    total = len(code) * code.scheme.m * (code.scheme.q - 1)
+    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
+              f"the neighbourhoods of {len(code)} codewords of {code.scheme} hold "
+              f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
 
 
 def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
@@ -245,14 +250,18 @@ def _determined_entries(code: Code) -> list[tuple[int, ...]]:
     return sorted(words + pre)
 
 
-def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP) -> StabilizerChain:
+def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP,
+                         aut: StabilizerChain | None = None) -> StabilizerChain:
     """Stab(Gamma_1(C)) as a stabilizer chain, searched on D = C plus its
     pre-codewords when delta >= 3 (module docstring) and on Gamma_1(C)
-    otherwise.  Both searches give the same chain.  Checks the group cap
-    first."""
+    otherwise.  Both searches give the same chain, so aut, C's chain if
+    the caller has it, is the answer when D = C.  Checks the group cap first."""
     check_group_cap(code.scheme, group_cap)
-    searched = (_determined_entries(code) if code.min_distance >= 3
-                else list(code._neighbour_entries))
+    if code.min_distance < 3:
+        return _stabilizer_chain(list(code._neighbour_entries), code.scheme)
+    searched = _determined_entries(code)
+    if aut is not None and len(searched) == len(code):
+        return aut
     return _stabilizer_chain(searched, code.scheme)
 
 

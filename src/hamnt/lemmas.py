@@ -82,16 +82,14 @@ def _walk_witnesses(code: Code, chain: StabilizerChain):
                 yield code, Vertex(scheme, alpha), Automorphism._trusted(scheme, u)
 
 
-def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
-    """(first, total): the first cap witnesses over the codes with
-    delta >= 3, code by code, and their number.  For G = Stab(G1(C)),
-    alpha^y lies in C for |G_alpha| * |C & alpha^G| elements y, so an
-    orbit O of G holds |C & O|^2 * |G| / |O| pairs that are not witnesses."""
+def _witnesses(stabs: list[tuple[Code, StabilizerChain]], cap: int) -> tuple[list, int]:
+    """(first, total): the first cap witnesses over the codes of stabs,
+    pairs of a code with delta >= 3 and the chain of G = Stab(G1(C)), code
+    by code, and their number.  alpha^y lies in C for |G_alpha| *
+    |C & alpha^G| elements y, so an orbit O of G holds |C & O|^2 * |G| / |O|
+    pairs that are not witnesses."""
     first, total = [], 0
-    for code in codes:
-        if code.min_distance < 3:
-            continue
-        chain = neighbour_stabilizer(code, group_cap)
+    for code, chain in stabs:
         words = code._entry_set
         movers = [x._moves for x in chain.generators]
         left, count = set(words), len(words) * chain.order
@@ -104,6 +102,13 @@ def _witnesses(codes: list[Code], group_cap: int, cap: int) -> tuple[list, int]:
         first.extend(itertools.islice(_walk_witnesses(code, chain),
                                       min(cap - len(first), count)))
     return first, total
+
+
+def _fixes_neighbours(code: Code, xs) -> bool:
+    """True iff every x in xs maps Gamma_1(C) onto itself, tested on Gamma_1(C):
+    _neighbours_fixed_by passes every x that fixes C, the implication under test."""
+    fixes = fixes_entries(code._neighbour_entries, code.scheme.q)
+    return all(fixes(x.points) for x in xs)
 
 
 def _pair_walk(vertices: list[tuple[int, ...]], q: int):
@@ -138,7 +143,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     triple orbit then has |G| / |G_t| elements for the first triple t, set
     against the walk's triple count.  Aut(C) is the stabilizer chain of C;
     the elements stabilizing a set form a subgroup, so its strong
-    generators cover every element.
+    generators cover every element; it is Stab(G1(C)) too when D = C.
     """
     scheme = HammingScheme(m, q)
     check_enumeration_cap(scheme)
@@ -172,19 +177,16 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         checks.append(ClauseResult("triples_single_orbit", True,
                                    "no triples exist at m = 1"))
     codes = _sample_codes(scheme, vertices, random.Random(seed), 6)
-    implication_ok, aut_count = True, 0
-    for code in codes:
-        aut = _stabilizer_chain(code._entries, scheme)
-        aut_count += aut.order
-        # a direct test on Gamma_1(C): _neighbours_fixed_by passes every x
-        # that fixes C, which is the implication under test
-        fixes = fixes_entries(code._neighbour_entries, q)
-        implication_ok = implication_ok and all(fixes(x.points) for x in aut.generators)
+    auts = [_stabilizer_chain(code._entries, scheme) for code in codes]
+    implication_ok = all([_fixes_neighbours(code, aut.generators)
+                          for code, aut in zip(codes, auts)])
     checks.append(ClauseResult(
         "code_automorphisms_stabilize_neighbours", implication_ok,
-        f"{aut_count} code automorphisms over {len(codes)} sampled codes"))
+        f"{sum(aut.order for aut in auts)} code automorphisms over {len(codes)} sampled codes"))
 
-    checked, total = _witnesses(codes, group_cap, MAX_PRE_VERIFICATIONS)
+    stabs = [(code, neighbour_stabilizer(code, group_cap, aut))
+             for code, aut in zip(codes, auts) if code.min_distance >= 3]
+    checked, total = _witnesses(stabs, MAX_PRE_VERIFICATIONS)
     # one batch per code, as the witnesses come code by code; every report
     # is built before any is read, so every witness is checked after a failure
     reports = []

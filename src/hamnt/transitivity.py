@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import _elements, fixes_entries, least_outside, stabilizer_chain
-from .code_model import Code, _neighbours_fixed_by, neighbour_stabilizer
+from .code_model import (Code, _check_neighbour_cap, _neighbours_fixed_by, neighbour_count,
+                         neighbour_stabilizer)
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
@@ -55,10 +56,16 @@ def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
 def _transitive_on_neighbours(code: Code, xs) -> bool:
     """True iff the group the elements xs generate, which fixes the
     nonempty Gamma_1(C), is transitive on it: a group preserving a finite
-    set acts transitively on it iff the orbit of one point, here the
-    least neighbour, is as large as the set."""
-    nbrs = code._neighbour_entries
-    return len(_orbit([x._moves for x in xs], nbrs[0])) == len(nbrs)
+    set acts transitively on it iff the orbit of one point is as large as
+    the set, where the orbit search stops.  When delta >= 3 the point is a
+    neighbour of the least codeword, and Gamma_1(C) is not built."""
+    size = neighbour_count(code)
+    if code.min_distance >= 3:
+        w = code._entries[0]
+        start = ((w[0] + 1) % code.scheme.q,) + w[1:]
+    else:
+        start = code._neighbour_entries[0]
+    return len(_orbit([x._moves for x in xs], start, size)) == size
 
 
 def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
@@ -91,10 +98,12 @@ def analyze_stabilizer(code: Code,
     first non-fixing element is the chain's least element outside Aut(C),
     which lies in the stabilizer because C determines Gamma_1(C).
     It is transitive iff its strong generators are.  Checks the group cap
-    first.
+    first, then the enumeration cap on Gamma_1(C) (_check_neighbour_cap),
+    which is built only when delta < 3.
     """
     check_group_cap(code.scheme, group_cap)
-    if not code._neighbour_entries:
+    _check_neighbour_cap(code)
+    if not neighbour_count(code):
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
     chain = neighbour_stabilizer(code, group_cap)
     first = least_outside(chain, fixes_entries(code._entries, code.scheme.q))

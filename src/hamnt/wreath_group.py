@@ -74,10 +74,11 @@ def _images(mover: list, words) -> list[tuple[int, ...]]:
     return [tuple([g[w[i]] for g, i in mover]) for w in words]
 
 
-def _orbit(movers: list, start: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The entry tuples reached from start under the movers, breadth first."""
+def _orbit(movers: list, start: tuple[int, ...], size: int | None = None) -> set[tuple[int, ...]]:
+    """The entry tuples reached from start under the movers, breadth first,
+    stopping after the layer that brings them to size when given."""
     seen, frontier = {start}, [start]
-    while frontier:
+    while frontier and len(seen) != size:
         new = {w for mover in movers for w in _images(mover, frontier)} - seen
         seen |= new
         frontier = list(new)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamnt
+import hamnt.chain
 from hamnt import (Code, HammingScheme, automorphism_to_text, neighbour_count,
                    neighbourhoods_disjoint, parse_code_text, run_lemma_suite,
                    translation, write_code_file)
@@ -234,6 +235,19 @@ def test_every_command_checks_the_neighbour_set_enumeration_cap(tmp_path, monkey
     code, out, err = run(["analyze", "--input", paths["C"]])
     assert (code, err) == (0, "")
     assert "neighbour_count: 64" in out.splitlines()
+
+
+def test_search_refuses_h1_10_before_building_a_table(monkeypatch):
+    # the table cap is checked before the per-scheme tables are looked up,
+    # so H(1,10), whose 10! permutations the cache would keep, builds none
+    tables = []
+    real = hamnt.chain._tables
+    monkeypatch.setattr(hamnt.chain, "_tables", lambda *a: tables.append(a) or real(*a))
+    code, out, err = run(["lemmas", "--m", "1", "--q", "10"])
+    assert (code, out, tables) == (2, "", [])
+    assert "permutation table for H(1,10) holds 36288000 masks" in err
+    assert run(["lemmas", "--m", "1", "--q", "3"])[0] == 0 and tables
+
 
 def test_every_command_checks_the_distance_2_count_of_d(tmp_path, monkeypatch):
     # with a cap of 100 on code_model's counts, the family C at m = 8 has a

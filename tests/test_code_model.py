@@ -14,7 +14,7 @@ from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, FeasibilityError,
                    neighbours, parse_code_text, read_code_file, setwise_stabilizer,
                    shell, stabilizer_chain, stabilizes_set, translation,
                    vertex_to_text, write_code_file)
-from hamnt.chain import _leaves, _pruning_model, _stabilizer_chain, fixes_entries
+from hamnt.chain import _first_leaf, _pruning_model, _stabilizer_chain, fixes_entries
 from hamnt.code_model import (_determined_entries, _neighbours_fixed_by,
                               neighbour_stabilizer)
 from hamnt.errors import CodeFormatError
@@ -107,7 +107,7 @@ def test_library_functions_build_no_vertex_view():
         is_linear_binary(code)
         find_equivalence(code, code)
     family = build_family(6).C
-    first, total = _witnesses([family], DEFAULT_GROUP_CAP, 10**6)
+    first, total = _witnesses([(family, neighbour_stabilizer(family))], 10**6)
     assert len(first) == total > 0
     for code in (rep, near, family):
         assert "words" not in vars(code) and "neighbour_set" not in vars(code)
@@ -360,7 +360,7 @@ def test_find_equivalence_matches_brute_force_filter():
             kinds["sigma = id" if want[0] == tuple(range(scheme.m)) else "sigma != id"] += 1
             full, rows, levels = _pruning_model([v.entries for v in code],
                                                 [v.entries for v in other], scheme)
-            leaf = next(_leaves(levels, rows, list(range(scheme.m)), [full], []))
+            leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
             kinds["leaf" if tuple(zip(*leaf)) == want else "not the leaf"] += 1
     # a first leaf that is not least is rare: one moved copy in 30 to 100
     assert len(kinds) == 5 and min(kinds.values()) >= 2, kinds

@@ -22,11 +22,11 @@ import hamnt.precodeword
 import hamnt.transitivity
 from hamnt import (Automorphism, ClauseResult, Code, GeneratorSet, HammingScheme,
                    build_family, enumerate_full_group, full_group_generators,
-                   group_order, stabilizes_set)
+                   group_order, neighbour_stabilizer, stabilizes_set)
 from hamnt.cli import main
 from hamnt.hamming_core import _triple_entries
 from hamnt.lemmas import _pair_walk, _triple_stabilizer_order, _witnesses, run_lemma_suite
-from hamnt.wreath_group import DEFAULT_GROUP_CAP, _orbit
+from hamnt.wreath_group import _orbit
 from helpers import (listed_witnesses, random_code_min_distance, tuple_pair_walk,
                      vertex_pre_structure)
 
@@ -127,8 +127,9 @@ def witness_codes():
 def test_witness_count_and_first_pairs_match_listing(codes, count):
     listed = listed_witnesses(codes)
     assert len(listed) == count
+    stabs = [(code, neighbour_stabilizer(code)) for code in codes if code.min_distance >= 3]
     for cap in sorted({0, 1, 7, 40, count - 1, count, count + 1} - {-1}):
-        first, total = _witnesses(codes, DEFAULT_GROUP_CAP, cap)
+        first, total = _witnesses(stabs, cap)
         assert total == count
         assert first == listed[:cap]
 
@@ -246,28 +247,25 @@ def test_pair_walk_builds_no_entry_tuples(monkeypatch):
 
 
 def test_implication_fails_when_a_code_automorphism_moves_the_neighbours(monkeypatch):
-    # every chain built after the codes are sampled (the Aut(C) chains, not
-    # the triple chain) gets one more generator, the first element of the
-    # full group that moves Gamma_1(C)
-    real_sample, real_chain = hamnt.lemmas._sample_codes, hamnt.lemmas._stabilizer_chain
+    # the implication clause tests each sampled code's Aut(C) generators
+    # plus one more, the first element of the full group that moves
+    # Gamma_1(C); the chains themselves, which the witnesses reuse, are
+    # left as they are
+    real_sample, real_fixes = hamnt.lemmas._sample_codes, hamnt.lemmas._fixes_neighbours
     sampled, injected = [], []
 
     def sample(*args):
         sampled.extend(real_sample(*args))
         return sampled
 
-    def chain(words, scheme):
-        result = real_chain(words, scheme)
-        if sampled:
-            nbrs = Code.from_entries(scheme, words).neighbour_set
-            moving = next(x for x in enumerate_full_group(scheme)
-                          if not stabilizes_set(nbrs, x))
-            result.generators += (moving,)
-            injected.append(moving)
-        return result
+    def fixes(code, xs):
+        moving = next(x for x in enumerate_full_group(code.scheme)
+                      if not stabilizes_set(code.neighbour_set, x))
+        injected.append(moving)
+        return real_fixes(code, tuple(xs) + (moving,))
 
     monkeypatch.setattr(hamnt.lemmas, "_sample_codes", sample)
-    monkeypatch.setattr(hamnt.lemmas, "_stabilizer_chain", chain)
+    monkeypatch.setattr(hamnt.lemmas, "_fixes_neighbours", fixes)
     code, out, _ = run(["lemmas", "--m", "4", "--q", "2", "--format", "json"])
     assert code == 1
     checks = json.loads(out)["checks"]

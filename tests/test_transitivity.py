@@ -4,15 +4,18 @@ import random
 
 import pytest
 
+import hamnt.code_model
 from hamnt import (CASE2, VERDICT_FIXED, VERDICT_NONFIXING, VIOLATION,
                    Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, HypothesisError, MinDistanceError,
-                   automorphism_to_text, classify_theorem,
+                   analyze_stabilizer, automorphism_to_text, classify_theorem,
                    enumerate_full_group, is_neighbour_transitive,
                    setwise_stabilizer, stabilizes_set, translation)
+from hamnt.code_model import neighbour_stabilizer
 from hamnt.family_codes import build_family
+from hamnt.transitivity import _transitive_on_neighbours
 from helpers import (brute_classify, brute_stabilizer_order, conjugated_by,
-                     random_automorphism, random_code_min_distance)
+                     random_automorphism, random_code, random_code_min_distance)
 
 H42 = HammingScheme(4, 2)
 H22 = HammingScheme(2, 2)
@@ -123,6 +126,65 @@ def test_is_neighbour_transitive_empty_neighbour_set():
     everything = Code(H22, list(H22.vertices()))
     with pytest.raises(HypothesisError, match="neighbour set is empty"):
         is_neighbour_transitive(everything, GeneratorSet(H22, ()))
+
+
+def test_transitivity_matches_the_full_orbit_of_the_least_neighbour():
+    # the rule with its early stop (and, when delta >= 3, its start at a
+    # neighbour of the least codeword) against the whole orbit of the least
+    # neighbour, for subgroups of Stab(Gamma_1(C)) generated by a prefix of
+    # its strong generators
+    rng = random.Random(47)
+    verdicts = set()
+    for scheme in (HammingScheme(3, 2), HammingScheme(3, 3), H42, HammingScheme(2, 4)):
+        for _ in range(25):
+            code = random_code(rng, scheme, rng.randint(1, 5))
+            nbrs = set(code.neighbour_set)
+            if not nbrs:
+                continue
+            gens = neighbour_stabilizer(code).generators
+            for k in range(len(gens) + 1):
+                seen, frontier = {min(nbrs)}, [min(nbrs)]
+                while frontier:
+                    frontier = list({x.apply(v) for v in frontier for x in gens[:k]} - seen)
+                    seen.update(frontier)
+                want = seen == nbrs
+                fresh = Code(scheme, code.words)
+                assert _transitive_on_neighbours(fresh, gens[:k]) == want
+                verdicts.add((min(code.min_distance, 3), want))
+    assert verdicts == {(d, v) for d in (1, 2, 3) for v in (False, True)}, verdicts
+
+
+def test_analysis_checks_the_neighbour_cap_and_builds_no_neighbour_set(monkeypatch):
+    # delta = 3: the repetition code's neighbourhoods hold 3 * 3 * 2 = 18
+    # vertices and its distance-2 shells 36.  Under a cap of 17 the
+    # analysis is refused after the group cap, before the shells and any
+    # search, with the message of building Gamma_1(C); under 36 it runs,
+    # and neither it nor classify_theorem builds Gamma_1(C)
+    def rep():
+        return Code.from_entries(HammingScheme(3, 3), [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+
+    searches = []
+    real = hamnt.code_model._stabilizer_chain
+    monkeypatch.setattr(hamnt.code_model, "_stabilizer_chain",
+                        lambda *a: searches.append(a) or real(*a))
+    monkeypatch.setattr(hamnt.code_model, "DEFAULT_ENUMERATION_CAP", 17)
+    with pytest.raises(FeasibilityError) as built:
+        rep().neighbour_set
+    assert str(built.value) == ("the neighbourhoods of 3 codewords of H(3,3) hold 18 "
+                                "vertices, over the enumeration cap 17")
+    for analysis in (analyze_stabilizer, classify_theorem):
+        with pytest.raises(FeasibilityError) as refused:
+            analysis(rep())
+        assert str(refused.value) == str(built.value)
+        with pytest.raises(FeasibilityError, match="over the group cap 10$"):
+            analysis(rep(), group_cap=10)
+    assert searches == []
+    monkeypatch.setattr(hamnt.code_model, "DEFAULT_ENUMERATION_CAP", 36)
+    for analysis in (analyze_stabilizer, classify_theorem):
+        code = rep()
+        assert analysis(code).transitive_on_neighbours
+        assert "_neighbour_entries" not in vars(code)
+    assert len(searches) == 2
 
 
 def test_classify_family_m4():

@@ -5,17 +5,19 @@ from collections import Counter
 import pytest
 
 import hamnt.chain
+import hamnt.code_model
 import hamnt.hamming_core
+import hamnt.transitivity
 from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, Vertex,
-                   automorphism_to_text, closure,
+                   automorphism_to_text, classify_theorem, closure,
                    distance, enumerate_full_group,
                    enumerate_triples, find_equivalence, fixes_entries,
                    full_group_generators, group_order, is_code_automorphism,
                    least_outside, orbit, schreier_sims, setwise_stabilizer,
                    stabilizer_chain, stabilizes_set, translation)
-from hamnt.chain import (_block_levels, _canonical_levels, _grow, _key, _rebase,
-                         _schreier_sims, _walk)
+from hamnt.chain import (_block_levels, _canonical_levels, _first_leaf, _grow, _key,
+                         _pruning_model, _rebase, _schreier_sims, _Transversal, _walk)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.wreath_group import check_group_cap
@@ -378,7 +380,10 @@ def test_schreier_sims_stops_at_a_known_order(monkeypatch):
     _, _, full = _schreier_sims(gens, 16, levels)
     to_the_end = len(sifts)
     _, _, known = _schreier_sims(gens, 16, levels, chain.order)
-    assert full == known and math.prod(len(t) for t in known) == chain.order
+    assert [list(t) for t in full] == [list(t) for t in known]
+    assert ([[t.element(b) for b in t] for t in full]
+            == [[t.element(b) for b in t] for t in known])
+    assert math.prod(len(t) for t in known) == chain.order
     # the known order spares the sifts that would prove the chain complete
     assert len(sifts) - to_the_end < to_the_end / 2
     with pytest.raises(RuntimeError, match="internal error"):
@@ -442,7 +447,7 @@ def test_known_order_rebase_walks_the_same_elements(monkeypatch):
         _, _, full = _schreier_sims(points, m * q, levels)
         assert list(_walk(known, levels, 0, ident)) == list(_walk(full, levels, 0, ident))
         walked += 1
-        differ += known != full
+        differ += [t.elements for t in known] != [t.elements for t in full]
     assert walked >= 20 and differ >= 10, (walked, differ)
 
 
@@ -548,10 +553,81 @@ def test_grow_meets_only_the_new_generators_with_the_old_entries():
             group = {x.points for x in closure(GeneratorSet(scheme, tuple(xs)))}
             gens = [x.points for x in xs]
             for level in _canonical_levels(scheme.m, scheme.q) + _block_levels(scheme.m, scheme.q):
-                step, full = {_key(ident, level): ident}, {_key(ident, level): ident}
+                step, full = (_Transversal(_key(ident, level), ident),
+                              _Transversal(_key(ident, level), ident))
                 for k in range(len(gens)):
                     _grow(step, level, gens[:k + 1], k)
                     _grow(full, level, gens[:k + 1])
-                    assert list(step.items()) == list(full.items())
+                    assert list(step) == list(full)
+                    assert [step.element(b) for b in step] == [full.element(b) for b in full]
                 assert set(step) == {_key(u, level) for u in group}
-                assert all(_key(u, level) == b and u in group for b, u in step.items())
+                assert all(_key(step.element(b), level) == b and step.element(b) in group
+                           for b in step)
+
+
+def test_first_leaf_is_the_least_element_mapping_s_onto_t():
+    # the search's order reads (sigma(0), g_0, sigma(1), g_1, ...); its
+    # first leaf is the least element of the brute-force filter in that
+    # order, or None when no element maps S onto T
+    rng = random.Random(46)
+    kinds = Counter()
+    for scheme in (H33, H42, HammingScheme(2, 4), HammingScheme(5, 2)):
+        verts = list(scheme.vertices())
+        for i in range(30):
+            source = rng.sample(verts, rng.randint(1, 4))
+            x = random_automorphism(rng, scheme)
+            target = ([x.apply(v) for v in source] if i % 2
+                      else rng.sample(verts, len(source)))
+            full, rows, levels = _pruning_model(sorted(v.entries for v in source),
+                                                sorted(v.entries for v in target), scheme)
+            leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
+            want = min(([(sigma[d], gs[d]) for d in range(scheme.m)]
+                        for sigma, gs in brute_maps_into(scheme, source, target)), default=None)
+            assert leaf == want
+            kinds["none" if want is None else "leaf"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_classify_searches_once_and_tests_each_generator_once(monkeypatch):
+    # one classify of the H(3,3) repetition code (a non-fixing witness, so
+    # least_outside re-bases): one Sims' backtrack, whose transversals hold
+    # parent pointers to its strong generators and which builds no
+    # element, and one membership test per tested element
+    searches, active, built, chains, tested = [], [], [], [], Counter()
+    real_search, real_element = hamnt.code_model._stabilizer_chain, _Transversal.element
+    real_fixes = hamnt.chain.fixes_entries
+
+    def search(words, scheme):
+        searches.append(words)
+        active.append(True)
+        try:
+            return real_search(words, scheme)
+        finally:
+            active.pop()
+
+    def element(trans, b):
+        if active:
+            built.append(b)
+        return real_element(trans, b)
+
+    class Chain(hamnt.chain.StabilizerChain):
+        def __init__(self, scheme, strong, transversals):
+            chains.append((strong, transversals))
+            super().__init__(scheme, strong, transversals)
+
+    def fixes(entries, q):
+        inside = real_fixes(entries, q)
+        return lambda s: tested.update([s]) or inside(s)
+
+    monkeypatch.setattr(hamnt.code_model, "_stabilizer_chain", search)
+    monkeypatch.setattr(_Transversal, "element", element)
+    monkeypatch.setattr(hamnt.chain, "StabilizerChain", Chain)
+    monkeypatch.setattr(hamnt.transitivity, "fixes_entries", fixes)
+    code = Code.from_entries(H33, [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+    report = classify_theorem(code)
+    assert report.witness is not None and report.stabilizer_order == 108
+    assert len(searches) == 1 and built == []
+    [(strong, transversals)] = chains
+    assert all(pointer is None or (pointer[0] in trans and pointer[1] in strong)
+               for trans in transversals for pointer in trans.values())
+    assert tested and set(tested.values()) == {1}
