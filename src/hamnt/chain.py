@@ -1,17 +1,18 @@
 """Stabilizer chains of subgroups of S_q wr S_m, and the search for the
 automorphisms x mapping a vertex set S into a vertex set T.
 
-The search takes S and T as sorted entry tuples; stabilizer_chain, the
-public entry, converts and scheme-checks its vertices once.  The search
-(_pruning_model, _narrow, _first_leaf) is a backtrack: depth k
-picks the image position p = sigma(k) among the positions still free
-(ascending), then g_k.  Each distinct source prefix s[:k+1] keeps a
-bitmask of the members of T that agree with its image on the positions
-sigma(0)..sigma(k).  x is injective, so a branch dies when some mask
-holds fewer targets than its prefix has sources, and every sigma with a
-given prefix shares that prefix's pruning.  A leaf maps S into T, onto
-T when |S| = |T|; callers need only the first.  The per-scheme tables
-(_tables) are kept for a few schemes, behind the search's cap check.
+The search takes S and T as sorted vertex indices (module hamming_core);
+stabilizer_chain, the public entry, converts and scheme-checks its
+vertices once.  The search (_pruning_model, _narrow, _first_leaf) is a
+backtrack: depth k picks the image position p = sigma(k) among the
+positions still free (ascending), then g_k.  Each distinct source prefix
+s[:k+1] keeps a bitmask of the members of T that agree with its image on
+the positions sigma(0)..sigma(k).  x is injective, so a branch dies when
+some mask holds fewer targets than its prefix has sources, and every
+sigma with a given prefix shares that prefix's pruning.  A leaf maps S
+into T, onto T when |S| = |T|; callers need only the first.  The
+per-scheme tables (_tables) are kept up to a bound on their rows, behind
+the search's cap check.
 
 A chain holds elements as their point tuples (module wreath_group).
 A level (lo, hi, d) keys u by tuple(u[lo:hi]), each point divided by
@@ -31,12 +32,9 @@ Schreier-Sims, which reads elements in _sift: given a bound on the
 order, random elements are sifted until the transversal sizes multiply
 to it, and a deterministic pass over the Schreier generators completes
 the chain when they do not.  _grow meets the old keys with the new
-generator only.
-Sims' backtrack takes the first leaf under each prefix, the least
-element of the group with that prefix, so sets with one stabilizer give
-one chain.  So code_model.neighbour_stabilizer searches D = C plus its
-pre-codewords in place of Gamma_1(C): Stab(Gamma_1(C)) = Stab(D), since
-Gamma_1(C) determines D and Gamma_1(D) = Gamma_1(C) when delta >= 2.
+generator only.  Sims' backtrack takes the first leaf under each
+prefix, the least element of the group with that prefix, so sets with
+one stabilizer give one chain (code_model.neighbour_stabilizer uses this).
 
 The canonical levels, keyed by sigma(0..m-1) and then by the block
 images, compared level by level, are the canonical order.  _rebase
@@ -60,9 +58,10 @@ import random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SchemeMismatchError
-from .hamming_core import DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex, check_cap
+from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex, _index_of,
+                           _places, check_cap)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _images, _invert, _mover, _points, check_group_cap)
+                           _act, _half_tables, _invert, _points, check_group_cap)
 
 # Elements are point-image tuples, built as tuple([...]): tuple(generator)
 # raised the peak RSS of a classify sweep by about 1 MB.
@@ -85,45 +84,60 @@ def _canonical_levels(m: int, q: int) -> list[tuple[int, int, int]]:
     return [(k * q, k * q + 1, q) for k in range(m)] + _block_levels(m, q)
 
 
-@functools.lru_cache(maxsize=4)  # at q = 9 a scheme's tables hold 362,880 permutations
+# The per-scheme tables kept between searches, least recently used first, up
+# to _TABLE_ROWS rows (m * q! block keys) in all; a larger one lives for one search.
+_TABLE_ROWS = 5 * 10**4
+_kept: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+
+
 def _tables(m: int, q: int) -> tuple[tuple, tuple]:
     """(perms, keys): each alphabet permutation g, lexicographic, with
     itemgetter(*g); keys[p], aligned, g's block key p*q + g(c) at p."""
-    perms = tuple(itertools.permutations(range(q)))
-    # block 0's key is g itself
-    keys = [perms] + [tuple([tuple([p * q + c for c in g]) for g in perms]) for p in range(1, m)]
-    return tuple([(g, operator.itemgetter(*g)) for g in perms]), tuple(keys)
+    tables = _kept.pop((m, q), None)
+    if tables is None:
+        perms = tuple(itertools.permutations(range(q)))
+        keys = [perms] + [tuple([tuple([p * q + c for c in g]) for g in perms])
+                          for p in range(1, m)]  # block 0's key is g itself
+        tables = tuple([(g, operator.itemgetter(*g)) for g in perms]), tuple(keys)
+    if m * len(tables[0]) <= _TABLE_ROWS:
+        _kept[m, q] = tables
+        while sum([k * len(t[0]) for (k, _), t in _kept.items()]) > _TABLE_ROWS:
+            del _kept[next(iter(_kept))]
+    return tables
 
 
-def _pruning_model(words: Sequence[tuple[int, ...]], targets: Sequence[tuple[int, ...]],
-                   scheme: HammingScheme):
-    """The pruning model of the search from S and T as sorted entry
-    tuples: (full, rows, levels).
+def _pruning_model(words: Sequence[int], targets: Sequence[int], scheme: HammingScheme):
+    """The pruning model of the search from S and T as sorted vertex
+    indices: (full, rows, levels).
 
-    full is the bitmask of every target; rows[p] pairs each alphabet
-    permutation g (in lexicographic order) with pos_val[p][g(c)] for every
-    symbol c, where pos_val[p][c] is the bitmask of the targets t with
-    t[p] == c; levels[k] lists the distinct source prefixes w[:k+1] as
-    (parent, symbol, size): parent indexes the prefixes w[:k] of
-    levels[k-1], and size counts the sources with that prefix.  The rows
-    hold m * q! * q masks, checked against the enumeration cap before
-    any table is built.
+    full is the bitmask of every target; rows[p] holds, for each alphabet
+    permutation g (lexicographic), (g, pos_val[p][g(c)] for every symbol
+    c, g's block key at p), where pos_val[p][c] is the bitmask of the
+    targets with entry c at p; levels[k] lists the distinct source
+    prefixes w // q^(m-1-k) as (parent, symbol, size): parent indexes the
+    prefixes of levels[k-1], and size counts the sources with that
+    prefix.  The rows hold m * q! * q masks, checked against the
+    enumeration cap before any table is built.
     """
     m, q = scheme.m, scheme.q
     check_cap(math.log(m * q) + math.lgamma(q + 1), lambda: m * math.factorial(q) * q,
               DEFAULT_ENUMERATION_CAP, f"the search's permutation table for {scheme} "
               f"holds {{size}} masks, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    perms = _tables(m, q)[0]
+    perms, keys = _tables(m, q)
+    place = _places(m, q)
     pos_val = [[0] * q for _ in range(m)]
-    for t, w in enumerate(targets):
-        for p, c in enumerate(w):
-            pos_val[p][c] |= 1 << t
-    rows = [[(g, get(pv)) for g, get in perms] for pv in pos_val]
-    levels, index = [], {(): 0}
-    for k in range(m):
-        level: dict[tuple[int, ...], list[int]] = {}
+    for t, x in enumerate(targets):
+        bit = 1 << t
+        for p, row in zip(place, pos_val):
+            row[x // p % q] |= bit
+    rows = [[(g, get(pv), key) for (g, get), key in zip(perms, keys_p)]
+            for pv, keys_p in zip(pos_val, keys)]
+    levels, index = [], {0: 0}
+    for p in place:
+        level: dict[int, list[int]] = {}
         for w in words:
-            level.setdefault(w[:k + 1], [index[w[:k]], w[k], 0])[2] += 1
+            prefix = w // p
+            level.setdefault(prefix, [index[prefix // q], prefix % q, 0])[2] += 1
         levels.append(tuple([tuple(node) for node in level.values()]))
         index = {prefix: i for i, prefix in enumerate(level)}
     return (1 << len(targets)) - 1, rows, levels
@@ -152,7 +166,7 @@ def _first_leaf(levels: list, rows: list, free: list[int], masks: list[int],
     level = levels[len(chosen)]
     for i, p in enumerate(free):
         rest = free[:i] + free[i + 1:]
-        for g, row in rows[p]:
+        for g, row, _ in rows[p]:
             nxt = _narrow(level, row, masks)
             if nxt is not None:
                 chosen.append((p, g))
@@ -241,15 +255,14 @@ def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
     vs = set(vertices)
     if any(v.scheme != scheme for v in vs):
         raise SchemeMismatchError("set member from a different scheme")
-    return _stabilizer_chain(sorted([v.entries for v in vs]), scheme)
+    return _stabilizer_chain(sorted([_index_of(v.entries, scheme.q) for v in vs]), scheme)
 
 
-def _stabilizer_chain(words: Sequence[tuple[int, ...]], scheme: HammingScheme) -> StabilizerChain:
-    """stabilizer_chain of a set given as sorted entry tuples, the group
+def _stabilizer_chain(words: Sequence[int], scheme: HammingScheme) -> StabilizerChain:
+    """stabilizer_chain of a set given as sorted vertex indices, the group
     cap already checked."""
     full, rows, levels = _pruning_model(words, words, scheme)
     m, q = scheme.m, scheme.q
-    keys = _tables(m, q)[1]
     # the identity on blocks 0..k-1 prunes nothing; rows[k][0] is g_k = id
     fixed = [(k, rows[k][0][0]) for k in range(m)]
     prefix_masks = [[full]]
@@ -257,14 +270,14 @@ def _stabilizer_chain(words: Sequence[tuple[int, ...]], scheme: HammingScheme) -
         prefix_masks.append(_narrow(levels[k], rows[k][0][1], prefix_masks[k]))
     blocks = _block_levels(m, q)
     # keys only: the chain's order is the product of the transversal sizes
-    transversals = [{keys[k][0]: None} for k in range(m)]
+    transversals = [{rows[k][0][2]: None} for k in range(m)]
     strong: list[tuple[int, ...]] = []
     for k in reversed(range(m)):
         # trans starts closed: each generator so far, found deeper, fixes blocks 0..k pointwise
         trans = transversals[k]
         for p in range(k, m):
             free = [r for r in range(k, m) if r != p]
-            for (g, row), key in zip(rows[p], keys[p]):
+            for g, row, key in rows[p]:
                 if key in trans:
                     continue
                 nxt = _narrow(levels[k], row, prefix_masks[k])
@@ -412,13 +425,20 @@ def _elements(chain: StabilizerChain) -> list[Automorphism]:
     return [Automorphism._trusted(chain.scheme, u) for u in _walk(transversals, levels, 0, ident)]
 
 
-def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple[int, ...]], bool]:
+def _fixes(indices: Iterable[int], scheme: HammingScheme) -> Callable[[tuple[int, ...]], bool]:
     """The membership test, on point tuples, of the setwise stabilizer of
-    a set of vertices given as entry tuples: the one rule for "x maps a
-    vertex set onto itself".  The set is read once, however many elements
-    are tested."""
-    words = set(entries)
-    return lambda s: set(_images(_mover(s, q), words)) == words
+    a vertex set given as indices: the one rule for "x maps a vertex set
+    onto itself" (into it suffices, x being injective)."""
+    words, m, q = frozenset(indices), scheme.m, scheme.q
+    return lambda s: words.issuperset(_act(_half_tables(s, m, q), words))
+
+
+def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple[int, ...]], bool]:
+    """_fixes for a set of vertices given as entry tuples over q symbols."""
+    entries = list(entries)
+    if not entries:
+        return lambda s: True
+    return _fixes([_index_of(w, q) for w in entries], HammingScheme(len(entries[0]), q))
 
 
 def least_outside(chain: StabilizerChain,
@@ -442,11 +462,11 @@ def least_outside(chain: StabilizerChain,
     return Automorphism._trusted(chain.scheme, next(_walk(transversals, levels, deep, u)))
 
 
-def _least_equivalence(source: Sequence[tuple[int, ...]], target: Sequence[tuple[int, ...]],
+def _least_equivalence(source: Sequence[int], target: Sequence[int],
                        scheme: HammingScheme,
                        group_cap: int) -> Automorphism | None:
     """The least automorphism, canonical order, mapping the vertex set
-    source onto target (a set of the same size), both sorted entry tuples,
+    source onto target (a set of the same size), both sorted vertex indices,
     or None.  Any leaf y of the search maps source onto target, and the
     elements that do form the coset Aut(source) y; its chain is built only
     once a leaf is found."""

@@ -1,19 +1,19 @@
 """Codes as finite vertex subsets of a Hamming graph.
 
-A Code is immutable and stores one representation: its words' entry
-tuples, sorted and deduplicated (_entries), and their frozenset
-(_entry_set) to look them up.  Every reader below the public functions
-uses them.  The Vertex views, words and neighbour_set, are built only
-when a caller reads them; the other derived quantities (minimum
-distance, Gamma_1(C) as entry tuples) are cached on first use.  The
-neighbour set has one builder, _neighbour_entries, which checks the
+A Code is immutable and stores one representation: its words' base-q
+indices (module hamming_core), sorted and deduplicated (_indices), and
+their frozenset (_index_set) to look them up.  Every reader below the
+public functions uses them.  The Vertex views, words and neighbour_set,
+are built only when a caller reads them; the other derived quantities
+(minimum distance, Gamma_1(C) as indices) are cached on first use.  The
+neighbour set has one builder, _neighbour_indices, which checks the
 enumeration cap first.  Codes are stored extensionally even when they
 happen to be linear: linearity is detected, never declared.
-"x fixes a vertex set" has one rule, chain.fixes_entries, on entry
-tuples; stabilizes_set and is_code_automorphism are its boundary
-wrappers, which check the scheme and convert once.  For Gamma_1(C),
-_neighbours_fixed_by tests x through the image code.  find_equivalence
-returns the least automorphism mapping one code onto another, or None.
+"x fixes a vertex set" has one rule, chain._fixes, on indices;
+stabilizes_set and is_code_automorphism are its boundary wrappers, which
+check the scheme and convert once.  For Gamma_1(C), _neighbours_fixed_by
+tests x through the image code.  find_equivalence returns the least
+automorphism mapping one code onto another, or None.
 
 The neighbour-set stabilizer of a code has one home, neighbour_stabilizer.
 Let D = {v not in Gamma_1(C) : Gamma(v) within Gamma_1(C)}; when
@@ -27,33 +27,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .chain import (StabilizerChain, _least_equivalence, _stabilizer_chain,
-                    fixes_entries)
+from .chain import StabilizerChain, _fixes, _least_equivalence, _stabilizer_chain
 from .errors import CodeFormatError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
-                           _ball1, _index_shell, _index_steps, check_cap,
+                           _index_ball, _index_neighbours, _index_of, _index_shell,
+                           _index_steps, _places, _vertex_at, check_cap,
                            vertex_from_text, vertex_to_text)
-from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images,
-                           check_group_cap)
-
-
-def _neighbours_of(words, q: int) -> set[tuple[int, ...]]:
-    """Gamma_1 of a set of entry tuples, as a set of entry tuples."""
-    out = set()
-    for w in words:
-        out.update(_ball1(w, q))
-    return out.difference(words)
+from .wreath_group import DEFAULT_GROUP_CAP, Automorphism, _act, check_group_cap
 
 
 class Code:
     """A set of vertices of one scheme, stored as sorted, deduplicated
-    entry tuples; the Vertex view words is built on first read."""
+    vertex indices; the Vertex view words is built on first read."""
 
     def __init__(self, scheme: HammingScheme, words: Iterable[Vertex]):
         words = list(words)
@@ -61,34 +51,42 @@ class Code:
         if foreign:
             raise SchemeMismatchError(f"word {min(foreign)} does not belong to {scheme}")
         self.scheme = scheme
-        self._entry_set = frozenset([w.entries for w in words])
-        self._entries = tuple(sorted(self._entry_set))
+        self._index_set = frozenset([_index_of(w.entries, scheme.q) for w in words])
+        self._indices = tuple(sorted(self._index_set))
 
     @classmethod
     def from_entries(cls, scheme: HammingScheme, rows: Iterable[Iterable[int]]) -> "Code":
         return cls(scheme, (scheme.vertex(row) for row in rows))
 
+    @classmethod
+    def _from_indices(cls, scheme: HammingScheme, indices: Iterable[int]) -> "Code":
+        """The code of these vertex indices, valid by construction, unchecked."""
+        code = object.__new__(cls)
+        code.scheme, code._index_set = scheme, frozenset(indices)
+        code._indices = tuple(sorted(code._index_set))
+        return code
+
     @cached_property
     def words(self) -> tuple[Vertex, ...]:
         """The codewords as vertices, sorted."""
-        return tuple([Vertex(self.scheme, w) for w in self._entries])
+        return tuple([_vertex_at(self.scheme, x) for x in self._indices])
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._indices)
 
     def __iter__(self):
         return iter(self.words)
 
     def __contains__(self, v) -> bool:
         return (isinstance(v, Vertex) and v.scheme == self.scheme
-                and v.entries in self._entry_set)
+                and _index_of(v.entries, self.scheme.q) in self._index_set)
 
     def __eq__(self, other):
         return (isinstance(other, Code) and self.scheme == other.scheme
-                and self._entries == other._entries)
+                and self._indices == other._indices)
 
     def __hash__(self):
-        return hash((self.scheme, self._entries))
+        return hash((self.scheme, self._indices))
 
     def __repr__(self):
         return f"Code({self.scheme}, {{{', '.join(vertex_to_text(w) for w in self.words)}}})"
@@ -96,32 +94,36 @@ class Code:
     @cached_property
     def min_distance(self) -> float:
         """Minimum pairwise distance; math.inf when fewer than two words.
-        A binary linear code's is its least nonzero weight."""
-        entries = self._entries
-        if len(entries) <= 1:
+        A binary linear code's is its least nonzero weight; otherwise two
+        words at distance d share m - d of their points p*q + v_p."""
+        indices, m, q = self._indices, self.scheme.m, self.scheme.q
+        if len(indices) <= 1:
             return math.inf
         if is_linear_binary(self):
-            return min([sum(w) for w in entries if any(w)])
-        return min(sum(map(operator.ne, u, v))
-                   for u, v in itertools.combinations(entries, 2))
+            return min([x.bit_count() for x in indices if x])
+        place = _places(m, q)
+        masks = [sum([1 << (p * q + x // d % q) for p, d in enumerate(place)]) for x in indices]
+        return m - max([max(map(int.bit_count, map(a.__and__, masks[i + 1:])))
+                        for i, a in enumerate(masks[:-1])])
 
     @cached_property
-    def _neighbour_entries(self) -> tuple[tuple[int, ...], ...]:
-        """Gamma_1(C) as sorted entry tuples, built only within the
-        enumeration cap (_check_neighbour_cap)."""
+    def _neighbour_indices(self) -> tuple[int, ...]:
+        """Gamma_1(C) as sorted indices, built only within the enumeration
+        cap (_check_neighbour_cap)."""
         _check_neighbour_cap(self)
-        return tuple(sorted(_neighbours_of(self._entries, self.scheme.q)))
+        m, q = self.scheme.m, self.scheme.q
+        return tuple(sorted(_index_neighbours(self._index_set, q, _places(m, q))))
 
     @cached_property
     def neighbour_set(self) -> tuple[Vertex, ...]:
         """All non-codewords adjacent to at least one codeword, sorted."""
-        return tuple([Vertex(self.scheme, w) for w in self._neighbour_entries])
+        return tuple([_vertex_at(self.scheme, x) for x in self._neighbour_indices])
 
     def image(self, x: Automorphism) -> "Code":
         """The code {apply(x, w) : w in C}."""
         if x.scheme != self.scheme:
             raise SchemeMismatchError("automorphism from a different scheme")
-        return Code.from_entries(self.scheme, _images(x._moves, self._entries))
+        return Code._from_indices(self.scheme, _act(x._actor, self._indices))
 
 
 def _check_neighbour_cap(code: Code) -> None:
@@ -138,17 +140,17 @@ def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
     automorphism, so it maps Gamma_1(C) onto Gamma_1(C^x): an x that fixes
     C needs nothing more, and each other image code needs its neighbour
     set once."""
-    words = code._entry_set
+    words, q, place = code._index_set, code.scheme.q, _places(code.scheme.m, code.scheme.q)
     passed, nbrs = {words}, None
     for x in xs:
         if x.scheme != code.scheme:
             raise SchemeMismatchError("automorphism from a different scheme")
-        image = frozenset(_images(x._moves, words))
+        image = frozenset(_act(x._actor, words))
         if image in passed:
             continue
         if nbrs is None:
-            nbrs = set(code._neighbour_entries)
-        if _neighbours_of(image, code.scheme.q) != nbrs:
+            nbrs = set(code._neighbour_indices)
+        if _index_neighbours(image, q, place) != nbrs:
             return False
         passed.add(image)
     return True
@@ -159,14 +161,14 @@ def stabilizes_set(vertices: Iterable[Vertex], x: Automorphism) -> bool:
     vertices = tuple(vertices)
     if any(v.scheme != x.scheme for v in vertices):
         raise SchemeMismatchError("set member from a different scheme")
-    return fixes_entries([v.entries for v in vertices], x.scheme.q)(x.points)
+    return _fixes([_index_of(v.entries, x.scheme.q) for v in vertices], x.scheme)(x.points)
 
 
 def is_code_automorphism(code: Code, x: Automorphism) -> bool:
     """True iff x fixes the code setwise (x belongs to Aut(C))."""
     if x.scheme != code.scheme:
         raise SchemeMismatchError("automorphism from a different scheme")
-    return fixes_entries(code._entry_set, code.scheme.q)(x.points)
+    return _fixes(code._index_set, code.scheme)(x.points)
 
 
 def neighbour_count(code: Code) -> int:
@@ -178,7 +180,7 @@ def neighbour_count(code: Code) -> int:
     """
     if code.min_distance >= 3:
         return len(code) * code.scheme.m * (code.scheme.q - 1)
-    return len(code._neighbour_entries)
+    return len(code._neighbour_indices)
 
 
 def neighbourhoods_disjoint(code: Code) -> bool:
@@ -190,11 +192,11 @@ def neighbourhoods_disjoint(code: Code) -> bool:
     adjacent codewords by their balls, m(q-1) lookups each.
     """
     m, q = code.scheme.m, code.scheme.q
-    count = neighbour_count(code)
-    adjacent = 0
+    count, adjacent = neighbour_count(code), 0
     if code.min_distance == 1:
-        words = code._entry_set
-        adjacent = sum(not words.isdisjoint(_ball1(w, q)) for w in code._entries)
+        words, place = code._index_set, _places(m, q)
+        adjacent = sum(not words.isdisjoint(_index_ball(x, _index_steps(x, q, place)))
+                       for x in code._indices)
     return len(code) * m * (q - 1) == count + adjacent
 
 
@@ -205,24 +207,21 @@ def is_linear_binary(code: Code) -> bool:
     the span so far doubles the span, and C is closed iff every new sum
     is a codeword, |C| sums in all.
     """
-    if code.scheme.q != 2 or len(code) == 0:
+    if code.scheme.q != 2 or len(code) == 0 or code._indices[0]:  # the least word
         return False
-    span = [(0,) * code.scheme.m]
-    if code._entries[0] != span[0]:  # the least word
-        return False
-    spanned = set(span)
-    for w in code._entries:
+    span, spanned = [0], {0}
+    for w in code._indices:
         if w not in spanned:
-            new = [tuple(map(operator.xor, s, w)) for s in span]
-            if not code._entry_set.issuperset(new):
+            new = [s ^ w for s in span]
+            if not code._index_set.issuperset(new):
                 return False
             span += new
             spanned.update(new)
     return True
 
 
-def _determined_entries(code: Code) -> list[tuple[int, ...]]:
-    """D = C plus its pre-codewords, as sorted entry tuples, for delta >= 3.
+def _determined_indices(code: Code) -> list[int]:
+    """D = C plus its pre-codewords, as sorted indices, for delta >= 3.
 
     The codewords' neighbourhoods are disjoint, and a vertex shares two
     neighbours with each codeword at distance 2.  Those cover all m(q-1)
@@ -230,10 +229,10 @@ def _determined_entries(code: Code) -> list[tuple[int, ...]]:
     Gamma_1(C), and none of a codeword.  So the pre-codewords are the
     vertices at distance 2 from exactly m(q-1)/2 codewords, and none exist
     when m(q-1) is odd or C has fewer words.  Its len(C) C(m,2) (q-1)^2
-    steps on vertex indices are checked against the enumeration cap first.
+    steps are checked against the enumeration cap first.
     """
     m, q = code.scheme.m, code.scheme.q
-    words = list(code._entries)
+    words = list(code._indices)
     half, odd = divmod(m * (q - 1), 2)
     if odd or len(words) < half:
         return words
@@ -241,13 +240,11 @@ def _determined_entries(code: Code) -> list[tuple[int, ...]]:
     check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
               f"the distance-2 shells of {len(words)} codewords of {code.scheme} hold "
               f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    place = [q ** (m - 1 - i) for i in range(m)]
-    pairs = list(itertools.combinations(range(m), 2))
+    place, pairs = _places(m, q), list(itertools.combinations(range(m), 2))
     counts = Counter()
     for w in words:
-        counts.update(_index_shell(*_index_steps(w, q, place), pairs))
-    pre = [tuple([v // p % q for p in place]) for v, n in counts.items() if n == half]
-    return sorted(words + pre)
+        counts.update(_index_shell(w, _index_steps(w, q, place), pairs))
+    return sorted(words + [v for v, n in counts.items() if n == half])
 
 
 def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP,
@@ -258,8 +255,8 @@ def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP,
     the caller has it, is the answer when D = C.  Checks the group cap first."""
     check_group_cap(code.scheme, group_cap)
     if code.min_distance < 3:
-        return _stabilizer_chain(list(code._neighbour_entries), code.scheme)
-    searched = _determined_entries(code)
+        return _stabilizer_chain(list(code._neighbour_indices), code.scheme)
+    searched = _determined_indices(code)
     if aut is not None and len(searched) == len(code):
         return aut
     return _stabilizer_chain(searched, code.scheme)
@@ -273,7 +270,7 @@ def find_equivalence(code: Code, other: Code,
         raise SchemeMismatchError("codes from different schemes")
     if len(code) != len(other):
         return None
-    return _least_equivalence(code._entries, other._entries, code.scheme, group_cap)
+    return _least_equivalence(code._indices, other._indices, code.scheme, group_cap)
 
 
 # -- shared code file format ------------------------------------------------

@@ -37,9 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
-from .chain import fixes_entries, schreier_sims
+from .chain import _fixes, schreier_sims
 from .code_model import Code, _neighbours_fixed_by, neighbour_stabilizer
 from .errors import HypothesisError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
@@ -93,15 +92,10 @@ def _check_m(m: int):
         raise HypothesisError("m must be even and >= 4")
 
 
-def _doubled(scheme: HammingScheme, beta: tuple[int, ...]) -> Vertex:
-    return Vertex(scheme, beta + beta)
-
-
 def build_family(m: int) -> FamilyInstance:
     """Construct U, C, the generator sets, and the non-fixing witness.
-    The enumeration cap bounds the entries of what the family builds:
-    m * 2^(m/2) neighbourhood tuples of m entries each, which bound the
-    2^(m/2) words too.  Memory grows with the entries, not the tuples."""
+    The enumeration cap bounds m times the m * 2^(m/2) neighbours, which
+    bounds the 2^(m/2) words too."""
     _check_m(m)
     h = m // 2
     check_cap(2 * math.log(m) + h * math.log(2), lambda: m * m * 2**h,
@@ -110,14 +104,13 @@ def build_family(m: int) -> FamilyInstance:
               f"the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     scheme = HammingScheme(m, 2)
 
-    halves = list(product(range(2), repeat=h))
-    U = Code(scheme, (_doubled(scheme, b) for b in halves))
-    C = Code(scheme, (_doubled(scheme, b) for b in halves if sum(b) % 2 == 0))
+    # the doubled word of the half with index b has index b * 2^h + b
+    U = Code._from_indices(scheme, [b << h | b for b in range(2**h)])
+    C = Code._from_indices(scheme, [b << h | b for b in range(2**h) if b.bit_count() % 2 == 0])
 
     # translations by the doubled unit words, a basis of U; their
     # adjacent products translate by a basis of C
-    u_basis = [translation(_doubled(scheme, tuple([int(j == i) for j in range(h)])))
-               for i in range(h)]
+    u_basis = [translation(Vertex(scheme, [int(j % h == i) for j in range(m)])) for i in range(h)]
     c_basis = [u_basis[i].compose(u_basis[i + 1]) for i in range(h - 1)]
     swaps = [[(i, i + 1), (i + h, i + 1 + h)] for i in range(h - 1)]
     swaps.append([(i, i + h) for i in range(h)])
@@ -159,23 +152,19 @@ def verify_family(m: int, exhaustive: bool = False,
         "min_distances", du == 2 and dc == 4,
         f"delta_U={du}, delta_C={dc}"))
 
-    nbrs_u = inst.U._neighbour_entries
-    expected_nbrs = set()
-    for beta in product(range(2), repeat=h):
-        for j in range(h):
-            gamma = list(beta)
-            gamma[j] ^= 1
-            expected_nbrs.add(beta + tuple(gamma))
+    nbrs_u = inst.U._neighbour_indices
+    # (beta, gamma) with gamma = beta but for one entry
+    expected_nbrs = {b << h | b ^ 1 << j for b in range(2**h) for j in range(h)}
     clauses.append(ClauseResult(
         "neighbour_set_formula", set(nbrs_u) == expected_nbrs,
         f"|G1(U)|={len(nbrs_u)}, pairs-at-distance-1 count={len(expected_nbrs)}"))
 
-    nbrs_c = inst.C._neighbour_entries
+    nbrs_c = inst.C._neighbour_indices
     clauses.append(ClauseResult(
         "neighbour_sets_equal", nbrs_u == nbrs_c,
         f"|G1(U)|={len(nbrs_u)}, |G1(C)|={len(nbrs_c)}"))
 
-    fixes_c = fixes_entries(inst.C._entry_set, 2)
+    fixes_c = _fixes(inst.C._index_set, inst.scheme)
     fixes = all(fixes_c(x.points) for x in inst.autC_gens.generators)
     clauses.append(ClauseResult(
         "generators_fix_code", fixes,

@@ -7,16 +7,16 @@ results are returned as lexicographically sorted tuples without
 duplicates, and every value in this module is immutable, so everything
 here is safe to share between threads.
 
-The combinatorics run on entry tuples: _ball1 (distance 1),
-_shell_entries (distance r) and _triple_entries (every triple, flat).
-Walks that need no tuples run on base-q vertex indices: _index_steps gives
-the digit changes, _index_ball and _index_shell add one or two of them.
-The public functions are thin wrappers that build one validated Vertex
-or Triple per result; the library's hot paths call the kernels directly.
+Below the public functions a vertex is its base-q index
+sum_p v_p * q^(m-1-p), so index order is lexicographic order; _index_of
+and _vertex_at convert.  _index_steps gives each position's digit
+changes, and _index_ball and _index_shell add one or two of them.  The
+public functions build one validated Vertex or Triple per result.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -128,35 +128,25 @@ def weight(v: Vertex) -> int:
     return sum(e != 0 for e in v.entries)
 
 
-def _ball1(entries: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
-    """The m(q-1) entry tuples at distance 1, by position then symbol."""
-    out = []
-    for i, e in enumerate(entries):
-        head, tail = entries[:i], entries[i + 1:]
-        out.extend([head + (c,) + tail for c in range(q) if c != e])
-    return out
+def _index_of(entries, q: int) -> int:
+    """The base-q index of an entry tuple."""
+    return functools.reduce(lambda x, e: x * q + e, entries, 0)
 
 
-def _shell_entries(entries: tuple[int, ...], q: int,
-                   radius: int) -> list[tuple[int, ...]]:
-    """The entry tuples at distance exactly radius, sorted."""
-    others = [[c for c in range(q) if c != e] for e in entries]
-    out = []
-    for positions in itertools.combinations(range(len(entries)), radius):
-        for values in itertools.product(*(others[i] for i in positions)):
-            w = list(entries)
-            for i, c in zip(positions, values):
-                w[i] = c
-            out.append(tuple(w))
-    out.sort()
-    return out
+def _vertex_at(scheme: HammingScheme, x: int) -> Vertex:
+    """The vertex with base-q index x."""
+    return Vertex(scheme, tuple([x // p % scheme.q for p in _places(scheme.m, scheme.q)]))
 
 
-def _index_steps(entries: tuple[int, ...], q: int, place: list[int]):
-    """(x, steps): entries as the base-q number x, place[i] = q^(m-1-i), so
-    index order is lexicographic; steps[i] moves entry i to each other symbol."""
-    return (sum([e * p for e, p in zip(entries, place)]),
-            [[(c - e) * p for c in range(q) if c != e] for e, p in zip(entries, place)])
+def _places(m: int, q: int) -> list[int]:
+    """place[i] = q^(m-1-i), the weight of entry i in an index."""
+    return [q ** (m - 1 - i) for i in range(m)]
+
+
+def _index_steps(x: int, q: int, place: list[int]) -> list[list[int]]:
+    """steps[i], the changes to x that move entry i to each other symbol."""
+    digits = [x // p % q for p in place]
+    return [[(c - e) * p for c in range(q) if c != e] for e, p in zip(digits, place)]
 
 
 def _index_ball(x: int, steps: list[list[int]]) -> list[int]:
@@ -169,23 +159,19 @@ def _index_shell(x: int, steps: list[list[int]], pairs) -> list[int]:
     return [x + a + b for i, j in pairs for a in steps[i] for b in steps[j]]
 
 
-def _triple_entries(scheme: HammingScheme) -> Iterator[tuple[int, ...]]:
-    """Every triple as the 3m entries alpha + nu + beta, in the order of
-    enumerate_triples.  beta differs from alpha at two positions, and
-    each nu takes beta's entry at one of them."""
-    q = scheme.q
-    for alpha in itertools.product(range(q), repeat=scheme.m):
-        for beta in _shell_entries(alpha, q, 2):
-            i, j = [k for k, (a, b) in enumerate(zip(alpha, beta)) if a != b]
-            nus = (alpha[:i] + beta[i:i + 1] + alpha[i + 1:],
-                   alpha[:j] + beta[j:j + 1] + alpha[j + 1:])
-            for nu in sorted(nus):
-                yield alpha + nu + beta
+def _index_neighbours(xs, q: int, place: list[int]) -> set[int]:
+    """Gamma_1 of a set of indices: each member with its digit at one
+    position raised by c = 1..q-1 (mod q), less the members."""
+    out = set()
+    for p in place:
+        for c in range(1, q):
+            out.update([x + (c - (x // p % q + c) // q * q) * p for x in xs])
+    return out.difference(xs)
 
 
 def neighbours(v: Vertex) -> tuple[Vertex, ...]:
     """The m(q-1) vertices at distance 1 from v, sorted lexicographically."""
-    return tuple([Vertex(v.scheme, w) for w in sorted(_ball1(v.entries, v.scheme.q))])
+    return shell(v, 1)
 
 
 def common_neighbours(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
@@ -193,9 +179,7 @@ def common_neighbours(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
     _check_same_scheme(u, v)
     if u == v:
         raise ValueError("common_neighbours requires distinct vertices")
-    q = u.scheme.q
-    shared = set(_ball1(u.entries, q)).intersection(_ball1(v.entries, q))
-    return tuple([Vertex(u.scheme, w) for w in sorted(shared)])
+    return tuple(sorted(set(neighbours(u)).intersection(neighbours(v))))
 
 
 def shell(alpha: Vertex, radius: int) -> tuple[Vertex, ...]:
@@ -203,11 +187,14 @@ def shell(alpha: Vertex, radius: int) -> tuple[Vertex, ...]:
 
     Size is C(m, radius) * (q-1)^radius.
     """
-    scheme = alpha.scheme
-    if not 0 <= radius <= scheme.m:
-        raise ValueError(f"radius {radius} outside 0..{scheme.m}")
-    return tuple([Vertex(scheme, w)
-                  for w in _shell_entries(alpha.entries, scheme.q, radius)])
+    m, q = alpha.scheme.m, alpha.scheme.q
+    if not 0 <= radius <= m:
+        raise ValueError(f"radius {radius} outside 0..{m}")
+    x = _index_of(alpha.entries, q)
+    steps = _index_steps(x, q, _places(m, q))
+    ring = sorted([x + sum(changes) for positions in itertools.combinations(steps, radius)
+                   for changes in itertools.product(*positions)])
+    return tuple([_vertex_at(alpha.scheme, y) for y in ring])
 
 
 def check_cap(ln_size: float, exact: Callable[[], int], cap: int,
@@ -240,9 +227,9 @@ def enumerate_triples(scheme: HammingScheme) -> Iterator[Triple]:
     triples is q^m * C(m,2) * (q-1)^2 * 2.
     """
     check_enumeration_cap(scheme)
-    m = scheme.m
-    return (Triple(Vertex(scheme, t[:m]), Vertex(scheme, t[m:2 * m]),
-                   Vertex(scheme, t[2 * m:])) for t in _triple_entries(scheme))
+    alphas = scheme.vertices() if scheme.m > 1 else ()  # no distance 2 at m = 1
+    return (Triple(alpha, nu, beta) for alpha in alphas
+            for beta in shell(alpha, 2) for nu in common_neighbours(alpha, beta))
 
 
 def vertex_to_text(v: Vertex) -> str:

@@ -13,15 +13,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import (StabilizerChain, _rebase, _stabilizer_chain, _walk,
-                    fixes_entries, schreier_sims)
+from .chain import (StabilizerChain, _fixes, _rebase, _stabilizer_chain, _walk,
+                    schreier_sims)
 from .code_model import Code, neighbour_stabilizer
 from .family_codes import build_family
-from .hamming_core import (HammingScheme, Vertex, _index_ball, _index_shell,
-                           _index_steps, check_enumeration_cap)
+from .hamming_core import (HammingScheme, _index_ball, _index_shell, _index_steps,
+                           _places, _vertex_at, check_enumeration_cap)
 from .precodeword import _verify_pre_structures
 from .reporting import ClauseResult, all_clauses_pass
-from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _images, _mover,
+from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _act, _half_tables,
                            _orbit, check_group_cap, full_group_generators)
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
@@ -46,40 +46,39 @@ class LemmaSuiteReport:
                 "all_pass": self.all_pass}
 
 
-def _sample_codes(scheme: HammingScheme, vertices: list[tuple[int, ...]],
-                  rng: random.Random, count: int) -> list[Code]:
+def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list[Code]:
     """The family C where the scheme has one, then codes of 2 or 3 words
-    drawn from the vertices (entry tuples in canonical order)."""
+    drawn from the vertex indices."""
     codes = []
     if scheme.q == 2 and scheme.m >= 4 and scheme.m % 2 == 0:
         codes.append(build_family(scheme.m).C)
+    vertices = range(scheme.vertex_count)
     while len(codes) < count:
         size = min(rng.choice((2, 3)), len(vertices))
-        codes.append(Code.from_entries(scheme, rng.sample(vertices, size)))
+        codes.append(Code._from_indices(scheme, rng.sample(vertices, size)))
     return codes
 
 
-def _triple_stabilizer_order(scheme: HammingScheme, triple: tuple[int, ...]) -> int:
-    """|G_t| for a triple t = alpha + nu + beta (3m entries) in the full
+def _triple_stabilizer_order(scheme: HammingScheme, triple: tuple[int, int, int]) -> int:
+    """|G_t| for a triple t = (alpha, nu, beta) of indices in the full
     group G, whose order is within the group cap.  The setwise stabilizer
     of {alpha, nu, beta} fixes nu, the one vertex adjacent to the other
     two; it swaps alpha and beta iff a strong generator does."""
-    m = scheme.m
-    alpha, beta = triple[:m], triple[2 * m:]
-    chain = _stabilizer_chain(sorted([alpha, triple[m:2 * m], beta]), scheme)
-    swaps = any(_images(x._moves, (alpha,)) == [beta] for x in chain.generators)
+    alpha, _, beta = triple
+    chain = _stabilizer_chain(sorted(triple), scheme)
+    swaps = any(_act(x._actor, (alpha,)) == [beta] for x in chain.generators)
     return chain.order // 2 if swaps else chain.order
 
 
 def _walk_witnesses(code: Code, chain: StabilizerChain):
     """The witnesses (code, alpha, y) of a code, lazily: y in the chain's
     group, canonical order, then alpha ascending, with alpha^y not in C."""
-    scheme = code.scheme
+    scheme, m, q = code.scheme, code.scheme.m, code.scheme.q
     levels, _, transversals = _rebase(chain)
-    for u in _walk(transversals, levels, 0, tuple(range(scheme.m * scheme.q))):
-        for alpha, img in zip(code._entries, _images(_mover(u, scheme.q), code._entries)):
-            if img not in code._entry_set:
-                yield code, Vertex(scheme, alpha), Automorphism._trusted(scheme, u)
+    for u in _walk(transversals, levels, 0, tuple(range(m * q))):
+        for alpha, img in zip(code._indices, _act(_half_tables(u, m, q), code._indices)):
+            if img not in code._index_set:
+                yield code, _vertex_at(scheme, alpha), Automorphism._trusted(scheme, u)
 
 
 def _witnesses(stabs: list[tuple[Code, StabilizerChain]], cap: int) -> tuple[list, int]:
@@ -90,11 +89,11 @@ def _witnesses(stabs: list[tuple[Code, StabilizerChain]], cap: int) -> tuple[lis
     pairs that are not witnesses."""
     first, total = [], 0
     for code, chain in stabs:
-        words = code._entry_set
-        movers = [x._moves for x in chain.generators]
+        words = code._index_set
+        actors = [x._actor for x in chain.generators]
         left, count = set(words), len(words) * chain.order
         while left:
-            reach = _orbit(movers, min(left))
+            reach = _orbit(actors, min(left))
             hit = len(reach.intersection(words))
             count -= chain.order // len(reach) * hit * hit
             left -= reach
@@ -107,25 +106,23 @@ def _witnesses(stabs: list[tuple[Code, StabilizerChain]], cap: int) -> tuple[lis
 def _fixes_neighbours(code: Code, xs) -> bool:
     """True iff every x in xs maps Gamma_1(C) onto itself, tested on Gamma_1(C):
     _neighbours_fixed_by passes every x that fixes C, the implication under test."""
-    fixes = fixes_entries(code._neighbour_entries, code.scheme.q)
+    fixes = _fixes(code._neighbour_indices, code.scheme)
     return all(fixes(x.points) for x in xs)
 
 
-def _pair_walk(vertices: list[tuple[int, ...]], q: int):
-    """(sizes, t0) on the indices x of vertices[x], in lexicographic order:
-    the ordered distance-2 pairs by their number of common neighbours, and
-    the first triple (a pair with one of them) or None."""
-    m = len(vertices[0])
-    place, pairs = [q ** (m - 1 - i) for i in range(m)], list(itertools.combinations(range(m), 2))
-    steps = [_index_steps(v, q, place)[1] for v in vertices]
+def _pair_walk(m: int, q: int):
+    """(sizes, t0) on the vertex indices of H(m,q): the ordered distance-2
+    pairs by their number of common neighbours, and the first triple
+    (alpha, nu, beta) (a pair with one of them) or None."""
+    place, pairs = _places(m, q), list(itertools.combinations(range(m), 2))
+    steps = [_index_steps(x, q, place) for x in range(q**m)]
     balls = [frozenset(_index_ball(x, s)) for x, s in enumerate(steps)]
     sizes = Counter()
-    for x, s in enumerate(steps):
-        ball = balls[x]
+    for x, (s, ball) in enumerate(zip(steps, balls)):
         sizes.update([len(ball & balls[y]) for y in _index_shell(x, s, pairs)])
     ring = _index_shell(0, steps[0], pairs)
     first = ring and balls[0] & balls[min(ring)]
-    return sizes, (vertices[0] + vertices[min(first)] + vertices[min(ring)] if first else None)
+    return sizes, ((0, min(first), min(ring)) if first else None)
 
 
 def run_lemma_suite(m: int, q: int, seed: int = 0,
@@ -151,8 +148,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
 
     checks = []
 
-    vertices = list(itertools.product(range(q), repeat=m))
-    sizes, t0 = _pair_walk(vertices, q)
+    sizes, t0 = _pair_walk(m, q)
     checks.append(ClauseResult(
         "two_common_neighbours", set(sizes) <= {2},
         f"{sum(sizes.values()) // 2} distance-2 pairs"))
@@ -165,19 +161,21 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         if certified:
             reached = order // _triple_stabilizer_order(scheme, t0)
         else:
-            # the orbit under the generated subgroup, for the report; x moves
-            # each vertex's m entries, so its mover repeats at offsets 0, m, 2m
-            acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
-                    for x in gens.generators]
-            reached = len(_orbit(acts, t0))
+            # the orbit of t0 under the generated subgroup, for the report
+            reached, frontier = {t0}, [t0]
+            while frontier:
+                frontier = {tuple(_act(x._actor, t)) for x in gens.generators
+                            for t in frontier} - reached
+                reached |= frontier
+            reached = len(reached)
         checks.append(ClauseResult(
             "triples_single_orbit", certified and reached == count,
             f"orbit {reached} of {count} triples under {order} elements"))
     else:
         checks.append(ClauseResult("triples_single_orbit", True,
                                    "no triples exist at m = 1"))
-    codes = _sample_codes(scheme, vertices, random.Random(seed), 6)
-    auts = [_stabilizer_chain(code._entries, scheme) for code in codes]
+    codes = _sample_codes(scheme, random.Random(seed), 6)
+    auts = [_stabilizer_chain(code._indices, scheme) for code in codes]
     implication_ok = all([_fixes_neighbours(code, aut.generators)
                           for code, aut in zip(codes, auts)])
     checks.append(ClauseResult(

@@ -12,7 +12,8 @@ would falsify the underlying mathematics, so it is expected never to fire.
 It is the one-pair case of _verify_pre_structures, which verifies many
 pairs of one code and does the work that does not depend on the pair
 once: the duals and dual cells of each pre-codeword, and the test that
-each y stabilizes the neighbour set.  Its memos live for one call.
+each y stabilizes the neighbour set.  Its memos live for one call, on
+vertex indices (module hamming_core).
 
 The hypotheses are checked eagerly with typed errors: the statements are
 conditional, and silently proceeding would verify vacuous claims.
@@ -20,15 +21,17 @@ conditional, and silently proceeding would verify vacuous claims.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .code_model import Code, _neighbours_fixed_by
 from .errors import (ImageInCodeError, MinDistanceError, NotACodewordError,
                      NotNeighbourStabilizerError, SchemeMismatchError)
-from .hamming_core import Vertex, _ball1, _shell_entries, vertex_to_text
+from .hamming_core import (Vertex, _index_ball, _index_of, _index_shell, _index_steps,
+                           _places, _vertex_at, shell, vertex_to_text)
 from .reporting import ClauseResult, all_clauses_pass
-from .wreath_group import Automorphism, _images, automorphism_to_text
+from .wreath_group import Automorphism, _act, automorphism_to_text
 
 
 @dataclass(frozen=True)
@@ -75,15 +78,9 @@ def _check_hypotheses(code: Code, alpha: Vertex, y: Automorphism, stabilizers: s
             raise NotNeighbourStabilizerError(
                 "y does not stabilize the code's neighbour set")
         stabilizers.add(y.points)
-    if _images(y._moves, (alpha.entries,))[0] in code._entry_set:
+    if _act(y._actor, (_index_of(alpha.entries, code.scheme.q),))[0] in code._index_set:
         raise ImageInCodeError(
             f"y maps {vertex_to_text(alpha)} back into the code")
-
-
-def _pre_entries(code: Code, ring: list, y: Automorphism) -> list[tuple[int, ...]]:
-    """Pre(alpha, y) as sorted entry tuples, given ring, the sorted
-    distance-2 shell of alpha."""
-    return [pi for pi, img in zip(ring, _images(y._moves, ring)) if img in code._entry_set]
 
 
 def _cells(nbrs: frozenset, others, ball):
@@ -104,8 +101,7 @@ def _cells(nbrs: frozenset, others, ball):
 def pre_codewords(code: Code, alpha: Vertex, y: Automorphism) -> tuple[Vertex, ...]:
     """Pre(alpha, y): sorted distance-2 vertices that y maps into the code."""
     _check_hypotheses(code, alpha, y, set())
-    ring = _shell_entries(alpha.entries, code.scheme.q, 2)
-    return tuple([Vertex(code.scheme, pi) for pi in _pre_entries(code, ring, y)])
+    return tuple([pi for pi in shell(alpha, 2) if y.apply(pi) in code])
 
 
 def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreReport:
@@ -133,17 +129,16 @@ def _verify_pre_structures(code: Code, pairs: list) -> list[PreReport]:
     duals C(pi), their cells and the test G1(pi) within G1(C).
     Pre(alpha, y), alpha's cells and the duals' images under y are found
     per pair."""
-    scheme = code.scheme
-    q = scheme.q
-    target = scheme.m * (q - 1)
-    words = code._entry_set
+    m, q, words = code.scheme.m, code.scheme.q, code._index_set
+    target = m * (q - 1)
     stabilizers = set()
     # built on first use, after a pair has passed the hypotheses, so a
     # hypothesis error still comes before the enumeration cap's
-    gamma1 = cache(lambda: frozenset(code._neighbour_entries))
-    ball = cache(lambda v: frozenset(_ball1(v, q)))
-    ring = cache(lambda v: _shell_entries(v, q, 2))
-    vertex = cache(lambda v: Vertex(scheme, v))
+    gamma1 = cache(lambda: frozenset(code._neighbour_indices))
+    place, positions = _places(m, q), list(itertools.combinations(range(m), 2))
+    ball = cache(lambda v: frozenset(_index_ball(v, _index_steps(v, q, place))))
+    ring = cache(lambda v: sorted(_index_shell(v, _index_steps(v, q, place), positions)))
+    vertex = cache(lambda v: _vertex_at(code.scheme, v))
 
     @cache
     def dual(pi):
@@ -156,10 +151,11 @@ def _verify_pre_structures(code: Code, pairs: list) -> list[PreReport]:
     reports = []
     for alpha, y in pairs:
         _check_hypotheses(code, alpha, y, stabilizers)
-        pre = _pre_entries(code, ring(alpha.entries), y)
+        a = _index_of(alpha.entries, q)
+        pre = [pi for pi, img in zip(ring(a), _act(y._actor, ring(a))) if img in words]
         ds = [dual(pi) for pi in pre]
 
-        cells, cell_sizes_ok, disjoint, covered = _cells(ball(alpha.entries), pre, ball)
+        cells, cell_sizes_ok, disjoint, covered = _cells(ball(a), pre, ball)
         clauses = [ClauseResult(
             "cells_partition_neighbourhood",
             cell_sizes_ok and disjoint and covered,
@@ -180,7 +176,7 @@ def _verify_pre_structures(code: Code, pairs: list) -> list[PreReport]:
             f"failed at {','.join(failed)}" if failed else "all pre-codewords"))
         clauses.append(ClauseResult(
             "dual_images_outside_code",
-            words.isdisjoint(_images(y._moves, [b for betas, _, _ in ds for b in betas])),
+            words.isdisjoint(_act(y._actor, [b for betas, _, _ in ds for b in betas])),
             f"checked duals of {len(pre)} pre-codewords"))
 
         reports.append(PreReport(

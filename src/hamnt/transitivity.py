@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chain import _elements, fixes_entries, least_outside, stabilizer_chain
+from .chain import _elements, _fixes, least_outside, stabilizer_chain
 from .code_model import (Code, _check_neighbour_cap, _neighbours_fixed_by, neighbour_count,
                          neighbour_stabilizer)
 from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
@@ -60,19 +60,19 @@ def _transitive_on_neighbours(code: Code, xs) -> bool:
     the set, where the orbit search stops.  When delta >= 3 the point is a
     neighbour of the least codeword, and Gamma_1(C) is not built."""
     size = neighbour_count(code)
-    if code.min_distance >= 3:
-        w = code._entries[0]
-        start = ((w[0] + 1) % code.scheme.q,) + w[1:]
+    if code.min_distance >= 3:  # the least codeword with entry 0 raised by one
+        w, q, top = code._indices[0], code.scheme.q, code.scheme.q ** (code.scheme.m - 1)
+        start = w + top if w // top < q - 1 else w - (q - 1) * top
     else:
-        start = code._neighbour_entries[0]
-    return len(_orbit([x._moves for x in xs], start, size)) == size
+        start = code._neighbour_indices[0]
+    return len(_orbit([x._actor for x in xs], start, size)) == size
 
 
 def is_neighbour_transitive(code: Code, gens: GeneratorSet) -> bool:
     """True iff the generated group fixes Gamma_1(C) setwise and is transitive on it."""
     if gens.scheme != code.scheme:
         raise SchemeMismatchError("generators from a different scheme")
-    if not code._neighbour_entries:
+    if not code._neighbour_indices:
         raise HypothesisError("neighbour set is empty; transitivity is undefined")
     return (_neighbours_fixed_by(code, gens.generators)
             and _transitive_on_neighbours(code, gens.generators))
@@ -106,7 +106,7 @@ def analyze_stabilizer(code: Code,
     if not neighbour_count(code):
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
     chain = neighbour_stabilizer(code, group_cap)
-    first = least_outside(chain, fixes_entries(code._entries, code.scheme.q))
+    first = least_outside(chain, _fixes(code._indices, code.scheme))
     return StabilizerAnalysis(chain.order, chain.generators, first,
                               _transitive_on_neighbours(code, chain.generators))
 

@@ -13,18 +13,21 @@ x is stored as its faithful action on the m*q points (position, symbol):
 point p*q + c goes to sigma(p)*q + g_p(c), and x followed by y is
 tuple([y[pt] for pt in x]) (Seress, Permutation Group Algorithms, 2003,
 ch. 4).  The normal form (g, sigma) is derived from the points for the
-text form and the canonical order.  Every action on entry tuples goes
-through _mover, the pairs (g_i, i) by target position; _images applies
-them, and _orbit searches with them breadth first.  apply and orbit are
-the boundary: they check the scheme and build a Vertex per result, and
-the library calls _images and _orbit on entry tuples.
+text form and the canonical order.
+
+Below the boundary a vertex is its base-q index (module hamming_core).
+The image index is a sum of one term per position, g_p(v_p) *
+q^(m-1-sigma(p)), so x acts through two tables, one per half of the
+positions: v goes to hi[v // n] + lo[v % n], n = q^(m - floor(m/2))
+(_half_tables, cached per element as _actor).  apply and orbit are the
+boundary: they check the scheme and build a Vertex per result.
 
 The canonical enumeration order used everywhere (full-group enumeration,
 stabilizer output, witness selection) is lexicographic over sigma's
 images, then lexicographic over the tuple of alphabet-permutation images.
 
 Searches and subgroups live in the module chain, and so does the one
-set-fixing rule (chain.fixes_entries).  enumerate_full_group and closure
+set-fixing rule (chain._fixes).  enumerate_full_group and closure
 have no caller in the package; the tests use them as oracles, and the
 benchmark's tracer wraps them.
 """
@@ -37,10 +40,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FeasibilityError, SchemeMismatchError
-from .hamming_core import HammingScheme, Vertex, check_cap
+from .hamming_core import HammingScheme, Vertex, _index_of, _places, _vertex_at, check_cap
 
 #: Default bound on (q!)^m * m! for full-group sweeps.
 DEFAULT_GROUP_CAP = 10**8
+
+#: Bound on q^ceil(m/2), the larger of an element's two tables (H(32,2) fits).
+_TABLE_CAP = 2**16
 
 
 def _is_perm(images: tuple[int, ...], n: int) -> bool:
@@ -59,29 +65,36 @@ def _points(pairs, q: int) -> tuple[int, ...]:
     return tuple([p * q + gc for p, g in pairs for gc in g])
 
 
-def _mover(points: tuple[int, ...], q: int) -> list:
-    """The action on entry tuples of the element with these point images:
-    the pairs (g_i, i) by target position sigma(i), ascending."""
-    mover = [None] * (len(points) // q)
-    for i in range(0, len(points), q):
-        g = tuple([pt % q for pt in points[i:i + q]])
-        mover[points[i] // q] = (g, i // q)
-    return mover
+def _half_tables(points: tuple[int, ...], m: int, q: int) -> tuple[list, list, int]:
+    """(hi, lo, n): the action on indices of the element with these point
+    images, v -> hi[v // n] + lo[v % n]; point p*q + c adds its symbol
+    times q^(m-1-p).  FeasibilityError past the table cap."""
+    h, place = m // 2, _places(m, q)
+    n = q * place[h]
+    if n > _TABLE_CAP:
+        check_cap((m - h) * math.log(q), lambda: n, _TABLE_CAP,
+                  f"an automorphism's action on H({m},{q}) needs tables of {{size}} "
+                  f"entries, over the table cap {_TABLE_CAP}")
+    tables = [[0], [0]]
+    for p in range(m):
+        column = [pt % q * place[pt // q] for pt in points[p * q:(p + 1) * q]]
+        tables[p >= h] = [t + c for t in tables[p >= h] for c in column]
+    return tables[0], tables[1], n
 
 
-def _images(mover: list, words) -> list[tuple[int, ...]]:
-    """The image of each entry tuple under a mover: entry j is g_i(w[i])."""
-    return [tuple([g[w[i]] for g, i in mover]) for w in words]
+def _act(actor: tuple[list, list, int], xs) -> list[int]:
+    """The image of each index in xs under an element's half tables."""
+    hi, lo, n = actor
+    return [hi[v // n] + lo[v % n] for v in xs]
 
 
-def _orbit(movers: list, start: tuple[int, ...], size: int | None = None) -> set[tuple[int, ...]]:
-    """The entry tuples reached from start under the movers, breadth first,
+def _orbit(actors: list, start: int, size: int | None = None) -> set[int]:
+    """The indices reached from start under the actors, breadth first,
     stopping after the layer that brings them to size when given."""
     seen, frontier = {start}, [start]
     while frontier and len(seen) != size:
-        new = {w for mover in movers for w in _images(mover, frontier)} - seen
-        seen |= new
-        frontier = list(new)
+        frontier = set().union(*[_act(a, frontier) for a in actors]) - seen
+        seen |= frontier
     return seen
 
 
@@ -127,8 +140,8 @@ class Automorphism:
         return tuple([tuple([pt % q for pt in pts[i:i + q]]) for i in range(0, len(pts), q)])
 
     @cached_property
-    def _moves(self) -> list:
-        return _mover(self.points, self.scheme.q)
+    def _actor(self) -> tuple[list, list, int]:
+        return _half_tables(self.points, self.scheme.m, self.scheme.q)
 
     # -- group operations ------------------------------------------------
 
@@ -145,7 +158,7 @@ class Automorphism:
     def apply(self, v: Vertex) -> Vertex:
         if v.scheme != self.scheme:
             raise SchemeMismatchError(f"vertex of {v.scheme} under automorphism of {self.scheme}")
-        return Vertex(self.scheme, _images(self._moves, (v.entries,))[0])
+        return _vertex_at(self.scheme, _act(self._actor, [_index_of(v.entries, v.scheme.q)])[0])
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """The element acting as self followed by other."""
@@ -291,8 +304,8 @@ def orbit(gens: GeneratorSet, v: Vertex) -> tuple[Vertex, ...]:
     """Smallest set containing v and closed under every generator, sorted."""
     if v.scheme != gens.scheme:
         raise SchemeMismatchError("vertex and generators from different schemes")
-    seen = _orbit([x._moves for x in gens.generators], v.entries)
-    return tuple([Vertex(v.scheme, w) for w in sorted(seen)])
+    seen = _orbit([x._actor for x in gens.generators], _index_of(v.entries, v.scheme.q))
+    return tuple([_vertex_at(v.scheme, w) for w in sorted(seen)])
 
 
 # -- text form ------------------------------------------------------------

@@ -16,7 +16,6 @@ from collections import Counter
 import hamnt.chain
 from hamnt import (Automorphism, ClauseResult, Code, HammingScheme, PreReport,
                    Vertex, neighbours, setwise_stabilizer, shell, vertex_to_text)
-from hamnt.hamming_core import _ball1, _shell_entries
 
 
 def random_automorphism(rng: random.Random, scheme: HammingScheme) -> Automorphism:
@@ -87,6 +86,62 @@ def brute_triple_count(scheme: HammingScheme) -> int:
                 if brute_distance(alpha, nu) == 1 and brute_distance(nu, beta) == 1:
                     count += 1
     return count
+
+
+def ball1(entries: tuple[int, ...], q: int) -> list[tuple[int, ...]]:
+    """The m(q-1) entry tuples at distance 1, by position then symbol."""
+    out = []
+    for i, e in enumerate(entries):
+        head, tail = entries[:i], entries[i + 1:]
+        out.extend([head + (c,) + tail for c in range(q) if c != e])
+    return out
+
+
+def shell_entries(entries: tuple[int, ...], q: int, radius: int) -> list[tuple[int, ...]]:
+    """The entry tuples at distance exactly radius, sorted."""
+    others = [[c for c in range(q) if c != e] for e in entries]
+    out = []
+    for positions in itertools.combinations(range(len(entries)), radius):
+        for values in itertools.product(*(others[i] for i in positions)):
+            w = list(entries)
+            for i, c in zip(positions, values):
+                w[i] = c
+            out.append(tuple(w))
+    out.sort()
+    return out
+
+
+def triple_entries(m: int, q: int):
+    """Every triple as the 3m entries alpha + nu + beta, in the order of
+    enumerate_triples (alpha, then beta, then nu): beta differs from alpha
+    at two positions, and each nu takes beta's entry at one of them."""
+    for alpha in itertools.product(range(q), repeat=m):
+        for beta in shell_entries(alpha, q, 2):
+            i, j = [k for k, (a, b) in enumerate(zip(alpha, beta)) if a != b]
+            nus = (alpha[:i] + beta[i:i + 1] + alpha[i + 1:],
+                   alpha[:j] + beta[j:j + 1] + alpha[j + 1:])
+            for nu in sorted(nus):
+                yield alpha + nu + beta
+
+
+def index_of(entries, q: int) -> int:
+    """The base-q index of an entry tuple, first entry most significant."""
+    return sum(e * q ** (len(entries) - 1 - i) for i, e in enumerate(entries))
+
+
+def tuple_orbit(gens, start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The breadth-first orbit of an entry tuple under the elements gens,
+    each applied through raw_apply; a tuple of k*m entries is k vertices,
+    each moved alike."""
+    raws = [(x.coord_perm, x.alphabet_perms) for x in gens]
+    m = len(raws[0][0]) if raws else len(start)
+    seen, frontier = {start}, [start]
+    while frontier:
+        new = {sum([raw_apply(sigma, gs, w[k:k + m]) for k in range(0, len(w), m)], ())
+               for sigma, gs in raws for w in frontier} - seen
+        seen |= new
+        frontier = list(new)
+    return seen
 
 
 def raw_full_group(m: int, q: int):
@@ -262,10 +317,10 @@ def tuple_pair_walk(m: int, q: int):
     number of common neighbours, and the first pair's least triple, or
     None when there is no pair."""
     vertices = list(itertools.product(range(q), repeat=m))
-    balls = {v: set(_ball1(v, q)) for v in vertices}
+    balls = {v: set(ball1(v, q)) for v in vertices}
     sizes = Counter()
     for u in vertices:
-        sizes.update([len(balls[u] & balls[v]) for v in _shell_entries(u, q, 2)])
-    alpha, ring = vertices[0], _shell_entries(vertices[0], q, 2)
+        sizes.update([len(balls[u] & balls[v]) for v in shell_entries(u, q, 2)])
+    alpha, ring = vertices[0], shell_entries(vertices[0], q, 2)
     first = ring and balls[alpha] & balls[ring[0]]
     return sizes, alpha + min(first) + ring[0] if first else None

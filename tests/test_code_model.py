@@ -15,13 +15,13 @@ from hamnt import (DEFAULT_GROUP_CAP, Automorphism, Code, FeasibilityError,
                    shell, stabilizer_chain, stabilizes_set, translation,
                    vertex_to_text, write_code_file)
 from hamnt.chain import _first_leaf, _pruning_model, _stabilizer_chain, fixes_entries
-from hamnt.code_model import (_determined_entries, _neighbours_fixed_by,
+from hamnt.code_model import (_determined_indices, _neighbours_fixed_by,
                               neighbour_stabilizer)
 from hamnt.errors import CodeFormatError
 from hamnt.family_codes import build_family
 from hamnt.lemmas import _witnesses
 from helpers import (HAMMING_7_4, binary_span, brute_determined, brute_distance,
-                     brute_neighbours, conjugated_by, greedy_code,
+                     brute_neighbours, conjugated_by, greedy_code, index_of,
                      random_automorphism, random_code, raw_apply, raw_full_group)
 
 H42 = HammingScheme(4, 2)
@@ -123,6 +123,27 @@ def test_min_distance_examples():
     assert FAMILY6.min_distance == 4
 
 
+def test_min_distance_matches_brute_distance():
+    # the mask rule, and the binary-linear shortcut, against the least
+    # brute-force distance over all pairs, on random codes of 0 to 12 words
+    rng = random.Random(14)
+    linear = 0
+    for scheme in (H42, H33, HammingScheme(2, 5), HammingScheme(5, 4)):
+        verts = list(scheme.vertices())
+        for _ in range(60):
+            code = random_code(rng, scheme, rng.randint(0, min(12, len(verts))))
+            pairs = itertools.combinations(code.words, 2)
+            assert code.min_distance == min((brute_distance(u, v) for u, v in pairs),
+                                            default=math.inf)
+        for rows in ([[1, 1, 0, 0], [0, 0, 1, 1]], [[1, 0, 1, 1]], [[1, 1, 1, 0], [0, 1, 1, 1]]):
+            if scheme.q == 2:
+                code = binary_span(rows)
+                linear += is_linear_binary(code)
+                assert code.min_distance == min(
+                    brute_distance(u, v) for u, v in itertools.combinations(code.words, 2))
+    assert linear == 3
+
+
 def test_neighbour_set_examples():
     # oracle: all 16 vertices at distance exactly 1 from the code
     expected = {v for v in H42.vertices()
@@ -159,30 +180,22 @@ def test_neighbourhoods_disjoint_matches_union_count():
                     (3, True, True), (3, False, True)}
 
 
-class _Symbol(int):
-    """An alphabet symbol that counts the != tests between two symbols."""
-
-    tests = 0
-
-    def __ne__(self, other):
-        if isinstance(other, _Symbol):
-            _Symbol.tests += 1
-        return int(self) != int(other)
-
-
-def test_neighbourhoods_disjoint_compares_no_two_codewords():
+def test_neighbourhoods_disjoint_compares_no_two_codewords(monkeypatch):
     # delta = 1: the adjacent codewords are found from each codeword's ball,
-    # not by comparing the codewords pairwise; min_distance (all pairs) is
-    # cached first
+    # one ball per codeword, not by comparing the codewords pairwise;
+    # min_distance (all pairs, on masks) is cached first and builds none
     rng = random.Random(45)
     rows = rng.sample(list(itertools.product(range(3), repeat=6)), 60)
-    code = Code.from_entries(HammingScheme(6, 3), [[_Symbol(e) for e in r] for r in rows])
-    assert code.min_distance == 1 and _Symbol.tests > 0
+    code = Code.from_entries(HammingScheme(6, 3), rows)
+    balls = []
+    real = hamnt.code_model._index_ball
+    monkeypatch.setattr(hamnt.code_model, "_index_ball",
+                        lambda x, steps: balls.append(x) or real(x, steps))
+    assert code.min_distance == 1 and balls == []
     nbhds = [brute_neighbours(w) for w in code.words]
     expected = sum(map(len, nbhds)) == len(set().union(*nbhds))
-    _Symbol.tests = 0
     assert neighbourhoods_disjoint(code) == expected
-    assert _Symbol.tests == 0
+    assert sorted(balls) == list(code._indices)
 
 
 def test_neighbourhoods_disjoint_checks_the_enumeration_cap(monkeypatch):
@@ -358,8 +371,9 @@ def test_find_equivalence_matches_brute_force_filter():
                 kinds["none"] += 1
                 continue
             kinds["sigma = id" if want[0] == tuple(range(scheme.m)) else "sigma != id"] += 1
-            full, rows, levels = _pruning_model([v.entries for v in code],
-                                                [v.entries for v in other], scheme)
+            full, rows, levels = _pruning_model([index_of(v.entries, scheme.q) for v in code],
+                                                [index_of(v.entries, scheme.q) for v in other],
+                                                scheme)
             leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
             kinds["leaf" if tuple(zip(*leaf)) == want else "not the leaf"] += 1
     # a first leaf that is not least is rare: one moved copy in 30 to 100
@@ -440,8 +454,8 @@ def test_determined_set_matches_definition():
     codes += [Code.from_entries(H33, [[0, 0, 0], [1, 1, 1], [2, 2, 2]]), binary_span(HAMMING_7_4)]
     with_pre = 0
     for code in codes:
-        got = _determined_entries(code)
-        assert got == sorted(brute_determined(code)), code
+        got = _determined_indices(code)
+        assert got == sorted(index_of(v, code.scheme.q) for v in brute_determined(code)), code
         with_pre += len(got) > len(code)
     assert len(codes) == 445 and with_pre >= 20, with_pre
 
@@ -458,7 +472,7 @@ def test_chain_on_determined_set_matches_chain_on_neighbours():
         want = stabilizer_chain(code.neighbour_set, code.scheme)
         got = [neighbour_stabilizer(code)]
         if code.min_distance >= 3:
-            got.append(_stabilizer_chain(_determined_entries(code), code.scheme))
+            got.append(_stabilizer_chain(_determined_indices(code), code.scheme))
         for chain in got:
             assert chain.order == want.order
             assert [x.points for x in chain.generators] == [x.points for x in want.generators]

@@ -121,6 +121,18 @@ def test_verify_family_exhaustive_beyond_default_cap(m, group_cap):
         f"search order {order}, closure of stab_gens order {order}"
 
 
+@pytest.mark.parametrize("m", [16, 20])
+def test_verify_family_frontier(m):
+    # the exhaustive check at the frontier, with a group cap over the full
+    # group's order: every clause passes, and the stabilizer has order
+    # 4^h * h! (3,805,072,588,800 at m = 20)
+    h = m // 2
+    report = verify_family(m, exhaustive=True, group_cap=10**40)
+    assert all(clause.passed for clause in report.clauses) and report.all_pass
+    assert len(report.clauses) == 7
+    assert report.stabilizer_order == 4**h * math.factorial(h)
+
+
 def test_verify_family_m6_non_exhaustive():
     report = verify_family(6)
     assert report.all_pass

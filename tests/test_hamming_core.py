@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -6,8 +8,10 @@ import hamnt.hamming_core
 from hamnt import (FeasibilityError, HammingScheme, SchemeMismatchError,
                    Triple, common_neighbours, distance, enumerate_triples,
                    neighbours, shell, vertex_from_text, vertex_to_text, weight)
-from hamnt.hamming_core import _ball1, _shell_entries, _triple_entries
-from helpers import brute_distance, brute_neighbours, brute_triple_count
+from hamnt.hamming_core import (_index_ball, _index_neighbours, _index_of, _index_shell,
+                                _index_steps, _places, _vertex_at)
+from helpers import (ball1, brute_distance, brute_neighbours, brute_triple_count,
+                     shell_entries, triple_entries)
 
 H42 = HammingScheme(4, 2)
 H33 = HammingScheme(3, 3)
@@ -158,21 +162,29 @@ def test_brute_distance_agrees():
 
 @pytest.mark.parametrize("m,q", [(1, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
 def test_entry_kernels_match_distance_filter(m, q):
-    """_ball1, _shell_entries and _triple_entries, and the public wrappers
-    over them, against a filter of all vertices by brute distance."""
+    """The index kernels, the entry-tuple oracles of helpers (ball1,
+    shell_entries, triple_entries) and the public wrappers, against a
+    filter of all vertices by brute distance.  Vertex x of the
+    lexicographic list has index x."""
     scheme = HammingScheme(m, q)
     verts = list(scheme.vertices())  # lexicographic
+    place, pairs = _places(m, q), list(itertools.combinations(range(m), 2))
 
     def ring(v, r):
         return [w for w in verts if brute_distance(v, w) == r]
 
-    for v in verts:
-        ball = _ball1(v.entries, q)
-        assert len(ball) == len(set(ball))
-        assert sorted(ball) == [w.entries for w in ring(v, 1)]
+    for x, v in enumerate(verts):
+        assert _index_of(v.entries, q) == x and _vertex_at(scheme, x) == v
+        steps = _index_steps(x, q, place)
+        # position then symbol, as the tuple ball
+        assert [verts[y].entries for y in _index_ball(x, steps)] == ball1(v.entries, q)
+        assert sorted(ball1(v.entries, q)) == [w.entries for w in ring(v, 1)]
+        assert _index_neighbours([x], q, place) == {verts.index(w) for w in ring(v, 1)}
+        two = _index_shell(x, steps, pairs)
+        assert len(two) == len(set(two)) and [verts[y] for y in sorted(two)] == ring(v, 2)
         assert neighbours(v) == tuple(ring(v, 1))
         for r in range(m + 1):
-            assert _shell_entries(v.entries, q, r) == [w.entries for w in ring(v, r)]
+            assert shell_entries(v.entries, q, r) == [w.entries for w in ring(v, r)]
             assert shell(v, r) == tuple(ring(v, r))
         for w in ring(v, 2):
             shared = [n for n in ring(v, 1) if brute_distance(n, w) == 1]
@@ -182,8 +194,22 @@ def test_entry_kernels_match_distance_filter(m, q):
     expected = [a.entries + n.entries + b.entries
                 for a in verts for b in ring(a, 2)
                 for n in ring(a, 1) if brute_distance(n, b) == 1]
-    got = list(_triple_entries(scheme))
+    got = list(triple_entries(m, q))
     assert set(got) == set(expected)
     assert got == expected
     assert [t.alpha.entries + t.nu.entries + t.beta.entries
             for t in enumerate_triples(scheme)] == expected
+
+
+def test_index_neighbours_match_brute_neighbours():
+    # Gamma_1 of a random vertex set on indices: the union of the members'
+    # brute-force neighbourhoods, less the members
+    rng = random.Random(12)
+    for m, q in [(1, 2), (1, 5), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (3, 4), (5, 2)]:
+        scheme = HammingScheme(m, q)
+        verts = list(scheme.vertices())
+        for _ in range(15):
+            members = rng.sample(verts, rng.randint(1, min(6, len(verts))))
+            want = set().union(*map(brute_neighbours, members)).difference(members)
+            got = _index_neighbours({_index_of(v.entries, q) for v in members}, q, _places(m, q))
+            assert got == {_index_of(w.entries, q) for w in want}

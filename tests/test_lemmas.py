@@ -4,7 +4,6 @@ counts of the triple orbit and the pre-codeword witnesses."""
 
 import dataclasses
 import io
-import itertools
 import json
 import math
 import random
@@ -20,15 +19,14 @@ import hamnt.hamming_core
 import hamnt.lemmas
 import hamnt.precodeword
 import hamnt.transitivity
+import hamnt.wreath_group
 from hamnt import (Automorphism, ClauseResult, Code, GeneratorSet, HammingScheme,
                    build_family, enumerate_full_group, full_group_generators,
                    group_order, neighbour_stabilizer, stabilizes_set)
 from hamnt.cli import main
-from hamnt.hamming_core import _triple_entries
 from hamnt.lemmas import _pair_walk, _triple_stabilizer_order, _witnesses, run_lemma_suite
-from hamnt.wreath_group import _orbit
-from helpers import (listed_witnesses, random_code_min_distance, tuple_pair_walk,
-                     vertex_pre_structure)
+from helpers import (index_of, listed_witnesses, random_code_min_distance, triple_entries,
+                     tuple_orbit, tuple_pair_walk, vertex_pre_structure)
 
 # `lemmas --format json` on each (m, q, seed), keyed "m,q,seed", as
 # [exit code, stdout].  The keys with m, q in H(1..6,2), H(1..4,3) and
@@ -45,6 +43,11 @@ def counting(real, name, callers):
         callers[name, sys._getframe(1).f_globals["__name__"]] += 1
         return real(*args)
     return wrapper
+
+
+def triple_indices(t, m, q):
+    """A triple's flat 3m entries as its three vertex indices."""
+    return tuple(index_of(t[k:k + m], q) for k in (0, m, 2 * m))
 
 
 def run(argv):
@@ -95,15 +98,15 @@ def test_lemmas_h82_lists_no_group(monkeypatch):
 @pytest.mark.parametrize("m, q", [(2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (5, 2)])
 def test_triple_orbit_size_matches_breadth_first_orbit(m, q):
     """|G| / |G_t| against the breadth-first orbit of t under the standard
-    generators, for the first triple (the one the suite takes) and three
-    random ones; the orbit is every triple."""
+    generators, on entry tuples (helpers.tuple_orbit), for the first triple
+    (the one the suite takes) and three random ones; the orbit is every
+    triple."""
     scheme = HammingScheme(m, q)
-    triples = list(_triple_entries(scheme))
-    acts = [[(g, k * m + i) for k in range(3) for g, i in x._moves]
-            for x in full_group_generators(scheme).generators]
+    triples = list(triple_entries(m, q))
+    gens = full_group_generators(scheme).generators
     for t in [triples[0]] + random.Random(m * 10 + q).sample(triples, 3):
-        stab = _triple_stabilizer_order(scheme, t)
-        assert group_order(scheme) // stab == len(_orbit(acts, t)) == len(triples)
+        stab = _triple_stabilizer_order(scheme, triple_indices(t, m, q))
+        assert group_order(scheme) // stab == len(tuple_orbit(gens, t)) == len(triples)
 
 
 def witness_codes():
@@ -205,7 +208,7 @@ def test_pair_walk_matches_closed_form(m, q, monkeypatch):
     """The walk counts q^m C(m,2) (q-1)^2 / 2 distance-2 pairs, each with
     two common neighbours, and twice as many triples as ordered pairs;
     the triple it hands to the orbit-stabilizer count is the first one
-    _triple_entries yields."""
+    helpers.triple_entries yields, as vertex indices."""
     real = hamnt.lemmas._triple_stabilizer_order
     seen = []
 
@@ -220,30 +223,36 @@ def test_pair_walk_matches_closed_form(m, q, monkeypatch):
         "two_common_neighbours", True, f"{ordered // 2} distance-2 pairs")
     assert report.checks[1].passed
     assert report.checks[1].detail.startswith(f"orbit {2 * ordered} of {2 * ordered} triples")
-    assert seen == [next(_triple_entries(HammingScheme(m, q)))]
+    assert seen == [triple_indices(next(triple_entries(m, q)), m, q)]
 
 
 @pytest.mark.parametrize("m, q", ORACLE_SCHEMES)
 def test_pair_walk_matches_tuple_walk(m, q):
     """The index walk gives the tuple walk's whole count of sizes, and so
     its pair and triple counts, and its first triple t0."""
-    vertices = list(itertools.product(range(q), repeat=m))
-    assert _pair_walk(vertices, q) == tuple_pair_walk(m, q)
+    sizes, t0 = tuple_pair_walk(m, q)
+    assert _pair_walk(m, q) == (sizes, t0 and triple_indices(t0, m, q))
 
 
 def test_pair_walk_builds_no_entry_tuples(monkeypatch):
-    # lemmas --m 6 --q 2 calls neither tuple kernel from the lemmas
-    # module; the pre-codeword check still calls them from its own
+    # no module binds an entry-tuple kernel, so lemmas --m 6 --q 2 builds
+    # no entry tuple below the boundary; the walk and the pre-codeword
+    # check call the index kernels, each from its own module
+    modules = [hamnt.hamming_core, hamnt.wreath_group, hamnt.chain, hamnt.code_model,
+               hamnt.precodeword, hamnt.lemmas]
+    assert not [(module.__name__, name) for module in modules
+                for name in ["_ball1", "_shell_entries", "_triple_entries", "_neighbours_of",
+                             "_mover", "_images"] if hasattr(module, name)]
     callers = Counter()
-    for module in [hamnt.hamming_core, hamnt.code_model, hamnt.precodeword, hamnt.lemmas]:
-        for name in ["_ball1", "_shell_entries"]:
+    for module in modules:
+        for name in ["_index_ball", "_index_shell"]:
             real = getattr(module, name, None)
             if real is not None:
                 monkeypatch.setattr(module, name, counting(real, name, callers))
     code, out, _ = run(["lemmas", "--m", "6", "--q", "2", "--format", "json"])
     assert [code, out] == PINNED["6,2,0"]
-    assert callers["_shell_entries", "hamnt.precodeword"] > 0
-    assert not [key for key in callers if key[1] == "hamnt.lemmas"]
+    assert callers["_index_shell", "hamnt.precodeword"] > 0
+    assert callers["_index_shell", "hamnt.lemmas"] > 0
 
 
 def test_implication_fails_when_a_code_automorphism_moves_the_neighbours(monkeypatch):
@@ -360,9 +369,9 @@ def test_pre_structure_work_is_shared_within_a_code(monkeypatch):
             return real(*args)
         monkeypatch.setattr(hamnt.precodeword, name, wrapper)
 
-    counted("_shell_entries")
+    counted("_index_shell")
     counted("_neighbours_fixed_by")
     code, out, _ = run(["lemmas", "--m", "6", "--q", "2", "--format", "json"])
     assert [code, out] == PINNED["6,2,0"]
     assert counts["_neighbours_fixed_by"] == 10
-    assert counts["_shell_entries"] <= 44
+    assert counts["_index_shell"] <= 44

@@ -10,11 +10,10 @@ from hamnt import (Automorphism, Code, HammingScheme, ImageInCodeError,
                    shell, translation, vertex_to_text, verify_pre_structure)
 from hamnt.code_model import neighbour_stabilizer
 from hamnt.family_codes import build_family
-from hamnt.hamming_core import _ball1
 from hamnt.lemmas import _walk_witnesses
 from hamnt.precodeword import _cells, _verify_pre_structures
 from hamnt.wreath_group import DEFAULT_GROUP_CAP
-from helpers import vertex_pre_structure
+from helpers import ball1, vertex_pre_structure
 
 H42 = HammingScheme(4, 2)
 
@@ -164,15 +163,16 @@ def test_batch_matches_single_pairs_under_an_injected_fault(monkeypatch):
     it, and only by those.  In the repetition code of H(3,3), Pre(alpha, y)
     is 3 of the 6 permutation words and depends on y; with one codeword
     dropped from the shell of 012, exactly the pairs whose Pre holds 012
-    fail dual_cells_partition, in one batch as one pair at a time."""
+    fail dual_cells_partition, in one batch as one pair at a time.  012 is
+    vertex 5, and the codeword dropped is the least of its shell."""
     code, pairs = ternary_witnesses()
-    real = hamnt.precodeword._shell_entries
+    real = hamnt.precodeword._index_shell
 
-    def faulty(entries, q, radius):
-        ring = real(entries, q, radius)
-        return ring[1:] if entries == (0, 1, 2) else ring
+    def faulty(x, steps, pairs):
+        ring = real(x, steps, pairs)
+        return [y for y in ring if y != min(ring)] if x == 5 else ring
 
-    monkeypatch.setattr(hamnt.precodeword, "_shell_entries", faulty)
+    monkeypatch.setattr(hamnt.precodeword, "_index_shell", faulty)
     random.Random(1).shuffle(pairs)
     reports = _verify_pre_structures(code, pairs)
     singles = [verify_pre_structure(code, alpha, y) for alpha, y in pairs]
@@ -219,7 +219,7 @@ def test_batch_raises_hypothesis_errors_at_later_pairs():
 def test_cells_rule_reports_sizes_overlaps_and_cover():
     # the one 2-set partition rule of verify_pre_structure, on G1(0000)
     # (the unit words): (cells, sizes_ok, disjoint, covered)
-    nbrs = set(_ball1((0, 0, 0, 0), 2))
+    nbrs = set(ball1((0, 0, 0, 0), 2))
     cases = [
         ([(1, 1, 0, 0), (0, 0, 1, 1)], (True, True, True)),
         ([(1, 1, 0, 0), (1, 0, 1, 0)], (True, False, False)),
@@ -229,6 +229,6 @@ def test_cells_rule_reports_sizes_overlaps_and_cover():
         ([], (True, True, False)),
     ]
     for others, want in cases:
-        cells, *flags = _cells(nbrs, others, lambda o: _ball1(o, 2))
-        assert [sorted(c) for c in cells] == [sorted(nbrs & set(_ball1(o, 2))) for o in others]
+        cells, *flags = _cells(nbrs, others, lambda o: ball1(o, 2))
+        assert [sorted(c) for c in cells] == [sorted(nbrs & set(ball1(o, 2))) for o in others]
         assert tuple(flags) == want

@@ -183,7 +183,7 @@ def test_analysis_checks_the_neighbour_cap_and_builds_no_neighbour_set(monkeypat
     for analysis in (analyze_stabilizer, classify_theorem):
         code = rep()
         assert analysis(code).transitive_on_neighbours
-        assert "_neighbour_entries" not in vars(code)
+        assert "_neighbour_indices" not in vars(code)
     assert len(searches) == 2
 
 

@@ -20,9 +20,11 @@ from hamnt.chain import (_block_levels, _canonical_levels, _first_leaf, _grow, _
                          _pruning_model, _rebase, _schreier_sims, _Transversal, _walk)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
-from hamnt.wreath_group import check_group_cap
+from hamnt.hamming_core import _vertex_at
+from hamnt.wreath_group import _act, _orbit, check_group_cap
 from helpers import (brute_maps_into, brute_stabilizer_order, conjugated_by,
-                     count_sifts, random_automorphism, raw_apply)
+                     count_sifts, index_of, random_automorphism, raw_apply,
+                     tuple_orbit)
 
 H32 = HammingScheme(3, 2)
 H33 = HammingScheme(3, 3)
@@ -369,6 +371,77 @@ def test_entry_action_matches_raw_apply():
     assert min(verdicts[True], verdicts[False]) >= 20, verdicts
 
 
+def test_half_table_action_matches_raw_apply():
+    # x acts on indices as hi[v // n] + lo[v % n], n = q^(m - m//2); against
+    # raw_apply on (sigma, gs) drawn here, at every m from 1 to 10 (odd and
+    # even halves) and q up to 9, on up to 300 vertices per element
+    rng = random.Random(47)
+    for m in range(1, 11):
+        for q in range(2, 10):
+            if q ** ((m + 1) // 2) > 2**16:
+                continue
+            scheme = HammingScheme(m, q)
+            for _ in range(3):
+                sigma = tuple(rng.sample(range(m), m))
+                gs = tuple(tuple(rng.sample(range(q), q)) for _ in range(m))
+                x = Automorphism(scheme, gs, sigma)
+                hi, lo, n = x._actor
+                assert n == q ** (m - m // 2) and len(lo) == n and len(hi) == q ** (m // 2)
+                xs = rng.sample(range(q**m), min(300, q**m))
+                want = [index_of(raw_apply(sigma, gs, _vertex_at(scheme, v).entries), q)
+                        for v in xs]
+                assert _act(x._actor, xs) == want
+    # at m = 1 the first half is empty: hi = [0] and lo is g_0
+    x = Automorphism(HammingScheme(1, 5), ((2, 4, 1, 0, 3),), (0,))
+    assert x._actor == ([0], [2, 4, 1, 0, 3], 5)
+
+
+def test_index_orbit_matches_tuple_orbit():
+    # the int _orbit of a random vertex under 1 to 3 random elements, and
+    # with a size it stops at, against the breadth-first orbit of helpers
+    rng = random.Random(48)
+    for scheme in (H32, H33, H42, HammingScheme(2, 4), HammingScheme(5, 2), HammingScheme(3, 5)):
+        m, q = scheme.m, scheme.q
+        for _ in range(15):
+            gens = [random_automorphism(rng, scheme) for _ in range(rng.randint(1, 3))]
+            v = tuple(rng.randrange(q) for _ in range(m))
+            want = {index_of(w, q) for w in tuple_orbit(gens, v)}
+            actors = [x._actor for x in gens]
+            assert _orbit(actors, index_of(v, q)) == want
+            assert _orbit(actors, index_of(v, q), len(want)) == want
+
+
+def test_action_tables_are_capped():
+    # an element's tables hold q^(m//2) and q^(m - m//2) entries; past the
+    # cap on the larger, the action refuses before building one
+    big = HammingScheme(40, 2)
+    x = Automorphism.identity(big)
+    with pytest.raises(FeasibilityError, match="needs tables of 1048576 entries"):
+        x.apply(big.zero())
+    ok = HammingScheme(32, 2)
+    assert Automorphism.identity(ok).apply(ok.unit(3)) == ok.unit(3)
+
+
+def test_search_tables_over_the_row_bound_are_not_kept(monkeypatch):
+    # the per-scheme search tables are kept up to _TABLE_ROWS rows (m * q!)
+    # in all, least recently used first; with the bound at 100, the 720 rows
+    # of H(1,6) live for one search while H(3,3)'s 18 and H(4,2)'s 8 stay
+    monkeypatch.setattr(hamnt.chain, "_TABLE_ROWS", 100)
+    monkeypatch.setattr(hamnt.chain, "_kept", {})
+    kept = hamnt.chain._kept
+    for scheme in (H33, H42, HammingScheme(1, 6)):
+        assert stabilizer_chain([scheme.zero()], scheme).order == \
+            brute_stabilizer_order(scheme, [scheme.zero()])
+    assert list(kept) == [(3, 3), (4, 2)]
+    tables = hamnt.chain._tables(3, 3)
+    assert hamnt.chain._tables(3, 3) is tables and list(kept) == [(4, 2), (3, 3)]
+    assert hamnt.chain._tables(1, 6) is not hamnt.chain._tables(1, 6)
+    # a bound of 20 keeps the 12 rows of H(2,3) alone
+    monkeypatch.setattr(hamnt.chain, "_TABLE_ROWS", 20)
+    hamnt.chain._tables(2, 3)
+    assert list(kept) == [(2, 3)]
+
+
 def test_schreier_sims_stops_at_a_known_order(monkeypatch):
     scheme = HammingScheme(8, 2)
     chain = stabilizer_chain(build_family(8).C.neighbour_set, scheme)
@@ -578,8 +651,9 @@ def test_first_leaf_is_the_least_element_mapping_s_onto_t():
             x = random_automorphism(rng, scheme)
             target = ([x.apply(v) for v in source] if i % 2
                       else rng.sample(verts, len(source)))
-            full, rows, levels = _pruning_model(sorted(v.entries for v in source),
-                                                sorted(v.entries for v in target), scheme)
+            full, rows, levels = _pruning_model(
+                sorted(index_of(v.entries, scheme.q) for v in source),
+                sorted(index_of(v.entries, scheme.q) for v in target), scheme)
             leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
             want = min(([(sigma[d], gs[d]) for d in range(scheme.m)]
                         for sigma, gs in brute_maps_into(scheme, source, target)), default=None)
@@ -595,7 +669,7 @@ def test_classify_searches_once_and_tests_each_generator_once(monkeypatch):
     # element, and one membership test per tested element
     searches, active, built, chains, tested = [], [], [], [], Counter()
     real_search, real_element = hamnt.code_model._stabilizer_chain, _Transversal.element
-    real_fixes = hamnt.chain.fixes_entries
+    real_fixes = hamnt.chain._fixes
 
     def search(words, scheme):
         searches.append(words)
@@ -615,14 +689,14 @@ def test_classify_searches_once_and_tests_each_generator_once(monkeypatch):
             chains.append((strong, transversals))
             super().__init__(scheme, strong, transversals)
 
-    def fixes(entries, q):
-        inside = real_fixes(entries, q)
+    def fixes(indices, scheme):
+        inside = real_fixes(indices, scheme)
         return lambda s: tested.update([s]) or inside(s)
 
     monkeypatch.setattr(hamnt.code_model, "_stabilizer_chain", search)
     monkeypatch.setattr(_Transversal, "element", element)
     monkeypatch.setattr(hamnt.chain, "StabilizerChain", Chain)
-    monkeypatch.setattr(hamnt.transitivity, "fixes_entries", fixes)
+    monkeypatch.setattr(hamnt.transitivity, "_fixes", fixes)
     code = Code.from_entries(H33, [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
     report = classify_theorem(code)
     assert report.witness is not None and report.stabilizer_order == 108
