@@ -50,21 +50,22 @@ lemma suite's first witnesses, walked lazily.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
-import operator
 import random
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex, _index_of,
                            _places, check_cap)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _act, _half_tables, _invert, _points, check_group_cap)
+                           _act, _invert, _points, check_group_cap)
 
-# Elements are point-image tuples, built as tuple([...]): tuple(generator)
-# raised the peak RSS of a classify sweep by about 1 MB.
+# Elements are point-image tuples; x followed by y is the C-level gather
+# itemgetter(*x)(y), a tuple, as a point tuple has m*q >= 2 entries (a block key q >= 2).
 
 # The random phase of _schreier_sims ends after this many sifts in a row
 # that reach the identity; the deterministic loop completes from there.
@@ -85,24 +86,42 @@ def _canonical_levels(m: int, q: int) -> list[tuple[int, int, int]]:
 
 
 # The per-scheme tables kept between searches, least recently used first, up
-# to _TABLE_ROWS rows (m * q! block keys) in all; a larger one lives for one search.
+# to _TABLE_ROWS rows (m * q! block keys) in all; a larger one lives for one
+# search, or in _held until the outermost _holding_tables block ends.
 _TABLE_ROWS = 5 * 10**4
 _kept: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+_held: dict[tuple[int, int], tuple[tuple, tuple]] | None = None
+
+
+@contextlib.contextmanager
+def _holding_tables():
+    """A block, such as a call that searches one scheme several times, in
+    which the over-bound tables stay held until the outermost block ends."""
+    global _held
+    outer, _held = _held is None, {} if _held is None else _held
+    try:
+        yield
+    finally:
+        if outer:
+            _held = None
 
 
 def _tables(m: int, q: int) -> tuple[tuple, tuple]:
     """(perms, keys): each alphabet permutation g, lexicographic, with
     itemgetter(*g); keys[p], aligned, g's block key p*q + g(c) at p."""
-    tables = _kept.pop((m, q), None)
+    held = {} if _held is None else _held
+    tables = _kept.pop((m, q), None) or held.get((m, q))
     if tables is None:
         perms = tuple(itertools.permutations(range(q)))
         keys = [perms] + [tuple([tuple([p * q + c for c in g]) for g in perms])
                           for p in range(1, m)]  # block 0's key is g itself
-        tables = tuple([(g, operator.itemgetter(*g)) for g in perms]), tuple(keys)
+        tables = tuple([(g, itemgetter(*g)) for g in perms]), tuple(keys)
     if m * len(tables[0]) <= _TABLE_ROWS:
         _kept[m, q] = tables
         while sum([k * len(t[0]) for (k, _), t in _kept.items()]) > _TABLE_ROWS:
             del _kept[next(iter(_kept))]
+    else:
+        held[m, q] = tables
     return tables
 
 
@@ -121,8 +140,9 @@ def _pruning_model(words: Sequence[int], targets: Sequence[int], scheme: Hamming
     """
     m, q = scheme.m, scheme.q
     check_cap(math.log(m * q) + math.lgamma(q + 1), lambda: m * math.factorial(q) * q,
-              DEFAULT_ENUMERATION_CAP, f"the search's permutation table for {scheme} "
-              f"holds {{size}} masks, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+              DEFAULT_ENUMERATION_CAP,
+              lambda size: f"the search's permutation table for {scheme} holds {size} "
+                           f"masks, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     perms, keys = _tables(m, q)
     place = _places(m, q)
     pos_val = [[0] * q for _ in range(m)]
@@ -181,15 +201,16 @@ def _grow(trans: dict, level: tuple[int, int, int], gens: list[tuple[int, ...]],
     """Close trans, the Schreier vector of a level (key -> (parent key,
     generator)), under gens in place, given that it is closed under
     gens[:closed]: the old keys meet only the later generators, the new
-    ones all of them.  The image of a key b under s is [s[i] for i in b]
+    ones all of them.  The image of a key b under s is itemgetter(*b)(s)
     on a block level and s[b*d] // d, block b's image, on a sigma level."""
     d = level[2]
     frontier, step = list(trans), gens[closed:]
     while frontier:
         new = []
         for b in frontier:
+            get = itemgetter(*b) if d == 1 else itemgetter(b[0] * d)
             for s in step:
-                c = tuple([s[i] for i in b]) if d == 1 else (s[b[0] * d] // d,)
+                c = get(s) if d == 1 else (get(s) // d,)
                 if c not in trans:
                     trans[c] = (b, s)
                     new.append(c)
@@ -212,8 +233,7 @@ class _Transversal(dict):
             b = self[b][0]
         u = elements[b]
         for b in reversed(path):
-            s = self[b][1]
-            u = elements[b] = tuple([s[i] for i in u])
+            u = elements[b] = itemgetter(*u)(self[b][1])
         return u
 
 
@@ -232,7 +252,7 @@ def _sift(x: tuple[int, ...], transversals: list[dict], inverses: list[dict],
             if b not in transversals[k]:
                 return x, k
             inverses[k][b] = uinv = _invert(transversals[k].element(b))
-        x = tuple([uinv[i] for i in x])
+        x = itemgetter(*x)(uinv)
     return x, len(levels)
 
 
@@ -337,7 +357,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
         while misses < _MISSES and math.prod([len(t) for t in transversals]) != stop:
             for s in found:
                 if rng.random() < 0.5:
-                    w = tuple([s[pt] for pt in w])
+                    w = itemgetter(*w)(s)
             x, j = _sift(w, transversals, inverses, levels, 0)
             if x == ident:
                 misses += 1
@@ -356,8 +376,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
                 checked[k].add((b, i))
                 # level k's transversal is closed under strong[k], so the
                 # sift of u s passes level k
-                residue = _sift(tuple([s[pt] for pt in u]), transversals, inverses,
-                                levels, k)
+                residue = _sift(itemgetter(*u)(s), transversals, inverses, levels, k)
                 if residue[0] != ident:
                     break
                 residue = None
@@ -396,14 +415,14 @@ def _rebase(chain: StabilizerChain):
 
 def _children(transversal: _Transversal, level: tuple, u: tuple) -> Iterator[tuple[int, ...]]:
     """t u for each t in a level's transversal, lazily, by their keys at
-    the level: t's key b gives t u's, [u[pt] for pt in b] on a block level
+    the level: t's key b gives t u's, itemgetter(*b)(u) on a block level
     and u[b*d] // d on a sigma level, so only the elements read are built."""
     d = level[2]
     if d == 1:
-        keys = sorted(transversal, key=lambda b: [u[pt] for pt in b])
+        keys = sorted(transversal, key=lambda b: itemgetter(*b)(u))
     else:
         keys = sorted(transversal, key=lambda b: u[b[0] * d] // d)
-    return (tuple([u[pt] for pt in transversal.element(b)]) for b in keys)
+    return (itemgetter(*transversal.element(b))(u) for b in keys)
 
 
 def _walk(transversals: list[dict], levels: list, k: int, u: tuple) -> Iterator[tuple]:
@@ -425,20 +444,24 @@ def _elements(chain: StabilizerChain) -> list[Automorphism]:
     return [Automorphism._trusted(chain.scheme, u) for u in _walk(transversals, levels, 0, ident)]
 
 
-def _fixes(indices: Iterable[int], scheme: HammingScheme) -> Callable[[tuple[int, ...]], bool]:
-    """The membership test, on point tuples, of the setwise stabilizer of
-    a vertex set given as indices: the one rule for "x maps a vertex set
-    onto itself" (into it suffices, x being injective)."""
-    words, m, q = frozenset(indices), scheme.m, scheme.q
-    return lambda s: words.issuperset(_act(_half_tables(s, m, q), words))
+def _fixes(indices: Iterable[int], scheme: HammingScheme) -> Callable[[Automorphism], bool]:
+    """The membership test, on elements of the scheme, of the setwise
+    stabilizer of a vertex set given as indices: the one rule for "x maps a
+    vertex set onto itself" (into it suffices, x being injective), on x's
+    cached tables (x._actor), so each element builds them once."""
+    words = frozenset(indices)
+    return lambda x: words.issuperset(_act(x._actor, words))
 
 
 def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple[int, ...]], bool]:
-    """_fixes for a set of vertices given as entry tuples over q symbols."""
+    """_fixes for a set of vertices given as entry tuples over q symbols,
+    as a test on point tuples."""
     entries = list(entries)
     if not entries:
         return lambda s: True
-    return _fixes([_index_of(w, q) for w in entries], HammingScheme(len(entries[0]), q))
+    scheme = HammingScheme(len(entries[0]), q)
+    fixes = _fixes([_index_of(w, q) for w in entries], scheme)
+    return lambda s: fixes(Automorphism._trusted(scheme, s))
 
 
 def least_outside(chain: StabilizerChain,
@@ -462,6 +485,7 @@ def least_outside(chain: StabilizerChain,
     return Automorphism._trusted(chain.scheme, next(_walk(transversals, levels, deep, u)))
 
 
+@_holding_tables()
 def _least_equivalence(source: Sequence[int], target: Sequence[int],
                        scheme: HammingScheme,
                        group_cap: int) -> Automorphism | None:
@@ -469,7 +493,7 @@ def _least_equivalence(source: Sequence[int], target: Sequence[int],
     source onto target (a set of the same size), both sorted vertex indices,
     or None.  Any leaf y of the search maps source onto target, and the
     elements that do form the coset Aut(source) y; its chain is built only
-    once a leaf is found."""
+    once a leaf is found, by a second search of the scheme."""
     check_group_cap(scheme, group_cap)
     full, rows, levels = _pruning_model(source, target, scheme)
     leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])

@@ -130,9 +130,9 @@ def _check_neighbour_cap(code: Code) -> None:
     """FeasibilityError unless the codewords' neighbourhoods, len(C) * m *
     (q-1) vertices in all, are within the enumeration cap."""
     total = len(code) * code.scheme.m * (code.scheme.q - 1)
-    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
-              f"the neighbourhoods of {len(code)} codewords of {code.scheme} hold "
-              f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP, lambda size: (
+        f"the neighbourhoods of {len(code)} codewords of {code.scheme} hold {size} "
+        f"vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}"))
 
 
 def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
@@ -161,14 +161,14 @@ def stabilizes_set(vertices: Iterable[Vertex], x: Automorphism) -> bool:
     vertices = tuple(vertices)
     if any(v.scheme != x.scheme for v in vertices):
         raise SchemeMismatchError("set member from a different scheme")
-    return _fixes([_index_of(v.entries, x.scheme.q) for v in vertices], x.scheme)(x.points)
+    return _fixes([_index_of(v.entries, x.scheme.q) for v in vertices], x.scheme)(x)
 
 
 def is_code_automorphism(code: Code, x: Automorphism) -> bool:
     """True iff x fixes the code setwise (x belongs to Aut(C))."""
     if x.scheme != code.scheme:
         raise SchemeMismatchError("automorphism from a different scheme")
-    return _fixes(code._index_set, code.scheme)(x.points)
+    return _fixes(code._index_set, code.scheme)(x)
 
 
 def neighbour_count(code: Code) -> int:
@@ -237,9 +237,9 @@ def _determined_indices(code: Code) -> list[int]:
     if odd or len(words) < half:
         return words
     total = len(words) * math.comb(m, 2) * (q - 1) ** 2
-    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP,
-              f"the distance-2 shells of {len(words)} codewords of {code.scheme} hold "
-              f"{{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP, lambda size: (
+        f"the distance-2 shells of {len(words)} codewords of {code.scheme} hold {size} "
+        f"vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}"))
     place, pairs = _places(m, q), list(itertools.combinations(range(m), 2))
     counts = Counter()
     for w in words:

@@ -100,8 +100,8 @@ def build_family(m: int) -> FamilyInstance:
     h = m // 2
     check_cap(2 * math.log(m) + h * math.log(2), lambda: m * m * 2**h,
               DEFAULT_ENUMERATION_CAP,
-              f"the family at m = {m} has {{size}} neighbourhood tuple entries, over "
-              f"the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+              lambda size: f"the family at m = {m} has {size} neighbourhood tuple "
+                           f"entries, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     scheme = HammingScheme(m, 2)
 
     # the doubled word of the half with index b has index b * 2^h + b
@@ -165,7 +165,7 @@ def verify_family(m: int, exhaustive: bool = False,
         f"|G1(U)|={len(nbrs_u)}, |G1(C)|={len(nbrs_c)}"))
 
     fixes_c = _fixes(inst.C._index_set, inst.scheme)
-    fixes = all(fixes_c(x.points) for x in inst.autC_gens.generators)
+    fixes = all(fixes_c(x) for x in inst.autC_gens.generators)
     clauses.append(ClauseResult(
         "generators_fix_code", fixes,
         f"{len(inst.autC_gens.generators)} generators"))
@@ -176,7 +176,7 @@ def verify_family(m: int, exhaustive: bool = False,
         f"orbit of least neighbour under {len(inst.autC_gens.generators)} generators"))
 
     wit_stab = _neighbours_fixed_by(inst.C, (inst.witness,))
-    wit_moves = not fixes_c(inst.witness.points)
+    wit_moves = not fixes_c(inst.witness)
     clauses.append(ClauseResult(
         "witness_moves_code", wit_stab and wit_moves,
         f"stabilizes_neighbours={wit_stab}, moves_code={wit_moves}"))

@@ -138,9 +138,10 @@ def _vertex_at(scheme: HammingScheme, x: int) -> Vertex:
     return Vertex(scheme, tuple([x // p % scheme.q for p in _places(scheme.m, scheme.q)]))
 
 
-def _places(m: int, q: int) -> list[int]:
-    """place[i] = q^(m-1-i), the weight of entry i in an index."""
-    return [q ** (m - 1 - i) for i in range(m)]
+@functools.lru_cache(maxsize=64)
+def _places(m: int, q: int) -> tuple[int, ...]:
+    """place[i] = q^(m-1-i), the weight of entry i in an index (kept per scheme)."""
+    return tuple([q ** (m - 1 - i) for i in range(m)])
 
 
 def _index_steps(x: int, q: int, place: list[int]) -> list[list[int]]:
@@ -198,18 +199,17 @@ def shell(alpha: Vertex, radius: int) -> tuple[Vertex, ...]:
 
 
 def check_cap(ln_size: float, exact: Callable[[], int], cap: int,
-              message: str) -> int:
-    """The size exact() returns; FeasibilityError when it exceeds cap.
+              message: Callable[[object], str]) -> int:
+    """The size exact() returns; FeasibilityError, text message(size), when it exceeds cap.
 
     ln_size, the size's natural log, decides first: a size over 100 digits
     and over e * cap is neither built nor printed, only shown as 10^k.
     """
     if ln_size > max(math.log(max(cap, 1)) + 1, 100 * math.log(10)):
-        raise FeasibilityError(
-            message.format(size=f"about 10^{ln_size / math.log(10):.0f}"), cap=cap)
+        raise FeasibilityError(message(f"about 10^{ln_size / math.log(10):.0f}"), cap=cap)
     size = exact()
     if size > cap:
-        raise FeasibilityError(message.format(size=size), required=size, cap=cap)
+        raise FeasibilityError(message(size), required=size, cap=cap)
     return size
 
 
@@ -217,7 +217,8 @@ def check_enumeration_cap(scheme: HammingScheme) -> int:
     """q^m; FeasibilityError when it exceeds DEFAULT_ENUMERATION_CAP."""
     return check_cap(
         scheme.m * math.log(scheme.q), lambda: scheme.vertex_count, DEFAULT_ENUMERATION_CAP,
-        f"{scheme} has {{size}} vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
+        lambda size: f"{scheme} has {size} vertices, over the enumeration cap "
+                     f"{DEFAULT_ENUMERATION_CAP}")
 
 
 def enumerate_triples(scheme: HammingScheme) -> Iterator[Triple]:

@@ -13,16 +13,16 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import (StabilizerChain, _fixes, _rebase, _stabilizer_chain, _walk,
-                    schreier_sims)
+from .chain import (StabilizerChain, _fixes, _holding_tables, _rebase, _stabilizer_chain,
+                    _walk, schreier_sims)
 from .code_model import Code, neighbour_stabilizer
 from .family_codes import build_family
 from .hamming_core import (HammingScheme, _index_ball, _index_shell, _index_steps,
                            _places, _vertex_at, check_enumeration_cap)
 from .precodeword import _verify_pre_structures
 from .reporting import ClauseResult, all_clauses_pass
-from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _act, _half_tables,
-                           _orbit, check_group_cap, full_group_generators)
+from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _act, _orbit, check_group_cap,
+                           full_group_generators)
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
 #: during a lemma sweep; purely a runtime guard, the count is reported.
@@ -76,9 +76,10 @@ def _walk_witnesses(code: Code, chain: StabilizerChain):
     scheme, m, q = code.scheme, code.scheme.m, code.scheme.q
     levels, _, transversals = _rebase(chain)
     for u in _walk(transversals, levels, 0, tuple(range(m * q))):
-        for alpha, img in zip(code._indices, _act(_half_tables(u, m, q), code._indices)):
+        y = Automorphism._trusted(scheme, u)  # its tables serve the pre-codeword check too
+        for alpha, img in zip(code._indices, _act(y._actor, code._indices)):
             if img not in code._index_set:
-                yield code, _vertex_at(scheme, alpha), Automorphism._trusted(scheme, u)
+                yield code, _vertex_at(scheme, alpha), y
 
 
 def _witnesses(stabs: list[tuple[Code, StabilizerChain]], cap: int) -> tuple[list, int]:
@@ -107,7 +108,7 @@ def _fixes_neighbours(code: Code, xs) -> bool:
     """True iff every x in xs maps Gamma_1(C) onto itself, tested on Gamma_1(C):
     _neighbours_fixed_by passes every x that fixes C, the implication under test."""
     fixes = _fixes(code._neighbour_indices, code.scheme)
-    return all(fixes(x.points) for x in xs)
+    return all(fixes(x) for x in xs)
 
 
 def _pair_walk(m: int, q: int):
@@ -125,6 +126,7 @@ def _pair_walk(m: int, q: int):
     return sizes, ((0, min(first), min(ring)) if first else None)
 
 
+@_holding_tables()
 def run_lemma_suite(m: int, q: int, seed: int = 0,
                     group_cap: int = DEFAULT_GROUP_CAP) -> LemmaSuiteReport:
     """Exhaustive small-scheme checks of the structural lemmas.

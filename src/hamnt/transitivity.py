@@ -106,7 +106,10 @@ def analyze_stabilizer(code: Code,
     if not neighbour_count(code):
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
     chain = neighbour_stabilizer(code, group_cap)
-    first = least_outside(chain, _fixes(code._indices, code.scheme))
+    # least_outside tests point tuples; a strong generator's own tables serve the orbit too
+    fixes, gens = _fixes(code._indices, code.scheme), {x.points: x for x in chain.generators}
+    first = least_outside(
+        chain, lambda s: fixes(gens.get(s) or Automorphism._trusted(chain.scheme, s)))
     return StabilizerAnalysis(chain.order, chain.generators, first,
                               _transitive_on_neighbours(code, chain.generators))
 

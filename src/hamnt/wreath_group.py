@@ -10,10 +10,10 @@ position sigma(i).  Composition reads left to right: apply(x*y, v) equals
 apply(y, apply(x, v)).
 
 x is stored as its faithful action on the m*q points (position, symbol):
-point p*q + c goes to sigma(p)*q + g_p(c), and x followed by y is
-tuple([y[pt] for pt in x]) (Seress, Permutation Group Algorithms, 2003,
-ch. 4).  The normal form (g, sigma) is derived from the points for the
-text form and the canonical order.
+point p*q + c goes to sigma(p)*q + g_p(c), and x followed by y is the
+C-level gather itemgetter(*x)(y), a tuple as m*q >= 2 (Seress, Permutation
+Group Algorithms, 2003, ch. 4).  The normal form (g, sigma) is derived from
+the points for the text form and the canonical order.
 
 Below the boundary a vertex is its base-q index (module hamming_core).
 The image index is a sum of one term per position, g_p(v_p) *
@@ -38,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import FeasibilityError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex, _index_of, _places, _vertex_at, check_cap
@@ -73,8 +74,8 @@ def _half_tables(points: tuple[int, ...], m: int, q: int) -> tuple[list, list, i
     n = q * place[h]
     if n > _TABLE_CAP:
         check_cap((m - h) * math.log(q), lambda: n, _TABLE_CAP,
-                  f"an automorphism's action on H({m},{q}) needs tables of {{size}} "
-                  f"entries, over the table cap {_TABLE_CAP}")
+                  lambda size: f"an automorphism's action on H({m},{q}) needs tables "
+                               f"of {size} entries, over the table cap {_TABLE_CAP}")
     tables = [[0], [0]]
     for p in range(m):
         column = [pt % q * place[pt // q] for pt in points[p * q:(p + 1) * q]]
@@ -164,8 +165,7 @@ class Automorphism:
         """The element acting as self followed by other."""
         if other.scheme != self.scheme:
             raise SchemeMismatchError("composing automorphisms of different schemes")
-        y = other.points
-        return Automorphism._trusted(self.scheme, tuple([y[pt] for pt in self.points]))
+        return Automorphism._trusted(self.scheme, itemgetter(*self.points)(other.points))
 
     __mul__ = compose
 
@@ -203,14 +203,17 @@ class GeneratorSet:
                 raise SchemeMismatchError("generator belongs to a different scheme")
 
 
+def _element(scheme: HammingScheme, coord_perm, alphabet_perms) -> Automorphism:
+    """The constructor's element for arguments valid by construction, unchecked."""
+    return Automorphism._trusted(scheme, _points(zip(coord_perm, alphabet_perms), scheme.q))
+
+
 def translation(alpha: Vertex) -> Automorphism:
     """The translation beta -> beta + alpha of F_2^m.  Binary schemes only."""
     scheme = alpha.scheme
     if scheme.q != 2:
         raise ValueError("translations are defined for q = 2 only")
-    swap, ident = (1, 0), (0, 1)
-    perms = tuple(swap if e else ident for e in alpha.entries)
-    return Automorphism(scheme, perms, tuple(range(scheme.m)))
+    return _element(scheme, range(scheme.m), [(1, 0) if e else (0, 1) for e in alpha.entries])
 
 
 def group_order(scheme: HammingScheme) -> int:
@@ -224,26 +227,20 @@ def _coordinate_swaps(scheme: HammingScheme, pairs) -> Automorphism:
     images = list(range(scheme.m))
     for i, j in pairs:
         images[i], images[j] = j, i
-    return Automorphism.from_coord_perm(scheme, images)
+    return _element(scheme, images, [range(scheme.q)] * scheme.m)
 
 
 def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
     """Standard generators of the full group: S_q on coordinate 0 plus S_m."""
     m, q = scheme.m, scheme.q
-    ident = tuple(range(q))
-    gens = []
-    swap01 = (1, 0) + tuple(range(2, q))
-    gens.append(Automorphism(scheme, (swap01,) + (ident,) * (m - 1),
-                             tuple(range(m))))
+    rest = [range(q)] * (m - 1)
+    gens = [_element(scheme, range(m), [(1, 0, *range(2, q))] + rest)]
     if q > 2:
-        cycle = tuple((i + 1) % q for i in range(q))
-        gens.append(Automorphism(scheme, (cycle,) + (ident,) * (m - 1),
-                                 tuple(range(m))))
+        gens.append(_element(scheme, range(m), [(*range(1, q), 0)] + rest))
     if m > 1:
         gens.append(_coordinate_swaps(scheme, [(0, 1)]))
         if m > 2:
-            gens.append(Automorphism.from_coord_perm(
-                scheme, [(i + 1) % m for i in range(m)]))
+            gens.append(_element(scheme, [(i + 1) % m for i in range(m)], [range(q)] * m))
     return GeneratorSet(scheme, tuple(gens))
 
 
@@ -252,7 +249,7 @@ def check_group_cap(scheme: HammingScheme, group_cap: int) -> int:
     return check_cap(
         scheme.m * math.lgamma(scheme.q + 1) + math.lgamma(scheme.m + 1),
         lambda: group_order(scheme), group_cap,
-        f"full group of {scheme} has order {{size}}, over the group cap {group_cap}")
+        lambda size: f"full group of {scheme} has order {size}, over the group cap {group_cap}")
 
 
 def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_CAP):

@@ -144,6 +144,23 @@ def tuple_orbit(gens, start: tuple[int, ...]) -> set[tuple[int, ...]]:
     return seen
 
 
+def key_closure(gens, level) -> set[tuple[int, ...]]:
+    """Oracle for a chain level's transversal keys: the keys reached from
+    the identity's under the point tuples gens, breadth first.  A level
+    (lo, hi, d) keys a point tuple u by its entries lo..hi-1, each divided
+    by d; a block key b (d = 1) goes to [s[i] for i in b] under s, and a
+    sigma key (b,) to (s[b*d] // d,)."""
+    lo, hi, d = level
+    start = tuple(range(lo, hi)) if d == 1 else (lo // d,)
+    seen, frontier = {start}, [start]
+    while frontier:
+        new = {tuple([s[i] for i in b]) if d == 1 else (s[b[0] * d] // d,)
+               for s in gens for b in frontier} - seen
+        seen |= new
+        frontier = list(new)
+    return seen
+
+
 def raw_full_group(m: int, q: int):
     """All (sigma, gs) pairs of the full group, independent of the library."""
     perms = list(itertools.permutations(range(q)))
