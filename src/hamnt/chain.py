@@ -11,8 +11,8 @@ the positions sigma(0)..sigma(k).  x is injective, so a branch dies when
 some mask holds fewer targets than its prefix has sources, and every
 sigma with a given prefix shares that prefix's pruning.  A leaf maps S
 into T, onto T when |S| = |T|; callers need only the first.  The
-per-scheme tables (_tables) are kept up to a bound on their rows, behind
-the search's cap check.
+per-scheme tables (_tables) are kept up to a bound on their rows.  A
+search is bounded by what it builds: masks, table and steps (_spend).
 
 A chain holds elements as their point tuples (module wreath_group).
 A level (lo, hi, d) keys u by tuple(u[lo:hi]), each point divided by
@@ -58,14 +58,18 @@ import random
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import SchemeMismatchError
+from .errors import FeasibilityError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex, _index_of,
                            _places, check_cap)
-from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _act, _invert, _points, check_group_cap)
+from .wreath_group import Automorphism, GeneratorSet, _act, _invert, _points
 
 # Elements are point-image tuples; x followed by y is the C-level gather
 # itemgetter(*x)(y), a tuple, as a point tuple has m*q >= 2 entries (a block key q >= 2).
+
+# Bound on m * |S| * |T|, the bits of the masks one search may hold (the
+# family's at m = 26 fits), and on the steps of one search (_spend).
+_MASK_BITS = 2 * 10**9
+_SEARCH_BUDGET = 10**8
 
 # The random phase of _schreier_sims ends after this many sifts in a row
 # that reach the identity; the deterministic loop completes from there.
@@ -135,10 +139,14 @@ def _pruning_model(words: Sequence[int], targets: Sequence[int], scheme: Hamming
     targets with entry c at p; levels[k] lists the distinct source
     prefixes w // q^(m-1-k) as (parent, symbol, size): parent indexes the
     prefixes of levels[k-1], and size counts the sources with that
-    prefix.  The rows hold m * q! * q masks, checked against the
-    enumeration cap before any table is built.
+    prefix.  The masks, m * |S| * |T| bits at most, and the rows' m * q! *
+    q masks are checked against their caps before either is built.
     """
     m, q = scheme.m, scheme.q
+    bits = m * len(words) * len(targets)
+    check_cap(math.log(max(bits, 1)), lambda: bits, _MASK_BITS,
+              lambda size: f"the search's masks for {len(words)} sources and {len(targets)} "
+                           f"targets in {scheme} hold {size} bits, over the mask cap {_MASK_BITS}")
     check_cap(math.log(m * q) + math.lgamma(q + 1), lambda: m * math.factorial(q) * q,
               DEFAULT_ENUMERATION_CAP,
               lambda size: f"the search's permutation table for {scheme} holds {size} "
@@ -176,13 +184,25 @@ def _narrow(level: tuple, row: list[int], masks: list[int]) -> list[int] | None:
     return nxt
 
 
+def _spend(spent: list[int], steps: int) -> None:
+    """Add steps to spent, a search's one count, once per position loop
+    that ends without a leaf: its candidate rows plus the masks it narrows.
+    FeasibilityError past _SEARCH_BUDGET."""
+    spent[0] += steps
+    if spent[0] > _SEARCH_BUDGET:
+        raise FeasibilityError(f"the search took {spent[0]} steps, over the search budget "
+                               f"{_SEARCH_BUDGET}")
+
+
 def _first_leaf(levels: list, rows: list, free: list[int], masks: list[int],
-                chosen: list) -> list | None:
+                chosen: list, spent: list[int] | None = None) -> list | None:
     """chosen, the (sigma(d), g_d) of the depths above, completed in place
     at the first leaf below it that no mask prunes (sigma(d) from free
-    ascending, then g_d), or None when there is none."""
+    ascending, then g_d), or None when there is none.  Spends from spent
+    (_spend), a fresh count when not given."""
     if not free:
         return chosen
+    spent = [0] if spent is None else spent
     level = levels[len(chosen)]
     for i, p in enumerate(free):
         rest = free[:i] + free[i + 1:]
@@ -190,9 +210,10 @@ def _first_leaf(levels: list, rows: list, free: list[int], masks: list[int],
             nxt = _narrow(level, row, masks)
             if nxt is not None:
                 chosen.append((p, g))
-                if _first_leaf(levels, rows, rest, nxt, chosen) is not None:
+                if _first_leaf(levels, rows, rest, nxt, chosen, spent) is not None:
                     return chosen
                 chosen.pop()
+        _spend(spent, len(rows[p]) + len(masks))
     return None
 
 
@@ -267,11 +288,9 @@ class StabilizerChain:
         self.generators = tuple([Automorphism._trusted(scheme, s) for s in strong])
 
 
-def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
-                     group_cap: int = DEFAULT_GROUP_CAP) -> StabilizerChain:
+def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme) -> StabilizerChain:
     """The setwise stabilizer of a vertex set as a stabilizer chain, by
     Sims' backtrack over the search."""
-    check_group_cap(scheme, group_cap)
     vs = set(vertices)
     if any(v.scheme != scheme for v in vs):
         raise SchemeMismatchError("set member from a different scheme")
@@ -279,8 +298,7 @@ def stabilizer_chain(vertices: Iterable[Vertex], scheme: HammingScheme,
 
 
 def _stabilizer_chain(words: Sequence[int], scheme: HammingScheme) -> StabilizerChain:
-    """stabilizer_chain of a set given as sorted vertex indices, the group
-    cap already checked."""
+    """stabilizer_chain of a set given as sorted vertex indices, one search."""
     full, rows, levels = _pruning_model(words, words, scheme)
     m, q = scheme.m, scheme.q
     # the identity on blocks 0..k-1 prunes nothing; rows[k][0] is g_k = id
@@ -292,6 +310,7 @@ def _stabilizer_chain(words: Sequence[int], scheme: HammingScheme) -> Stabilizer
     # keys only: the chain's order is the product of the transversal sizes
     transversals = [{rows[k][0][2]: None} for k in range(m)]
     strong: list[tuple[int, ...]] = []
+    spent = [0]
     for k in reversed(range(m)):
         # trans starts closed: each generator so far, found deeper, fixes blocks 0..k pointwise
         trans = transversals[k]
@@ -303,10 +322,11 @@ def _stabilizer_chain(words: Sequence[int], scheme: HammingScheme) -> Stabilizer
                 nxt = _narrow(levels[k], row, prefix_masks[k])
                 if nxt is None:
                     continue
-                leaf = _first_leaf(levels, rows, free, nxt, fixed[:k] + [(p, g)])
+                leaf = _first_leaf(levels, rows, free, nxt, fixed[:k] + [(p, g)], spent)
                 if leaf:
                     strong.append(_points(leaf, q))
                     _grow(trans, blocks[k], strong, len(strong) - 1)
+            _spend(spent, len(rows[p]) + len(prefix_masks[k]))
     return StabilizerChain(scheme, strong, transversals)
 
 
@@ -487,14 +507,12 @@ def least_outside(chain: StabilizerChain,
 
 @_holding_tables()
 def _least_equivalence(source: Sequence[int], target: Sequence[int],
-                       scheme: HammingScheme,
-                       group_cap: int) -> Automorphism | None:
+                       scheme: HammingScheme) -> Automorphism | None:
     """The least automorphism, canonical order, mapping the vertex set
     source onto target (a set of the same size), both sorted vertex indices,
     or None.  Any leaf y of the search maps source onto target, and the
     elements that do form the coset Aut(source) y; its chain is built only
     once a leaf is found, by a second search of the scheme."""
-    check_group_cap(scheme, group_cap)
     full, rows, levels = _pruning_model(source, target, scheme)
     leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
     if leaf is None:

@@ -13,7 +13,6 @@ import contextlib
 import functools
 import json
 import math
-import os
 import sys
 
 from .code_model import (is_linear_binary, neighbour_count,
@@ -25,7 +24,7 @@ from .reporting import format_clauses_text
 from .transitivity import VIOLATION, analyze_stabilizer, classify_theorem
 # unused here, but perfbench's tracer self-test checks that tracing rebinds it
 from .transitivity import setwise_stabilizer  # noqa: F401
-from .wreath_group import DEFAULT_GROUP_CAP, automorphism_to_text
+from .wreath_group import automorphism_to_text
 
 
 # -- command implementations -------------------------------------------------
@@ -38,8 +37,7 @@ def _emit(report_json: dict, text: str, fmt: str, out) -> None:
 
 
 def cmd_family(args, out, err) -> int:
-    report = verify_family(args.m, exhaustive=args.exhaustive,
-                           group_cap=args.resolved_group_cap)
+    report = verify_family(args.m, exhaustive=args.exhaustive)
     order = "" if report.stabilizer_order is None else \
         f"\n  stabilizer order: {report.stabilizer_order}"
     text = (f"family m={report.m} exhaustive={report.exhaustive}\n"
@@ -50,8 +48,7 @@ def cmd_family(args, out, err) -> int:
 
 
 def cmd_classify(args, out, err) -> int:
-    report = classify_theorem(read_code_file(args.input),
-                              group_cap=args.resolved_group_cap)
+    report = classify_theorem(read_code_file(args.input))
     witness = automorphism_to_text(report.witness) if report.witness else "-"
     text = (f"delta: {report.delta}\nverdict: {report.verdict}\n"
             f"witness: {witness}\ntheorem_case: {report.theorem_case or '-'}\n"
@@ -62,8 +59,7 @@ def cmd_classify(args, out, err) -> int:
 
 
 def cmd_lemmas(args, out, err) -> int:
-    report = run_lemma_suite(args.m, args.q, seed=args.seed,
-                             group_cap=args.resolved_group_cap)
+    report = run_lemma_suite(args.m, args.q, seed=args.seed)
     text = (f"lemma suite on H({report.m},{report.q}) seed={report.seed}\n"
             f"{format_clauses_text(report.checks)}\n"
             f"  all checks pass: {report.all_pass}")
@@ -90,7 +86,7 @@ def cmd_analyze(args, out, err) -> int:
 
 def cmd_stabilizer(args, out, err) -> int:
     code = read_code_file(args.input)
-    analysis = analyze_stabilizer(code, args.resolved_group_cap)
+    analysis = analyze_stabilizer(code)
     first = analysis.first_nonfixing
     data = {
         "m": code.scheme.m,
@@ -112,37 +108,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Codes in Hamming graphs: neighbour sets, wreath-product "
                     "automorphisms, stabilizer search and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--group-cap", type=int, default=None,
-                       help="bound on (q!)^m * m! for full-group sweeps "
-                            "(default %(default)s; env HNT_GROUP_CAP overrides)")
-
     p = sub.add_parser("family", help="build and verify one doubled-vector family member")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="also compare the full neighbour-set stabilizer")
-    add_common(p)
 
     p = sub.add_parser("classify", help="run the trichotomy classifier on a code file")
     p.add_argument("--input", required=True)
-    add_common(p)
 
     p = sub.add_parser("lemmas", help="run the structural lemma suite on H(m,q)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
 
     p = sub.add_parser("analyze", help="basic statistics of a code file")
     p.add_argument("--input", required=True)
-    add_common(p)
 
     p = sub.add_parser("stabilizer", help="neighbour-set stabilizer of a code file")
     p.add_argument("--input", required=True)
-    add_common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -167,18 +153,6 @@ def main(argv=None, out=None, err=None) -> int:
             args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cap = args.group_cap
-    if cap is None:
-        env = os.environ.get("HNT_GROUP_CAP", str(DEFAULT_GROUP_CAP))
-        try:
-            cap = int(env)
-        except ValueError:
-            print(f"HNT_GROUP_CAP must be an integer, got {env!r}", file=err)
-            return 2
-    if cap <= 0:
-        print("group cap must be positive", file=err)
-        return 2
-    args.resolved_group_cap = cap
     # the one map from errors to exit codes; see errors.py
     try:
         return _COMMANDS[args.command](args, out, err)

@@ -5,10 +5,10 @@ indices (module hamming_core), sorted and deduplicated (_indices), and
 their frozenset (_index_set) to look them up.  Every reader below the
 public functions uses them.  The Vertex views, words and neighbour_set,
 are built only when a caller reads them; the other derived quantities
-(minimum distance, Gamma_1(C) as indices) are cached on first use.  The
-neighbour set has one builder, _neighbour_indices, which checks the
-enumeration cap first.  Codes are stored extensionally even when they
-happen to be linear: linearity is detected, never declared.
+(minimum distance, Gamma_1(C) as indices) are cached on first use, each
+behind its cap: the pair cap, and the enumeration cap in the one builder
+of Gamma_1(C), _neighbour_indices.  Codes are stored extensionally even
+when they happen to be linear: linearity is detected, never declared.
 "x fixes a vertex set" has one rule, chain._fixes, on indices;
 stabilizes_set and is_code_automorphism are its boundary wrappers, which
 check the scheme and convert once.  For Gamma_1(C), _neighbours_fixed_by
@@ -33,12 +33,15 @@ from pathlib import Path
 from typing import Iterable
 
 from .chain import StabilizerChain, _fixes, _least_equivalence, _stabilizer_chain
-from .errors import CodeFormatError, SchemeMismatchError
+from .errors import CodeFormatError, FeasibilityError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
                            _index_ball, _index_neighbours, _index_of, _index_shell,
                            _index_steps, _places, _vertex_at, check_cap,
                            vertex_from_text, vertex_to_text)
-from .wreath_group import DEFAULT_GROUP_CAP, Automorphism, _act, check_group_cap
+from .wreath_group import Automorphism, _act
+
+#: Bound on the pairs min_distance compares (20,000 words of H(24,2), about 20 s).
+_PAIR_CAP = 2 * 10**8
 
 
 class Code:
@@ -94,23 +97,32 @@ class Code:
     @cached_property
     def min_distance(self) -> float:
         """Minimum pairwise distance; math.inf when fewer than two words.
-        A binary linear code's is its least nonzero weight; otherwise two
-        words at distance d share m - d of their points p*q + v_p."""
+        A binary linear code's is its least nonzero weight.  Otherwise two
+        words at distance d share m - d bits of their masks, a bit per
+        position and occurring symbol (m * min(q, |C|) bits at most), whose
+        pairs are checked against _PAIR_CAP first, once per 512 mask bits."""
         indices, m, q = self._indices, self.scheme.m, self.scheme.q
         if len(indices) <= 1:
             return math.inf
         if is_linear_binary(self):
             return min([x.bit_count() for x in indices if x])
-        place = _places(m, q)
-        masks = [sum([1 << (p * q + x // d % q) for p, d in enumerate(place)]) for x in indices]
+        n = len(indices)
+        pairs = n * (n - 1) // 2 * -(-m * min(q, n) // 512)
+        if pairs > _PAIR_CAP:
+            raise FeasibilityError(
+                f"the minimum distance of {n} codewords of {self.scheme} compares {pairs} "
+                f"pairs of 512-bit mask blocks, over the pair cap {_PAIR_CAP}")
+        bit: dict[int, int] = {}  # point p*q + v_p -> its bit, numbered as points occur
+        masks = [sum([1 << bit.setdefault(p * q + x // d % q, len(bit))
+                      for p, d in enumerate(_places(m, q))]) for x in indices]
         return m - max([max(map(int.bit_count, map(a.__and__, masks[i + 1:])))
                         for i, a in enumerate(masks[:-1])])
 
     @cached_property
     def _neighbour_indices(self) -> tuple[int, ...]:
         """Gamma_1(C) as sorted indices, built only within the enumeration
-        cap (_check_neighbour_cap)."""
-        _check_neighbour_cap(self)
+        cap (_check_shells)."""
+        _check_shells(len(self), "codewords", self.scheme)
         m, q = self.scheme.m, self.scheme.q
         return tuple(sorted(_index_neighbours(self._index_set, q, _places(m, q))))
 
@@ -124,15 +136,6 @@ class Code:
         if x.scheme != self.scheme:
             raise SchemeMismatchError("automorphism from a different scheme")
         return Code._from_indices(self.scheme, _act(x._actor, self._indices))
-
-
-def _check_neighbour_cap(code: Code) -> None:
-    """FeasibilityError unless the codewords' neighbourhoods, len(C) * m *
-    (q-1) vertices in all, are within the enumeration cap."""
-    total = len(code) * code.scheme.m * (code.scheme.q - 1)
-    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP, lambda size: (
-        f"the neighbourhoods of {len(code)} codewords of {code.scheme} hold {size} "
-        f"vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}"))
 
 
 def _neighbours_fixed_by(code: Code, xs: Iterable[Automorphism]) -> bool:
@@ -220,6 +223,16 @@ def is_linear_binary(code: Code) -> bool:
     return True
 
 
+def _check_shells(count: int, what: str, scheme: HammingScheme, radius: int = 1) -> None:
+    """FeasibilityError unless the shells of radius 1 or 2 about count vertices
+    (what they are), count * C(m,radius) * (q-1)^radius in all, are within the cap."""
+    total = count * math.comb(scheme.m, radius) * (scheme.q - 1) ** radius
+    shells = "neighbourhoods" if radius == 1 else "distance-2 shells"
+    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP, lambda size: (
+        f"the {shells} of {count} {what} of {scheme} hold {size} vertices, over the "
+        f"enumeration cap {DEFAULT_ENUMERATION_CAP}"))
+
+
 def _determined_indices(code: Code) -> list[int]:
     """D = C plus its pre-codewords, as sorted indices, for delta >= 3.
 
@@ -236,10 +249,7 @@ def _determined_indices(code: Code) -> list[int]:
     half, odd = divmod(m * (q - 1), 2)
     if odd or len(words) < half:
         return words
-    total = len(words) * math.comb(m, 2) * (q - 1) ** 2
-    check_cap(math.log(max(total, 1)), lambda: total, DEFAULT_ENUMERATION_CAP, lambda size: (
-        f"the distance-2 shells of {len(words)} codewords of {code.scheme} hold {size} "
-        f"vertices, over the enumeration cap {DEFAULT_ENUMERATION_CAP}"))
+    _check_shells(len(words), "codewords", code.scheme, 2)
     place, pairs = _places(m, q), list(itertools.combinations(range(m), 2))
     counts = Counter()
     for w in words:
@@ -247,13 +257,11 @@ def _determined_indices(code: Code) -> list[int]:
     return sorted(words + [v for v, n in counts.items() if n == half])
 
 
-def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP,
-                         aut: StabilizerChain | None = None) -> StabilizerChain:
+def neighbour_stabilizer(code: Code, aut: StabilizerChain | None = None) -> StabilizerChain:
     """Stab(Gamma_1(C)) as a stabilizer chain, searched on D = C plus its
     pre-codewords when delta >= 3 (module docstring) and on Gamma_1(C)
     otherwise.  Both searches give the same chain, so aut, C's chain if
-    the caller has it, is the answer when D = C.  Checks the group cap first."""
-    check_group_cap(code.scheme, group_cap)
+    the caller has it, is the answer when D = C."""
     if code.min_distance < 3:
         return _stabilizer_chain(list(code._neighbour_indices), code.scheme)
     searched = _determined_indices(code)
@@ -262,15 +270,14 @@ def neighbour_stabilizer(code: Code, group_cap: int = DEFAULT_GROUP_CAP,
     return _stabilizer_chain(searched, code.scheme)
 
 
-def find_equivalence(code: Code, other: Code,
-                     group_cap: int = DEFAULT_GROUP_CAP) -> Automorphism | None:
+def find_equivalence(code: Code, other: Code) -> Automorphism | None:
     """First automorphism y (canonical order) with image(code, y) = other,
     or None when there is none."""
     if code.scheme != other.scheme:
         raise SchemeMismatchError("codes from different schemes")
     if len(code) != len(other):
         return None
-    return _least_equivalence(code._indices, other._indices, code.scheme, group_cap)
+    return _least_equivalence(code._indices, other._indices, code.scheme)
 
 
 # -- shared code file format ------------------------------------------------

@@ -15,14 +15,13 @@ from functools import cached_property
 
 from .chain import (StabilizerChain, _fixes, _holding_tables, _rebase, _stabilizer_chain,
                     _walk, schreier_sims)
-from .code_model import Code, neighbour_stabilizer
+from .code_model import Code, _check_shells, neighbour_stabilizer
 from .family_codes import build_family
 from .hamming_core import (HammingScheme, _index_ball, _index_shell, _index_steps,
                            _places, _vertex_at, check_enumeration_cap)
 from .precodeword import _verify_pre_structures
 from .reporting import ClauseResult, all_clauses_pass
-from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, _act, _orbit, check_group_cap,
-                           full_group_generators)
+from .wreath_group import Automorphism, _act, _orbit, full_group_generators, group_order
 
 #: Bound on the (alpha, y) pairs given the full pre-codeword structure check
 #: during a lemma sweep; purely a runtime guard, the count is reported.
@@ -61,7 +60,7 @@ def _sample_codes(scheme: HammingScheme, rng: random.Random, count: int) -> list
 
 def _triple_stabilizer_order(scheme: HammingScheme, triple: tuple[int, int, int]) -> int:
     """|G_t| for a triple t = (alpha, nu, beta) of indices in the full
-    group G, whose order is within the group cap.  The setwise stabilizer
+    group G.  The setwise stabilizer
     of {alpha, nu, beta} fixes nu, the one vertex adjacent to the other
     two; it swaps alpha and beta iff a strong generator does."""
     alpha, _, beta = triple
@@ -127,8 +126,7 @@ def _pair_walk(m: int, q: int):
 
 
 @_holding_tables()
-def run_lemma_suite(m: int, q: int, seed: int = 0,
-                    group_cap: int = DEFAULT_GROUP_CAP) -> LemmaSuiteReport:
+def run_lemma_suite(m: int, q: int, seed: int = 0) -> LemmaSuiteReport:
     """Exhaustive small-scheme checks of the structural lemmas.
 
     Runs: the two-common-neighbours law over every distance-2 pair, on
@@ -143,10 +141,11 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
     against the walk's triple count.  Aut(C) is the stabilizer chain of C;
     the elements stabilizing a set form a subgroup, so its strong
     generators cover every element; it is Stab(G1(C)) too when D = C.
+    The vertices and the pair walk's shells are checked first.
     """
     scheme = HammingScheme(m, q)
     check_enumeration_cap(scheme)
-    order = check_group_cap(scheme, group_cap)
+    _check_shells(scheme.vertex_count, "vertices", scheme, 2)
 
     checks = []
 
@@ -156,7 +155,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         f"{sum(sizes.values()) // 2} distance-2 pairs"))
 
     if t0 is not None:
-        count = sum(k * n for k, n in sizes.items())
+        count, order = sum(k * n for k, n in sizes.items()), group_order(scheme)
         gens = full_group_generators(scheme)
         # bounded by |G|, Schreier-Sims reaches it iff gens generate G
         certified = schreier_sims(gens, order).order == order
@@ -184,7 +183,7 @@ def run_lemma_suite(m: int, q: int, seed: int = 0,
         "code_automorphisms_stabilize_neighbours", implication_ok,
         f"{sum(aut.order for aut in auts)} code automorphisms over {len(codes)} sampled codes"))
 
-    stabs = [(code, neighbour_stabilizer(code, group_cap, aut))
+    stabs = [(code, neighbour_stabilizer(code, aut))
              for code, aut in zip(codes, auts) if code.min_distance >= 3]
     checked, total = _witnesses(stabs, MAX_PRE_VERIFICATIONS)
     # one batch per code, as the witnesses come code by code; every report

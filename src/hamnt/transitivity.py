@@ -3,7 +3,8 @@ and their elements in canonical order), neighbour transitivity, and the
 trichotomy classifier, whose witness is the least element of a chain
 outside Aut(C) (`chain.least_outside`).  Transitivity on Gamma_1(C) has
 one rule, _transitive_on_neighbours, shared by is_neighbour_transitive
-and analyze_stabilizer."""
+and analyze_stabilizer.  Only setwise_stabilizer, which lists elements,
+takes a group cap, on the order of the group it lists."""
 
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import _elements, _fixes, least_outside, stabilizer_chain
-from .code_model import (Code, _check_neighbour_cap, _neighbours_fixed_by, neighbour_count,
+from .code_model import (Code, _check_shells, _neighbours_fixed_by, neighbour_count,
                          neighbour_stabilizer)
-from .errors import HypothesisError, MinDistanceError, SchemeMismatchError
+from .errors import FeasibilityError, HypothesisError, MinDistanceError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
-                           _orbit, automorphism_to_text, check_group_cap)
+                           _orbit, automorphism_to_text)
 
 VERDICT_FIXED = "FIXED"
 VERDICT_NONFIXING = "NONFIXING_WITNESS"
@@ -49,8 +50,13 @@ class ClassificationReport:
 
 def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
                        group_cap: int = DEFAULT_GROUP_CAP) -> list[Automorphism]:
-    """All automorphisms mapping the vertex set onto itself, canonical order."""
-    return _elements(stabilizer_chain(vertices, scheme, group_cap))
+    """All automorphisms mapping the vertex set onto itself, canonical
+    order; FeasibilityError when there are over group_cap of them."""
+    chain = stabilizer_chain(vertices, scheme)
+    if chain.order > group_cap:
+        raise FeasibilityError(f"the setwise stabilizer in {scheme} has order {chain.order}, "
+                               f"over the group cap {group_cap}")
+    return _elements(chain)
 
 
 def _transitive_on_neighbours(code: Code, xs) -> bool:
@@ -88,8 +94,7 @@ class StabilizerAnalysis:
     transitive_on_neighbours: bool
 
 
-def analyze_stabilizer(code: Code,
-                       group_cap: int = DEFAULT_GROUP_CAP) -> StabilizerAnalysis:
+def analyze_stabilizer(code: Code) -> StabilizerAnalysis:
     """Stabilizer of Gamma_1(C) (order and strong generators), its first
     element (canonical order) that moves C, and whether it is transitive
     on Gamma_1(C).
@@ -97,15 +102,14 @@ def analyze_stabilizer(code: Code,
     The stabilizer fixes C iff every strong generator does; otherwise the
     first non-fixing element is the chain's least element outside Aut(C),
     which lies in the stabilizer because C determines Gamma_1(C).
-    It is transitive iff its strong generators are.  Checks the group cap
-    first, then the enumeration cap on Gamma_1(C) (_check_neighbour_cap),
-    which is built only when delta < 3.
+    It is transitive iff its strong generators are.  Checks the
+    enumeration cap on Gamma_1(C) (_check_shells) first, which is
+    built only when delta < 3.
     """
-    check_group_cap(code.scheme, group_cap)
-    _check_neighbour_cap(code)
+    _check_shells(len(code), "codewords", code.scheme)
     if not neighbour_count(code):
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
-    chain = neighbour_stabilizer(code, group_cap)
+    chain = neighbour_stabilizer(code)
     # least_outside tests point tuples; a strong generator's own tables serve the orbit too
     fixes, gens = _fixes(code._indices, code.scheme), {x.points: x for x in chain.generators}
     first = least_outside(
@@ -114,8 +118,7 @@ def analyze_stabilizer(code: Code,
                               _transitive_on_neighbours(code, chain.generators))
 
 
-def classify_theorem(code: Code,
-                     group_cap: int = DEFAULT_GROUP_CAP) -> ClassificationReport:
+def classify_theorem(code: Code) -> ClassificationReport:
     """Analyze one code against the delta >= 3 trichotomy.
 
     Computes the setwise stabilizer of the neighbour set as a stabilizer
@@ -133,7 +136,7 @@ def classify_theorem(code: Code,
         raise MinDistanceError(
             f"classification needs minimum distance >= 3, code has {delta}")
     scheme = code.scheme
-    analysis = analyze_stabilizer(code, group_cap)
+    analysis = analyze_stabilizer(code)
     witness = analysis.first_nonfixing
     if witness is None:
         verdict, case = VERDICT_FIXED, None

@@ -43,7 +43,8 @@ from operator import itemgetter
 from .errors import FeasibilityError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex, _index_of, _places, _vertex_at, check_cap
 
-#: Default bound on (q!)^m * m! for full-group sweeps.
+#: Default bound on the elements a listing builds: the full group's
+#: (q!)^m * m!, a closure's, or a setwise stabilizer's.
 DEFAULT_GROUP_CAP = 10**8
 
 #: Bound on q^ceil(m/2), the larger of an element's two tables (H(32,2) fits).
@@ -244,17 +245,13 @@ def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
     return GeneratorSet(scheme, tuple(gens))
 
 
-def check_group_cap(scheme: HammingScheme, group_cap: int) -> int:
-    """The full group's order; FeasibilityError when it exceeds the group cap."""
-    return check_cap(
-        scheme.m * math.lgamma(scheme.q + 1) + math.lgamma(scheme.m + 1),
-        lambda: group_order(scheme), group_cap,
-        lambda size: f"full group of {scheme} has order {size}, over the group cap {group_cap}")
-
-
 def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_CAP):
-    """Yield all (q!)^m * m! automorphisms once, in canonical order."""
-    check_group_cap(scheme, group_cap)
+    """Yield all (q!)^m * m! automorphisms once, in canonical order;
+    FeasibilityError, at the call, when there are over group_cap."""
+    check_cap(scheme.m * math.lgamma(scheme.q + 1) + math.lgamma(scheme.m + 1),
+              lambda: group_order(scheme), group_cap,
+              lambda size: f"full group of {scheme} has order {size}, over the group cap "
+                           f"{group_cap}")
     perms = list(itertools.permutations(range(scheme.q)))
 
     def gen():

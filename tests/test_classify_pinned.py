@@ -7,7 +7,7 @@ sigma(0) block of the element search maps_into.  The codes: the 8
 distance-4 pairs of H(4,2); the 36 three-word codes of H(3,3); the 15
 four-word codes of H(6,2) with delta >= 3 that contain 000000 and that
 their neighbour-set stabilizer moves; the doubled-vector family's C for
-m = 4..12 (with --group-cap 10**15); the extended Hamming [8,4,4] code
+m = 4..12; the extended Hamming [8,4,4] code
 and one relabelled image of it.
 """
 
@@ -20,11 +20,6 @@ import pytest
 from hamnt.cli import main
 
 PINNED = json.loads((Path(__file__).parent / "data" / "classify_pinned.json").read_text())
-
-
-@pytest.fixture(autouse=True)
-def default_group_cap(monkeypatch):
-    monkeypatch.delenv("HNT_GROUP_CAP", raising=False)
 
 
 @pytest.mark.parametrize("case", PINNED, ids=[case["name"] for case in PINNED])

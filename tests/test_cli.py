@@ -20,6 +20,13 @@ from hamnt.family_codes import build_family
 from hamnt.transitivity import CASE2, VERDICT_FIXED
 from helpers import HAMMING_7_4, binary_span, random_code_min_distance
 
+# the [15,11,3] Hamming code: its parity checks are the 15 nonzero 4-bit columns
+HAMMING_15_11 = [[int(i == j) for j in range(11)] +
+                 [c >> b & 1 for b in range(4)]
+                 for i, c in enumerate(c for c in range(1, 16) if c & (c - 1))]
+EVEN_16 = ("16 2\n" + "\n".join(format(w, "016b") for w in range(2**16)
+                                 if w.bit_count() % 2 == 0) + "\n").encode()
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -58,8 +65,7 @@ def test_family_m10_default_mode():
 
 
 def test_family_exhaustive_cap_exceeded():
-    code, _, err = run(["family", "--m", "10", "--exhaustive",
-                        "--group-cap", "1000"])
+    code, _, err = run(["family", "--m", "28", "--exhaustive"])
     assert code == 2
     assert "feasibility" in err
 
@@ -311,16 +317,41 @@ def test_stabilizer_command_agrees_with_classify(tmp_path):
     assert transitive == {True, False}
 
 
-def test_group_cap_env_override(tmp_path, monkeypatch):
+def test_every_command_rejects_the_group_cap_option(tmp_path, monkeypatch):
+    # the searches are bounded by what they build, so no command takes a
+    # group cap, and HNT_GROUP_CAP changes nothing
     path = tmp_path / "family4.code"
     write_code_file(build_family(4).C, path)
-    monkeypatch.setenv("HNT_GROUP_CAP", "10")
-    code, _, err = run(["classify", "--input", str(path)])
-    assert code == 2
-    assert "feasibility" in err
-    # explicit flag beats the environment
-    code, _, _ = run(["classify", "--input", str(path), "--group-cap", "1000"])
-    assert code == 0
+    monkeypatch.setenv("HNT_GROUP_CAP", "abc")
+    for argv in (["family", "--m", "4", "--exhaustive"], ["lemmas", "--m", "2", "--q", "3"],
+                 ["classify", "--input", str(path)], ["analyze", "--input", str(path)],
+                 ["stabilizer", "--input", str(path)]):
+        assert run(argv)[0] == 0
+        code, out, err = run(argv + ["--group-cap", "1000"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "hamnt: error: unrecognized arguments: --group-cap 1000"
+
+
+def test_search_budget_refusal_is_deterministic(tmp_path):
+    # the budget counts steps, not time: with the budget lowered to 10^6, the
+    # [15,11,3] Hamming code's search is refused with one line, the same on
+    # two runs and under a second hash seed
+    path = tmp_path / "hamming.code"
+    write_code_file(binary_span(HAMMING_15_11), path)
+    script = ("import sys, hamnt.chain; hamnt.chain._SEARCH_BUDGET = 10**6; "
+              "from hamnt.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = Path(hamnt.__file__).resolve().parent.parent
+    runs = []
+    for seed in ("0", "0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script, "classify", "--input", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        runs.append((done.returncode, done.stdout, done.stderr))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][:2] == (2, "")
+    assert runs[0][2].startswith("feasibility: the search took ")
+    assert runs[0][2].endswith(" steps, over the search budget 1000000\n")
 
 
 def test_unknown_command_exits_2():
@@ -331,7 +362,8 @@ def test_unknown_command_exits_2():
 @pytest.mark.parametrize("argv, group_cap_env", [
     (["lemmas", "--m", "0", "--q", "2"], None),
     (["lemmas", "--m", "2", "--q", "1"], None),
-    (["family", "--m", "4"], "abc"),
+    # HNT_GROUP_CAP changes nothing
+    (["family", "--m", "3"], "abc"),
     (["classify", "--input", b"\xff\xfe"], None),
     # sizes too long to print exactly, over the caps
     (["family", "--m", "20000"], None),
@@ -339,10 +371,13 @@ def test_unknown_command_exits_2():
     (["classify", "--input", b"3 200000\n1,2,3\n4,5,6\n"], None),
     # delta = 1: 2 * 3 * 1999999 neighbours to build, over the enumeration cap
     (["analyze", "--input", b"3 2000000\n0,0,0\n0,0,1\n"], None),
-    # the default group cap refuses the exhaustive check at m = 10
-    (["family", "--m", "10", "--exhaustive"], None),
-    # and the lemma suite at m = 9, q = 2 (order 185,794,560)
-    (["lemmas", "--m", "9", "--q", "2"], None),
+    # the lemma suite's pair walk: 2^17 * C(17,2) distance-2 vertices
+    (["lemmas", "--m", "17", "--q", "2"], None),
+    # two words over a 120-digit alphabet: no mask of m * q bits is built
+    (["analyze", "--input", b"2 1" + b"0" * 119 + b"\n0,0\n1,1\n"], None),
+    (["classify", "--input", b"2 1" + b"0" * 119 + b"\n0,0\n1,1\n"], None),
+    # the search's masks: Gamma_1 of the even-weight code of H(16,2), 2^15 words
+    (["stabilizer", "--input", EVEN_16], None),
 ])
 def test_bad_input_is_one_line_usage_error(argv, group_cap_env, monkeypatch, tmp_path):
     """A bytes item of argv is written to a file and replaced by its path."""

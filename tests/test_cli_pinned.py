@@ -2,12 +2,13 @@
 
 tests/data/family_pinned.json holds the exit code, stdout and stderr of
 `family --m M` for M = 4, 6, 8, 10, 12, plain and `--exhaustive`, text
-and JSON, at the default caps (so `--exhaustive` at M >= 10 is the group
-cap's refusal).  tests/data/caps_pinned.json holds one refusal per cap
-and per form that the command line reaches: the exact size, and the
-`about 10^k` form of a size past 100 digits.  A case with a "code" runs
-on that code file, put where its argv says {input}.  Both were recorded
-at commit 6ec4e35.
+and JSON.  tests/data/caps_pinned.json holds one refusal per cap and per
+form that the command line reaches: the exact size, and the `about 10^k`
+form of a size past 100 digits.  A case with a "code" runs on that code
+file, put where its argv says {input}.  Both were recorded at commit
+6ec4e35, but for `family --m 10/12 --exhaustive`, recorded at 9dadecc with
+the group cap raised, and the refusals of the search's masks and budget
+and of the pair counts, recorded with the change that added those caps.
 """
 
 import io
@@ -21,11 +22,6 @@ from hamnt.cli import main
 DATA = Path(__file__).parent / "data"
 FAMILY = json.loads((DATA / "family_pinned.json").read_text())
 CAPS = json.loads((DATA / "caps_pinned.json").read_text())
-
-
-@pytest.fixture(autouse=True)
-def default_group_cap(monkeypatch):
-    monkeypatch.delenv("HNT_GROUP_CAP", raising=False)
 
 
 def run(argv):

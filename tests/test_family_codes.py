@@ -109,28 +109,19 @@ def test_verify_family_m8_exhaustive():
     assert clause.clause == "stabilizer_matches_expected" and clause.passed
 
 
-@pytest.mark.parametrize("m, group_cap", [(10, 10**10), (12, 10**13)])
-def test_verify_family_exhaustive_beyond_default_cap(m, group_cap):
-    # N_U >| (S_2 wr S_h), order 2^h * 2^h * h!: 122,880 and 2,949,120
+@pytest.mark.parametrize("m", [10, 12, 16, 20])
+def test_verify_family_frontier(m):
+    # the exhaustive check past the old default group cap: every clause
+    # passes, and the stabilizer N_U >| (S_2 wr S_h) has order 4^h * h!
+    # (122,880 at m = 10 and 3,805,072,588,800 at m = 20)
     h = m // 2
-    order = 2**h * 2**h * math.factorial(h)
-    report = verify_family(m, exhaustive=True, group_cap=group_cap)
-    assert report.all_pass
+    order = 4**h * math.factorial(h)
+    report = verify_family(m, exhaustive=True)
+    assert all(clause.passed for clause in report.clauses) and report.all_pass
+    assert len(report.clauses) == 7
     assert report.stabilizer_order == order
     assert report.clauses[-1].detail == \
         f"search order {order}, closure of stab_gens order {order}"
-
-
-@pytest.mark.parametrize("m", [16, 20])
-def test_verify_family_frontier(m):
-    # the exhaustive check at the frontier, with a group cap over the full
-    # group's order: every clause passes, and the stabilizer has order
-    # 4^h * h! (3,805,072,588,800 at m = 20)
-    h = m // 2
-    report = verify_family(m, exhaustive=True, group_cap=10**40)
-    assert all(clause.passed for clause in report.clauses) and report.all_pass
-    assert len(report.clauses) == 7
-    assert report.stabilizer_order == 4**h * math.factorial(h)
 
 
 def test_verify_family_m6_non_exhaustive():
@@ -204,7 +195,7 @@ def test_stabilizer_clause_fails_on_a_proper_subgroup(m, monkeypatch):
         expected = GeneratorSet(scheme, gens)
         monkeypatch.setattr(hamnt.family_codes, "build_family",
                             lambda m: dataclasses.replace(real, stab_gens=expected))
-        report = verify_family(m, exhaustive=True, group_cap=10**12)
+        report = verify_family(m, exhaustive=True)
         true_order = len(closure(expected)) if m == 6 else \
             hamnt.schreier_sims(expected).order
         assert (true_order < order) is inside

@@ -56,11 +56,6 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture(autouse=True)
-def default_group_cap(monkeypatch):
-    monkeypatch.delenv("HNT_GROUP_CAP", raising=False)
-
-
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_lemmas_json_matches_pinned_output(key):
     m, q, seed = key.split(",")

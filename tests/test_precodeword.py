@@ -12,7 +12,6 @@ from hamnt.code_model import neighbour_stabilizer
 from hamnt.family_codes import build_family
 from hamnt.lemmas import _walk_witnesses
 from hamnt.precodeword import _cells, _verify_pre_structures
-from hamnt.wreath_group import DEFAULT_GROUP_CAP
 from helpers import ball1, vertex_pre_structure
 
 H42 = HammingScheme(4, 2)
@@ -184,7 +183,7 @@ def test_batch_matches_single_pairs_under_an_injected_fault(monkeypatch):
 
 def test_batch_matches_vertex_oracle_on_a_code_that_is_no_block():
     # every 8th of its 3,072 witnesses, from its stabilizer chain
-    chain = neighbour_stabilizer(NO_BLOCK, DEFAULT_GROUP_CAP)
+    chain = neighbour_stabilizer(NO_BLOCK)
     pairs = [(alpha, y) for _, alpha, y in _walk_witnesses(NO_BLOCK, chain)][::8]
     reports = _verify_pre_structures(NO_BLOCK, pairs)
     assert len(pairs) == 384

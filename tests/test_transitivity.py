@@ -157,8 +157,8 @@ def test_transitivity_matches_the_full_orbit_of_the_least_neighbour():
 def test_analysis_checks_the_neighbour_cap_and_builds_no_neighbour_set(monkeypatch):
     # delta = 3: the repetition code's neighbourhoods hold 3 * 3 * 2 = 18
     # vertices and its distance-2 shells 36.  Under a cap of 17 the
-    # analysis is refused after the group cap, before the shells and any
-    # search, with the message of building Gamma_1(C); under 36 it runs,
+    # analysis is refused before the shells and any search, with the
+    # message of building Gamma_1(C); under 36 it runs,
     # and neither it nor classify_theorem builds Gamma_1(C)
     def rep():
         return Code.from_entries(HammingScheme(3, 3), [[0, 0, 0], [1, 1, 1], [2, 2, 2]])
@@ -176,8 +176,6 @@ def test_analysis_checks_the_neighbour_cap_and_builds_no_neighbour_set(monkeypat
         with pytest.raises(FeasibilityError) as refused:
             analysis(rep())
         assert str(refused.value) == str(built.value)
-        with pytest.raises(FeasibilityError, match="over the group cap 10$"):
-            analysis(rep(), group_cap=10)
     assert searches == []
     monkeypatch.setattr(hamnt.code_model, "DEFAULT_ENUMERATION_CAP", 36)
     for analysis in (analyze_stabilizer, classify_theorem):

@@ -21,7 +21,7 @@ from hamnt.chain import (_block_levels, _canonical_levels, _first_leaf, _grow, _
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
 from hamnt.hamming_core import _vertex_at
-from hamnt.wreath_group import _act, _orbit, check_group_cap
+from hamnt.wreath_group import _act, _orbit
 from helpers import (brute_maps_into, brute_stabilizer_order, conjugated_by,
                      count_sifts, index_of, random_automorphism, raw_apply,
                      tuple_orbit)
@@ -183,10 +183,10 @@ def test_enumerate_full_group_cap():
 def test_cap_checks_print_short_sizes_exactly_and_never_build_huge_ones(monkeypatch):
     with pytest.raises(FeasibilityError, match=r"^full group of H\(10,2\) has order "
                        r"3715891200, over the group cap 1000$"):
-        check_group_cap(HammingScheme(10, 2), 1000)
+        enumerate_full_group(HammingScheme(10, 2), 1000)
     with pytest.raises(FeasibilityError, match=r"^full group of H\(3,200000\) has order "
                        r"about 10\^\d+, over the group cap 100000000$") as info:
-        check_group_cap(HammingScheme(3, 200000), 10**8)
+        enumerate_full_group(HammingScheme(3, 200000), 10**8)
     assert info.value.required is None
     with pytest.raises(FeasibilityError, match=r"^H\(20000,2\) has about 10\^6021 vertices"):
         check_enumeration_cap(HammingScheme(20000, 2))
@@ -524,12 +524,14 @@ def test_known_order_rebase_walks_the_same_elements(monkeypatch):
     assert walked >= 20 and differ >= 10, (walked, differ)
 
 
-def test_search_cap_and_scheme_are_checked_at_the_call():
+def test_search_cap_and_scheme_are_checked_at_the_call(monkeypatch):
+    # one source and one target in H(4,2): masks of 4 bits, over a cap of 3
+    monkeypatch.setattr(hamnt.chain, "_MASK_BITS", 3)
     code = Code(H42, [H42.zero()])
-    with pytest.raises(FeasibilityError):
-        find_equivalence(code, code, group_cap=10)
-    with pytest.raises(FeasibilityError):
-        stabilizer_chain([H42.zero()], H42, group_cap=10)
+    with pytest.raises(FeasibilityError, match="hold 4 bits, over the mask cap 3$"):
+        find_equivalence(code, code)
+    with pytest.raises(FeasibilityError, match="hold 4 bits, over the mask cap 3$"):
+        stabilizer_chain([H42.zero()], H42)
     with pytest.raises(SchemeMismatchError):
         find_equivalence(Code(H32, [H32.zero()]), code)
     with pytest.raises(SchemeMismatchError):
