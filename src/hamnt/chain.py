@@ -5,14 +5,16 @@ The search takes S and T as sorted vertex indices (module hamming_core);
 stabilizer_chain, the public entry, converts and scheme-checks its
 vertices once.  The search (_pruning_model, _narrow, _first_leaf) is a
 backtrack: depth k picks the image position p = sigma(k) among the
-positions still free (ascending), then g_k.  Each distinct source prefix
+positions still free (ascending), then g_k, as its block image, the key
+sigma(k)*q + g_k(c) for each symbol c.  Each distinct source prefix
 s[:k+1] keeps a bitmask of the members of T that agree with its image on
 the positions sigma(0)..sigma(k).  x is injective, so a branch dies when
 some mask holds fewer targets than its prefix has sources, and every
 sigma with a given prefix shares that prefix's pruning.  A leaf maps S
-into T, onto T when |S| = |T|; callers need only the first.  The
-per-scheme tables (_tables) are kept up to a bound on their rows.  A
-search is bounded by what it builds: masks, table and steps (_spend).
+into T, onto T when |S| = |T|; callers need only the first, whose keys,
+in depth order, are its point tuple.  Each search builds its own rows,
+so nothing outlives it.  A search is bounded by what it builds: masks,
+rows and steps (_spend).
 
 A chain holds elements as their point tuples (module wreath_group).
 A level (lo, hi, d) keys u by tuple(u[lo:hi]), each point divided by
@@ -50,18 +52,17 @@ lemma suite's first witnesses, walked lazily.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import itertools
 import math
 import random
+from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FeasibilityError, SchemeMismatchError
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex, _index_of,
                            _places, check_cap)
-from .wreath_group import Automorphism, GeneratorSet, _act, _invert, _points
+from .wreath_group import Automorphism, GeneratorSet, _act, _invert
 
 # Elements are point-image tuples; x followed by y is the C-level gather
 # itemgetter(*x)(y), a tuple, as a point tuple has m*q >= 2 entries (a block key q >= 2).
@@ -89,58 +90,21 @@ def _canonical_levels(m: int, q: int) -> list[tuple[int, int, int]]:
     return [(k * q, k * q + 1, q) for k in range(m)] + _block_levels(m, q)
 
 
-# The per-scheme tables kept between searches, least recently used first, up
-# to _TABLE_ROWS rows (m * q! block keys) in all; a larger one lives for one
-# search, or in _held until the outermost _holding_tables block ends.
-_TABLE_ROWS = 5 * 10**4
-_kept: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-_held: dict[tuple[int, int], tuple[tuple, tuple]] | None = None
-
-
-@contextlib.contextmanager
-def _holding_tables():
-    """A block, such as a call that searches one scheme several times, in
-    which the over-bound tables stay held until the outermost block ends."""
-    global _held
-    outer, _held = _held is None, {} if _held is None else _held
-    try:
-        yield
-    finally:
-        if outer:
-            _held = None
-
-
-def _tables(m: int, q: int) -> tuple[tuple, tuple]:
-    """(perms, keys): each alphabet permutation g, lexicographic, with
-    itemgetter(*g); keys[p], aligned, g's block key p*q + g(c) at p."""
-    held = {} if _held is None else _held
-    tables = _kept.pop((m, q), None) or held.get((m, q))
-    if tables is None:
-        perms = tuple(itertools.permutations(range(q)))
-        keys = [perms] + [tuple([tuple([p * q + c for c in g]) for g in perms])
-                          for p in range(1, m)]  # block 0's key is g itself
-        tables = tuple([(g, itemgetter(*g)) for g in perms]), tuple(keys)
-    if m * len(tables[0]) <= _TABLE_ROWS:
-        _kept[m, q] = tables
-        while sum([k * len(t[0]) for (k, _), t in _kept.items()]) > _TABLE_ROWS:
-            del _kept[next(iter(_kept))]
-    else:
-        held[m, q] = tables
-    return tables
-
-
 def _pruning_model(words: Sequence[int], targets: Sequence[int], scheme: HammingScheme):
     """The pruning model of the search from S and T as sorted vertex
     indices: (full, rows, levels).
 
     full is the bitmask of every target; rows[p] holds, for each alphabet
-    permutation g (lexicographic), (g, pos_val[p][g(c)] for every symbol
-    c, g's block key at p), where pos_val[p][c] is the bitmask of the
-    targets with entry c at p; levels[k] lists the distinct source
-    prefixes w // q^(m-1-k) as (parent, symbol, size): parent indexes the
-    prefixes of levels[k-1], and size counts the sources with that
-    prefix.  The masks, m * |S| * |T| bits at most, and the rows' m * q! *
-    q masks are checked against their caps before either is built.
+    permutation g (lexicographic), (masks, key) with masks[c] =
+    pos_val[p][g(c)], where pos_val[p][c] is the bitmask of the targets
+    with entry c at p, and key[c] = p*q + g(c), g's block key at p.  Both
+    are C-level permutations of a sequence, which follow the lexicographic
+    order of its index tuples, so the two stay aligned.  levels[k] lists
+    the distinct source prefixes w // q^(m-1-k) as (parent, symbol, size):
+    parent indexes the prefixes of levels[k-1], and size counts the
+    sources with that prefix.  The masks, m * |S| * |T| bits at most, and
+    the rows' m * q! * q masks are checked against their caps before
+    either is built.
     """
     m, q = scheme.m, scheme.q
     bits = m * len(words) * len(targets)
@@ -151,15 +115,14 @@ def _pruning_model(words: Sequence[int], targets: Sequence[int], scheme: Hamming
               DEFAULT_ENUMERATION_CAP,
               lambda size: f"the search's permutation table for {scheme} holds {size} "
                            f"masks, over the enumeration cap {DEFAULT_ENUMERATION_CAP}")
-    perms, keys = _tables(m, q)
     place = _places(m, q)
     pos_val = [[0] * q for _ in range(m)]
     for t, x in enumerate(targets):
         bit = 1 << t
         for p, row in zip(place, pos_val):
             row[x // p % q] |= bit
-    rows = [[(g, get(pv), key) for (g, get), key in zip(perms, keys_p)]
-            for pv, keys_p in zip(pos_val, keys)]
+    rows = [list(zip(permutations(pv), permutations(range(p * q, (p + 1) * q))))
+            for p, pv in enumerate(pos_val)]
     levels, index = [], {0: 0}
     for p in place:
         level: dict[int, list[int]] = {}
@@ -173,7 +136,7 @@ def _pruning_model(words: Sequence[int], targets: Sequence[int], scheme: Hamming
 
 def _narrow(level: tuple, row: list[int], masks: list[int]) -> list[int] | None:
     """The masks of one depth's source prefixes (level) after choosing
-    sigma(depth) = p and g_depth = g, where row is g's row in rows[p];
+    sigma(depth) = p and g_depth = g, where row is g's masks in rows[p];
     None when one holds fewer targets than its prefix has sources."""
     nxt = []
     for parent, c, size in level:
@@ -196,8 +159,9 @@ def _spend(spent: list[int], steps: int) -> None:
 
 def _first_leaf(levels: list, rows: list, free: list[int], masks: list[int],
                 chosen: list, spent: list[int] | None = None) -> list | None:
-    """chosen, the (sigma(d), g_d) of the depths above, completed in place
-    at the first leaf below it that no mask prunes (sigma(d) from free
+    """chosen, the keys of the depths above (depth d's key is block d's
+    image, sigma(d)*q + g_d(c) for each symbol c), completed in place at
+    the first leaf below it that no mask prunes (sigma(d) from free
     ascending, then g_d), or None when there is none.  Spends from spent
     (_spend), a fresh count when not given."""
     if not free:
@@ -206,10 +170,10 @@ def _first_leaf(levels: list, rows: list, free: list[int], masks: list[int],
     level = levels[len(chosen)]
     for i, p in enumerate(free):
         rest = free[:i] + free[i + 1:]
-        for g, row, _ in rows[p]:
+        for row, key in rows[p]:
             nxt = _narrow(level, row, masks)
             if nxt is not None:
-                chosen.append((p, g))
+                chosen.append(key)
                 if _first_leaf(levels, rows, rest, nxt, chosen, spent) is not None:
                     return chosen
                 chosen.pop()
@@ -302,13 +266,13 @@ def _stabilizer_chain(words: Sequence[int], scheme: HammingScheme) -> Stabilizer
     full, rows, levels = _pruning_model(words, words, scheme)
     m, q = scheme.m, scheme.q
     # the identity on blocks 0..k-1 prunes nothing; rows[k][0] is g_k = id
-    fixed = [(k, rows[k][0][0]) for k in range(m)]
+    fixed = [rows[k][0][1] for k in range(m)]
     prefix_masks = [[full]]
     for k in range(m - 1):
-        prefix_masks.append(_narrow(levels[k], rows[k][0][1], prefix_masks[k]))
+        prefix_masks.append(_narrow(levels[k], rows[k][0][0], prefix_masks[k]))
     blocks = _block_levels(m, q)
     # keys only: the chain's order is the product of the transversal sizes
-    transversals = [{rows[k][0][2]: None} for k in range(m)]
+    transversals = [{key: None} for key in fixed]
     strong: list[tuple[int, ...]] = []
     spent = [0]
     for k in reversed(range(m)):
@@ -316,15 +280,15 @@ def _stabilizer_chain(words: Sequence[int], scheme: HammingScheme) -> Stabilizer
         trans = transversals[k]
         for p in range(k, m):
             free = [r for r in range(k, m) if r != p]
-            for g, row, key in rows[p]:
+            for row, key in rows[p]:
                 if key in trans:
                     continue
                 nxt = _narrow(levels[k], row, prefix_masks[k])
                 if nxt is None:
                     continue
-                leaf = _first_leaf(levels, rows, free, nxt, fixed[:k] + [(p, g)], spent)
+                leaf = _first_leaf(levels, rows, free, nxt, fixed[:k] + [key], spent)
                 if leaf:
-                    strong.append(_points(leaf, q))
+                    strong.append(tuple([pt for block in leaf for pt in block]))
                     _grow(trans, blocks[k], strong, len(strong) - 1)
             _spend(spent, len(rows[p]) + len(prefix_masks[k]))
     return StabilizerChain(scheme, strong, transversals)
@@ -505,7 +469,6 @@ def least_outside(chain: StabilizerChain,
     return Automorphism._trusted(chain.scheme, next(_walk(transversals, levels, deep, u)))
 
 
-@_holding_tables()
 def _least_equivalence(source: Sequence[int], target: Sequence[int],
                        scheme: HammingScheme) -> Automorphism | None:
     """The least automorphism, canonical order, mapping the vertex set
@@ -517,6 +480,6 @@ def _least_equivalence(source: Sequence[int], target: Sequence[int],
     leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
     if leaf is None:
         return None
-    y = _points(leaf, scheme.q)
+    y = tuple([pt for block in leaf for pt in block])
     levels, _, transversals = _rebase(_stabilizer_chain(source, scheme))
     return Automorphism._trusted(scheme, next(_walk(transversals, levels, 0, y)))

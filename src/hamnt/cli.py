@@ -36,7 +36,7 @@ def _emit(report_json: dict, text: str, fmt: str, out) -> None:
         print(text, file=out)
 
 
-def cmd_family(args, out, err) -> int:
+def cmd_family(args, out) -> int:
     report = verify_family(args.m, exhaustive=args.exhaustive)
     order = "" if report.stabilizer_order is None else \
         f"\n  stabilizer order: {report.stabilizer_order}"
@@ -47,7 +47,7 @@ def cmd_family(args, out, err) -> int:
     return 0 if report.all_pass else 1
 
 
-def cmd_classify(args, out, err) -> int:
+def cmd_classify(args, out) -> int:
     report = classify_theorem(read_code_file(args.input))
     witness = automorphism_to_text(report.witness) if report.witness else "-"
     text = (f"delta: {report.delta}\nverdict: {report.verdict}\n"
@@ -58,7 +58,7 @@ def cmd_classify(args, out, err) -> int:
     return 1 if report.theorem_case == VIOLATION else 0
 
 
-def cmd_lemmas(args, out, err) -> int:
+def cmd_lemmas(args, out) -> int:
     report = run_lemma_suite(args.m, args.q, seed=args.seed)
     text = (f"lemma suite on H({report.m},{report.q}) seed={report.seed}\n"
             f"{format_clauses_text(report.checks)}\n"
@@ -67,7 +67,7 @@ def cmd_lemmas(args, out, err) -> int:
     return 0 if report.all_pass else 1
 
 
-def cmd_analyze(args, out, err) -> int:
+def cmd_analyze(args, out) -> int:
     code = read_code_file(args.input)
     delta = code.min_distance
     data = {
@@ -84,7 +84,7 @@ def cmd_analyze(args, out, err) -> int:
     return 0
 
 
-def cmd_stabilizer(args, out, err) -> int:
+def cmd_stabilizer(args, out) -> int:
     code = read_code_file(args.input)
     analysis = analyze_stabilizer(code)
     first = analysis.first_nonfixing
@@ -155,7 +155,7 @@ def main(argv=None, out=None, err=None) -> int:
         return int(exc.code or 0)
     # the one map from errors to exit codes; see errors.py
     try:
-        return _COMMANDS[args.command](args, out, err)
+        return _COMMANDS[args.command](args, out)
     except (CodeFormatError, OSError) as exc:
         print(f"cannot read code: {exc}", file=err)
     except HypothesisError as exc:

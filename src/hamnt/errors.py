@@ -14,12 +14,9 @@ class SchemeMismatchError(ValueError):
 class FeasibilityError(RuntimeError):
     """An exhaustive sweep would exceed a configured cap."""
 
-    def __init__(self, message: str, *, required: int | None = None,
-                 cap: int | None = None, partial: int | None = None):
+    def __init__(self, message: str, *, required: int | None = None):
         super().__init__(message)
         self.required = required
-        self.cap = cap
-        self.partial = partial
 
 
 class CodeFormatError(ValueError):

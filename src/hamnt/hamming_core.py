@@ -206,10 +206,10 @@ def check_cap(ln_size: float, exact: Callable[[], int], cap: int,
     and over e * cap is neither built nor printed, only shown as 10^k.
     """
     if ln_size > max(math.log(max(cap, 1)) + 1, 100 * math.log(10)):
-        raise FeasibilityError(message(f"about 10^{ln_size / math.log(10):.0f}"), cap=cap)
+        raise FeasibilityError(message(f"about 10^{ln_size / math.log(10):.0f}"))
     size = exact()
     if size > cap:
-        raise FeasibilityError(message(size), required=size, cap=cap)
+        raise FeasibilityError(message(size), required=size)
     return size
 
 

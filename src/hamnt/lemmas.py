@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import (StabilizerChain, _fixes, _holding_tables, _rebase, _stabilizer_chain,
+from .chain import (StabilizerChain, _fixes, _rebase, _stabilizer_chain,
                     _walk, schreier_sims)
 from .code_model import Code, _check_shells, neighbour_stabilizer
 from .family_codes import build_family
@@ -125,7 +125,6 @@ def _pair_walk(m: int, q: int):
     return sizes, ((0, min(first), min(ring)) if first else None)
 
 
-@_holding_tables()
 def run_lemma_suite(m: int, q: int, seed: int = 0) -> LemmaSuiteReport:
     """Exhaustive small-scheme checks of the structural lemmas.
 

@@ -286,8 +286,7 @@ def closure(gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP) -> list[Automorphi
                 if p not in elements:
                     if len(elements) >= cap:
                         raise FeasibilityError(
-                            f"closure exceeded cap {cap} (partial size {len(elements)})",
-                            cap=cap, partial=len(elements))
+                            f"closure exceeded cap {cap} (partial size {len(elements)})")
                     elements.add(p)
                     new.append(p)
         frontier = new

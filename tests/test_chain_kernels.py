@@ -1,11 +1,9 @@
 """The chain engine's kernels against their list forms and breadth-first
 oracles, and its once-only rules: one action table per element per call,
-cap messages formatted only on refusal, and an over-bound search table
-held for one top-level call and released on return."""
+and cap messages formatted only on refusal."""
 
 import io
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -18,10 +16,9 @@ import hamnt.lemmas
 import hamnt.precodeword
 import hamnt.transitivity
 import hamnt.wreath_group
-from hamnt import (Automorphism, Code, HammingScheme, full_group_generators, run_lemma_suite,
-                   translation, write_code_file)
-from hamnt.chain import (_block_levels, _canonical_levels, _grow, _holding_tables, _key,
-                         _Transversal)
+from hamnt import (Automorphism, Code, HammingScheme, full_group_generators, translation,
+                   write_code_file)
+from hamnt.chain import _block_levels, _canonical_levels, _grow, _key, _Transversal
 from hamnt.cli import main
 from hamnt.family_codes import build_family
 from hamnt.wreath_group import _coordinate_swaps
@@ -169,27 +166,3 @@ def test_a_passing_call_formats_no_cap_message(tmp_path, monkeypatch):
     assert len(checked) >= 5 * len(argvs) and formatted == []
     code, _, err = run(["lemmas", "--m", "1", "--q", "10"])
     assert (code, formatted) == (2, [36288000]) and "36288000 masks" in err
-
-
-def test_an_over_bound_table_is_held_for_one_call_and_released(monkeypatch):
-    # with the bound at 100 rows, H(1,6)'s 720 are over it: the lemma
-    # suite's six searches share one table, which nothing keeps afterwards
-    monkeypatch.setattr(hamnt.chain, "_TABLE_ROWS", 100)
-    monkeypatch.setattr(hamnt.chain, "_kept", {})
-    real, tables = hamnt.chain._tables, []
-    monkeypatch.setattr(hamnt.chain, "_tables",
-                        lambda m, q: tables.append(real(m, q)) or tables[-1])
-    assert run_lemma_suite(1, 6).all_pass
-    assert len(tables) == 6 and all(t is tables[0] for t in tables)
-    assert hamnt.chain._held is None and hamnt.chain._kept == {}
-    table = tables[0]
-    tables.clear()
-    assert sys.getrefcount(table) == 2  # this name and getrefcount's argument
-    # nested blocks hold until the outermost ends, also when it raises
-    with pytest.raises(ZeroDivisionError):
-        with _holding_tables():
-            with _holding_tables():
-                first = real(1, 6)
-            assert real(1, 6) is first
-            1 / 0
-    assert hamnt.chain._held is None and real(1, 6) is not first

@@ -244,15 +244,15 @@ def test_every_command_checks_the_neighbour_set_enumeration_cap(tmp_path, monkey
 
 
 def test_search_refuses_h1_10_before_building_a_table(monkeypatch):
-    # the table cap is checked before the per-scheme tables are looked up,
-    # so H(1,10), whose 10! permutations the cache would keep, builds none
-    tables = []
-    real = hamnt.chain._tables
-    monkeypatch.setattr(hamnt.chain, "_tables", lambda *a: tables.append(a) or real(*a))
+    # the table cap is checked before any row is built, so H(1,10), whose
+    # rows would hold 10! permutations, permutes nothing
+    rows = []
+    real = hamnt.chain.permutations
+    monkeypatch.setattr(hamnt.chain, "permutations", lambda *a: rows.append(a) or real(*a))
     code, out, err = run(["lemmas", "--m", "1", "--q", "10"])
-    assert (code, out, tables) == (2, "", [])
+    assert (code, out, rows) == (2, "", [])
     assert "permutation table for H(1,10) holds 36288000 masks" in err
-    assert run(["lemmas", "--m", "1", "--q", "3"])[0] == 0 and tables
+    assert run(["lemmas", "--m", "1", "--q", "3"])[0] == 0 and rows
 
 
 def test_every_command_checks_the_distance_2_count_of_d(tmp_path, monkeypatch):

@@ -375,7 +375,9 @@ def test_find_equivalence_matches_brute_force_filter():
                                                 [index_of(v.entries, scheme.q) for v in other],
                                                 scheme)
             leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
-            kinds["leaf" if tuple(zip(*leaf)) == want else "not the leaf"] += 1
+            sigma = tuple(key[0] // scheme.q for key in leaf)
+            gs = tuple(tuple(k % scheme.q for k in key) for key in leaf)
+            kinds["leaf" if (sigma, gs) == want else "not the leaf"] += 1
     # a first leaf that is not least is rare: one moved copy in 30 to 100
     assert len(kinds) == 5 and min(kinds.values()) >= 2, kinds
 

@@ -33,7 +33,9 @@ from helpers import (index_of, listed_witnesses, random_code_min_distance, tripl
 # H(2,4) were recorded at commit f4990cd, where the triple orbit streamed
 # the full group and Aut(C) was listed element by element; H(7,2),
 # H(5,3), H(6,3), H(4,4), H(3,5) and H(2,6) at seed 0 at commit 9c6e197,
-# where an all-pairs scan counted the distance-2 pairs.
+# where an all-pairs scan counted the distance-2 pairs; H(1,7), H(2,7)
+# and H(1,8) at seed 0 at commit 0cb211c, whose search read its rows from
+# a per-scheme table of alphabet permutations.
 PINNED = json.loads((Path(__file__).parent / "data" / "lemmas_pinned.json").read_text())
 
 

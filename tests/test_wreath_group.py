@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -422,26 +423,6 @@ def test_action_tables_are_capped():
     assert Automorphism.identity(ok).apply(ok.unit(3)) == ok.unit(3)
 
 
-def test_search_tables_over_the_row_bound_are_not_kept(monkeypatch):
-    # the per-scheme search tables are kept up to _TABLE_ROWS rows (m * q!)
-    # in all, least recently used first; with the bound at 100, the 720 rows
-    # of H(1,6) live for one search while H(3,3)'s 18 and H(4,2)'s 8 stay
-    monkeypatch.setattr(hamnt.chain, "_TABLE_ROWS", 100)
-    monkeypatch.setattr(hamnt.chain, "_kept", {})
-    kept = hamnt.chain._kept
-    for scheme in (H33, H42, HammingScheme(1, 6)):
-        assert stabilizer_chain([scheme.zero()], scheme).order == \
-            brute_stabilizer_order(scheme, [scheme.zero()])
-    assert list(kept) == [(3, 3), (4, 2)]
-    tables = hamnt.chain._tables(3, 3)
-    assert hamnt.chain._tables(3, 3) is tables and list(kept) == [(4, 2), (3, 3)]
-    assert hamnt.chain._tables(1, 6) is not hamnt.chain._tables(1, 6)
-    # a bound of 20 keeps the 12 rows of H(2,3) alone
-    monkeypatch.setattr(hamnt.chain, "_TABLE_ROWS", 20)
-    hamnt.chain._tables(2, 3)
-    assert list(kept) == [(2, 3)]
-
-
 def test_schreier_sims_stops_at_a_known_order(monkeypatch):
     scheme = HammingScheme(8, 2)
     chain = stabilizer_chain(build_family(8).C.neighbour_set, scheme)
@@ -640,10 +621,32 @@ def test_grow_meets_only_the_new_generators_with_the_old_entries():
                            for b in step)
 
 
+def test_pruning_model_rows_are_the_lexicographic_permutations():
+    # rows[p][i] is (masks, key) of the i-th lexicographic g: the targets'
+    # masks at p permuted by g, and g's block key at p.  The target sets
+    # leave symbols out and repeat entries, so several symbols share a
+    # mask (absent ones share 0): the rows must follow g's positions
+    rng = random.Random(29)
+    for q in range(2, 8):
+        scheme = HammingScheme(2, q)
+        verts = list(scheme.vertices())
+        for size in (1, 2, q + 1):
+            targets = sorted(index_of(v.entries, q) for v in rng.sample(verts, size))
+            _, rows, _ = _pruning_model(targets[:1], targets, scheme)
+            for p in range(2):
+                pos_val = [sum(1 << t for t, x in enumerate(targets)
+                               if x // q ** (1 - p) % q == c) for c in range(q)]
+                assert rows[p] == [(tuple(pos_val[c] for c in g), tuple(p * q + c for c in g))
+                                   for g in itertools.permutations(range(q))]
+                if size == 1:
+                    assert pos_val.count(0) == q - 1
+
+
 def test_first_leaf_is_the_least_element_mapping_s_onto_t():
     # the search's order reads (sigma(0), g_0, sigma(1), g_1, ...); its
-    # first leaf is the least element of the brute-force filter in that
-    # order, or None when no element maps S onto T
+    # first leaf, whose depth-d key is sigma(d)*q + g_d(c) for each symbol
+    # c, is the least element of the brute-force filter in that order, or
+    # None when no element maps S onto T
     rng = random.Random(46)
     kinds = Counter()
     for scheme in (H33, H42, HammingScheme(2, 4), HammingScheme(5, 2)):
@@ -659,7 +662,8 @@ def test_first_leaf_is_the_least_element_mapping_s_onto_t():
             leaf = _first_leaf(levels, rows, list(range(scheme.m)), [full], [])
             want = min(([(sigma[d], gs[d]) for d in range(scheme.m)]
                         for sigma, gs in brute_maps_into(scheme, source, target)), default=None)
-            assert leaf == want
+            assert (leaf and [(key[0] // scheme.q, tuple(k % scheme.q for k in key))
+                              for key in leaf]) == want
             kinds["none" if want is None else "leaf"] += 1
     assert min(kinds.values()) >= 10, kinds
 
