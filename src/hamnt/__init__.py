@@ -11,19 +11,19 @@ from .errors import (CodeFormatError, FeasibilityError, HypothesisError,
 from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Triple,
                            Vertex, common_neighbours, distance,
                            enumerate_triples, neighbours, shell,
-                           vertex_from_text, vertex_to_text, weight)
+                           vertex_from_text, vertex_to_text)
 from .wreath_group import (DEFAULT_GROUP_CAP, Automorphism, GeneratorSet,
                            automorphism_to_text, closure, enumerate_full_group,
                            full_group_generators, group_order, orbit,
                            translation)
-from .chain import (StabilizerChain, fixes_entries, least_outside,
-                    schreier_sims, stabilizer_chain)
+from .chain import (StabilizerChain, least_outside, schreier_sims,
+                    stabilizer_chain)
 from .code_model import (Code, code_to_text, find_equivalence,
                          is_code_automorphism, is_linear_binary,
                          neighbour_count, neighbour_stabilizer,
                          neighbourhoods_disjoint, parse_code_text,
                          read_code_file, stabilizes_set, write_code_file)
-from .precodeword import PreReport, pre_codewords, verify_pre_structure
+from .precodeword import PreReport, verify_pre_structure
 from .transitivity import (CASE2, CASE3, VERDICT_FIXED, VERDICT_NONFIXING,
                            VIOLATION, ClassificationReport, StabilizerAnalysis,
                            analyze_stabilizer, classify_theorem,
@@ -36,20 +36,19 @@ from .reporting import ClauseResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "HammingScheme", "Vertex", "Triple", "distance", "weight", "neighbours",
+    "HammingScheme", "Vertex", "Triple", "distance", "neighbours",
     "common_neighbours", "enumerate_triples", "shell", "vertex_to_text",
     "vertex_from_text", "DEFAULT_ENUMERATION_CAP",
     "Automorphism", "GeneratorSet", "translation", "enumerate_full_group",
     "full_group_generators", "closure", "orbit", "group_order",
     "StabilizerChain", "stabilizer_chain", "schreier_sims", "least_outside",
-    "fixes_entries",
     "automorphism_to_text", "DEFAULT_GROUP_CAP",
     "Code", "stabilizes_set",
     "is_code_automorphism", "is_linear_binary", "neighbour_count",
     "neighbour_stabilizer", "neighbourhoods_disjoint",
     "find_equivalence", "parse_code_text", "code_to_text", "read_code_file",
     "write_code_file",
-    "PreReport", "pre_codewords", "verify_pre_structure",
+    "PreReport", "verify_pre_structure",
     "ClassificationReport", "setwise_stabilizer", "is_neighbour_transitive",
     "classify_theorem", "StabilizerAnalysis",
     "analyze_stabilizer", "VERDICT_FIXED", "VERDICT_NONFIXING", "CASE2",

@@ -47,7 +47,9 @@ so _walk yields a coset in canonical order (Seress 2003, ch. 4 and 9).
 Every canonical-order answer comes from it: a setwise stabilizer's
 elements (_elements), the least element outside a subgroup
 (least_outside), the least equivalence (_least_equivalence) and the
-lemma suite's first witnesses, walked lazily.
+lemma suite's first witnesses, walked lazily.  A subgroup is given by
+its membership test on elements, such as _fixes, the one rule for "x
+maps a vertex set onto itself".
 """
 
 from __future__ import annotations
@@ -295,21 +297,20 @@ def _stabilizer_chain(words: Sequence[int], scheme: HammingScheme) -> Stabilizer
 
 
 def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
-                   order: int | None = None, bound: int | None = None):
+                   bound: int | None = None):
     """(found, strong, transversals) of the group the point tuples gens
     generate on n points, by Schreier-Sims over levels: found lists the
     strong generators as found, strong[k] those that fix the keys of
-    levels 0..k-1.  Given the group's order, it stops once the
-    transversal sizes multiply to it: a product of basic orbit sizes
-    equal to the order makes the generators strong (Seress 2003, ch. 4).
-    Given only an upper bound on the order, it stops there the same way,
-    and it runs to the end, giving the true order, when the group is
-    smaller.
+    levels 0..k-1.  Given an upper bound on the group's order, it stops
+    once the transversal sizes multiply to the bound: a product of basic
+    orbit sizes equal to the order makes the generators strong (Seress
+    2003, ch. 4).  When the group is smaller it runs to the end, giving
+    the true order, as it does without a bound.
 
-    With either, a random phase comes first (Seress 2003, 4.3 and 4.5):
-    it sifts random elements until the order is reached or _MISSES sifts
+    With a bound, a random phase comes first (Seress 2003, 4.3 and 4.5):
+    it sifts random elements until the bound is reached or _MISSES sifts
     in a row reach the identity, and the deterministic loop over the
-    Schreier generators, a no-op once the order is reached, completes the
+    Schreier generators, a no-op once the bound is reached, completes the
     chain from there.  The random phase draws from a fixed seed, so a call
     repeats its sifts; it changes only which elements the transversals
     and found hold, and the canonical levels determine every element."""
@@ -331,14 +332,13 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
     checked: list[set] = [set() for _ in levels]
     # transversal elements are built once, so their inverses keep too
     inverses: list[dict] = [{} for _ in levels]
-    stop = bound if order is None else order
-    if stop is not None and math.prod([len(t) for t in transversals]) != stop:
+    if bound is not None and math.prod([len(t) for t in transversals]) != bound:
         # random phase: sift w, the running product of random subproducts
         # of the strong generators; a residue that stops at level j fixes
         # the keys of levels 0..j-1, so it joins strong[0..j].  A chain
         # that its generators already complete skips seeding the RNG
         rng, misses, w = random.Random(0), 0, ident
-        while misses < _MISSES and math.prod([len(t) for t in transversals]) != stop:
+        while misses < _MISSES and math.prod([len(t) for t in transversals]) != bound:
             for s in found:
                 if rng.random() < 0.5:
                     w = itemgetter(*w)(s)
@@ -349,7 +349,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
                 misses = 0
                 add(x, 0, j)
     k = len(levels) - 1
-    while k >= 0 and math.prod([len(t) for t in transversals]) != stop:
+    while k >= 0 and math.prod([len(t) for t in transversals]) != bound:
         # levels k+1.. are complete: sift the Schreier generators of level k
         residue = None
         for b in transversals[k]:
@@ -371,8 +371,6 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int, levels: list,
         else:
             add(residue[0], k + 1, residue[1])
             k = residue[1]
-    if order is not None and math.prod([len(t) for t in transversals]) != order:
-        raise RuntimeError(f"internal error: Schreier-Sims ended below the known order {order}")
     return found, strong, transversals
 
 
@@ -394,6 +392,9 @@ def _rebase(chain: StabilizerChain):
     levels = _canonical_levels(m, q)
     _, strong, transversals = _schreier_sims([x.points for x in chain.generators],
                                              m * q, levels, chain.order)
+    if math.prod([len(t) for t in transversals]) != chain.order:
+        raise RuntimeError(f"internal error: Schreier-Sims ended below the known order "
+                           f"{chain.order}")
     return levels, strong, transversals
 
 
@@ -437,35 +438,27 @@ def _fixes(indices: Iterable[int], scheme: HammingScheme) -> Callable[[Automorph
     return lambda x: words.issuperset(_act(x._actor, words))
 
 
-def fixes_entries(entries: Iterable[tuple[int, ...]], q: int) -> Callable[[tuple[int, ...]], bool]:
-    """_fixes for a set of vertices given as entry tuples over q symbols,
-    as a test on point tuples."""
-    entries = list(entries)
-    if not entries:
-        return lambda s: True
-    scheme = HammingScheme(len(entries[0]), q)
-    fixes = _fixes([_index_of(w, q) for w in entries], scheme)
-    return lambda s: fixes(Automorphism._trusted(scheme, s))
-
-
 def least_outside(chain: StabilizerChain,
-                  inside: Callable[[tuple[int, ...]], bool]) -> Automorphism | None:
+                  inside: Callable[[Automorphism], bool]) -> Automorphism | None:
     """The least element, canonical order, of the chain's group G outside
-    its subgroup H = {x in G : inside(x)} (inside tests a point tuple), or
-    None when H = G.  With G^(k) in H for k >= deep, every coset above
-    deep meets G \\ H and its least child holds the identity, and a coset
-    at deep lies in H iff u does: the answer is the first element below
-    the least child of the identity at level deep - 1 that is not in H.
-    Each strong generator is tested once, however many levels hold it."""
-    inside = functools.cache(inside)
-    if all(inside(x.points) for x in chain.generators):
+    its subgroup H = {x in G : inside(x)}, or None when H = G.  With
+    G^(k) in H for k >= deep, every coset above deep meets G \\ H and its
+    least child holds the identity, and a coset at deep lies in H iff u
+    does: the answer is the first element below the least child of the
+    identity at level deep - 1 that is not in H.  Each point tuple read is
+    tested once, as an element, and a strong generator as its own object,
+    so the tables it caches (_actor) serve its other readers too."""
+    gens = {x.points: x for x in chain.generators}
+    tested = functools.cache(
+        lambda s: inside(gens.get(s) or Automorphism._trusted(chain.scheme, s)))
+    if all(map(tested, gens)):
         return None
     levels, strong, transversals = _rebase(chain)
     # G^(k) lies in H iff its strong generators do, and then so does G^(k+1)
-    deep = sum([not all(map(inside, gens_k)) for gens_k in strong])
+    deep = sum([not all(map(tested, gens_k)) for gens_k in strong])
     ident = tuple(range(chain.scheme.m * chain.scheme.q))
     u = next(v for v in _children(transversals[deep - 1], levels[deep - 1], ident)
-             if not inside(v))
+             if not tested(v))
     return Automorphism._trusted(chain.scheme, next(_walk(transversals, levels, deep, u)))
 
 

@@ -9,10 +9,11 @@ are built only when a caller reads them; the other derived quantities
 behind its cap: the pair cap, and the enumeration cap in the one builder
 of Gamma_1(C), _neighbour_indices.  Codes are stored extensionally even
 when they happen to be linear: linearity is detected, never declared.
-"x fixes a vertex set" has one rule, chain._fixes, on indices;
-stabilizes_set and is_code_automorphism are its boundary wrappers, which
-check the scheme and convert once.  For Gamma_1(C), _neighbours_fixed_by
-tests x through the image code.  find_equivalence returns the least
+"x fixes a vertex set" has one rule, chain._fixes, a test on elements
+over indices; stabilizes_set and is_code_automorphism are its boundary
+wrappers, which check the scheme and convert once, and
+chain.least_outside takes it as it is.  For Gamma_1(C),
+_neighbours_fixed_by tests x through the image code.  find_equivalence returns the least
 automorphism mapping one code onto another, or None.
 
 The neighbour-set stabilizer of a code has one home, neighbour_stabilizer.
@@ -34,7 +35,7 @@ from typing import Iterable
 
 from .chain import StabilizerChain, _fixes, _least_equivalence, _stabilizer_chain
 from .errors import CodeFormatError, FeasibilityError, SchemeMismatchError
-from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex,
+from .hamming_core import (DEFAULT_ENUMERATION_CAP, HammingScheme, Vertex, _digits,
                            _index_ball, _index_neighbours, _index_of, _index_shell,
                            _index_steps, _places, _vertex_at, check_cap,
                            vertex_from_text, vertex_to_text)
@@ -283,7 +284,8 @@ def find_equivalence(code: Code, other: Code) -> Automorphism | None:
 # -- shared code file format ------------------------------------------------
 #
 # line 1: "m q"; one vertex per later line in the shared text form; lines
-# starting with '#' and blank lines are ignored.  Writers emit sorted order.
+# starting with '#' and blank lines are ignored.  Every number is ASCII
+# digits only (hamming_core._digits).  Writers emit sorted order.
 
 def parse_code_text(text: str) -> Code:
     scheme = None
@@ -297,7 +299,7 @@ def parse_code_text(text: str) -> Code:
             if len(parts) != 2:
                 raise CodeFormatError(f"line {lineno}: header must be 'm q', got {line!r}")
             try:
-                m, q = int(parts[0]), int(parts[1])
+                m, q = _digits(parts)
                 scheme = HammingScheme(m, q)
             except ValueError as exc:
                 raise CodeFormatError(f"line {lineno}: bad header {line!r}: {exc}") from None

@@ -52,12 +52,6 @@ class HammingScheme:
     def zero(self) -> "Vertex":
         return Vertex(self, (0,) * self.m)
 
-    def unit(self, i: int) -> "Vertex":
-        """The vertex e_i with a single 1 in position i."""
-        entries = [0] * self.m
-        entries[i] = 1
-        return Vertex(self, tuple(entries))
-
     def vertices(self) -> Iterator["Vertex"]:
         """All q^m vertices in lexicographic order."""
         for entries in itertools.product(range(self.q), repeat=self.m):
@@ -86,9 +80,6 @@ class Vertex:
 
     def __lt__(self, other: "Vertex"):
         return self.entries < other.entries
-
-    def __le__(self, other: "Vertex"):
-        return self.entries <= other.entries
 
     def __str__(self):
         return vertex_to_text(self)
@@ -121,11 +112,6 @@ def distance(u: Vertex, v: Vertex) -> int:
     """Hamming distance: the number of entries in which u and v differ."""
     _check_same_scheme(u, v)
     return sum(a != b for a, b in zip(u.entries, v.entries))
-
-
-def weight(v: Vertex) -> int:
-    """Number of non-zero entries; equals distance from the zero vertex."""
-    return sum(e != 0 for e in v.entries)
 
 
 def _index_of(entries, q: int) -> int:
@@ -240,14 +226,21 @@ def vertex_to_text(v: Vertex) -> str:
     return ",".join(str(e) for e in v.entries)
 
 
+def _digits(parts) -> tuple[int, ...]:
+    """The numbers the parts spell in ASCII digits; ValueError, in int()'s
+    words, at the first other part (int() also takes signs, underscores,
+    spaces and other scripts' digits)."""
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            raise ValueError(f"invalid literal for int() with base 10: {part!r}")
+    return tuple(map(int, parts))
+
+
 def vertex_from_text(scheme: HammingScheme, text: str) -> Vertex:
     """Parse the shared text form back into a vertex of the given scheme."""
     text = text.strip()
     try:
-        if scheme.q <= 10:
-            entries = tuple(int(ch) for ch in text)
-        else:
-            entries = tuple(int(part) for part in text.split(","))
+        entries = _digits(text if scheme.q <= 10 else text.split(","))
     except ValueError as exc:
         raise CodeFormatError(f"cannot parse vertex {text!r}: {exc}") from None
     try:

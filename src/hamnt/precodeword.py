@@ -7,13 +7,13 @@ apply(y, pi) in C.  Their neighbourhood cells partition the
 neighbourhood of alpha into 2-element cells, which forces
 |Pre(alpha, y)| = m(q-1)/2, and dually the codewords at distance 2 from a
 pre-codeword pi partition the neighbourhood of pi.  verify_pre_structure
-checks all of this exhaustively and reports per clause; a failing clause
-would falsify the underlying mathematics, so it is expected never to fire.
-It is the one-pair case of _verify_pre_structures, which verifies many
-pairs of one code and does the work that does not depend on the pair
-once: the duals and dual cells of each pre-codeword, and the test that
-each y stabilizes the neighbour set.  Its memos live for one call, on
-vertex indices (module hamming_core).
+checks all of this exhaustively and reports per clause, with Pre(alpha, y)
+as its sorted pre_set; a failing clause would falsify the underlying
+mathematics, so it is expected never to fire.  It is the one-pair case
+of _verify_pre_structures, which verifies many pairs of one code and does
+the work that does not depend on the pair once: the duals and dual cells
+of each pre-codeword, and the test that each y stabilizes the neighbour
+set.  Its memos live for one call, on vertex indices (module hamming_core).
 
 The hypotheses are checked eagerly with typed errors: the statements are
 conditional, and silently proceeding would verify vacuous claims.
@@ -29,7 +29,7 @@ from .code_model import Code, _neighbours_fixed_by
 from .errors import (ImageInCodeError, MinDistanceError, NotACodewordError,
                      NotNeighbourStabilizerError, SchemeMismatchError)
 from .hamming_core import (Vertex, _index_ball, _index_of, _index_shell, _index_steps,
-                           _places, _vertex_at, shell, vertex_to_text)
+                           _places, _vertex_at, vertex_to_text)
 from .reporting import ClauseResult, all_clauses_pass
 from .wreath_group import Automorphism, _act, automorphism_to_text
 
@@ -96,12 +96,6 @@ def _cells(nbrs: frozenset, others, ball):
         disjoint = disjoint and not seen & cell
         seen.update(cell)
     return cells, sizes_ok, disjoint, seen == nbrs
-
-
-def pre_codewords(code: Code, alpha: Vertex, y: Automorphism) -> tuple[Vertex, ...]:
-    """Pre(alpha, y): sorted distance-2 vertices that y maps into the code."""
-    _check_hypotheses(code, alpha, y, set())
-    return tuple([pi for pi in shell(alpha, 2) if y.apply(pi) in code])
 
 
 def verify_pre_structure(code: Code, alpha: Vertex, y: Automorphism) -> PreReport:

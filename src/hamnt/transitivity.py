@@ -4,7 +4,8 @@ trichotomy classifier, whose witness is the least element of a chain
 outside Aut(C) (`chain.least_outside`).  Transitivity on Gamma_1(C) has
 one rule, _transitive_on_neighbours, shared by is_neighbour_transitive
 and analyze_stabilizer.  Only setwise_stabilizer, which lists elements,
-takes a group cap, on the order of the group it lists."""
+reads the group cap, DEFAULT_GROUP_CAP at call time, on the order of the
+group it lists."""
 
 from __future__ import annotations
 
@@ -48,14 +49,13 @@ class ClassificationReport:
         }
 
 
-def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme,
-                       group_cap: int = DEFAULT_GROUP_CAP) -> list[Automorphism]:
+def setwise_stabilizer(vertices: Iterable[Vertex], scheme: HammingScheme) -> list[Automorphism]:
     """All automorphisms mapping the vertex set onto itself, canonical
-    order; FeasibilityError when there are over group_cap of them."""
+    order; FeasibilityError when there are over DEFAULT_GROUP_CAP of them."""
     chain = stabilizer_chain(vertices, scheme)
-    if chain.order > group_cap:
+    if chain.order > DEFAULT_GROUP_CAP:
         raise FeasibilityError(f"the setwise stabilizer in {scheme} has order {chain.order}, "
-                               f"over the group cap {group_cap}")
+                               f"over the group cap {DEFAULT_GROUP_CAP}")
     return _elements(chain)
 
 
@@ -89,15 +89,14 @@ class StabilizerAnalysis:
     """The neighbour-set stabilizer of a code and what it does to the code."""
 
     order: int
-    generators: tuple[Automorphism, ...]
     first_nonfixing: Automorphism | None
     transitive_on_neighbours: bool
 
 
 def analyze_stabilizer(code: Code) -> StabilizerAnalysis:
-    """Stabilizer of Gamma_1(C) (order and strong generators), its first
-    element (canonical order) that moves C, and whether it is transitive
-    on Gamma_1(C).
+    """The order of the stabilizer of Gamma_1(C), its first element
+    (canonical order) that moves C, and whether it is transitive on
+    Gamma_1(C).
 
     The stabilizer fixes C iff every strong generator does; otherwise the
     first non-fixing element is the chain's least element outside Aut(C),
@@ -110,11 +109,8 @@ def analyze_stabilizer(code: Code) -> StabilizerAnalysis:
     if not neighbour_count(code):
         raise HypothesisError("neighbour set is empty; nothing to stabilize")
     chain = neighbour_stabilizer(code)
-    # least_outside tests point tuples; a strong generator's own tables serve the orbit too
-    fixes, gens = _fixes(code._indices, code.scheme), {x.points: x for x in chain.generators}
-    first = least_outside(
-        chain, lambda s: fixes(gens.get(s) or Automorphism._trusted(chain.scheme, s)))
-    return StabilizerAnalysis(chain.order, chain.generators, first,
+    first = least_outside(chain, _fixes(code._indices, code.scheme))
+    return StabilizerAnalysis(chain.order, first,
                               _transitive_on_neighbours(code, chain.generators))
 
 

@@ -29,7 +29,7 @@ images, then lexicographic over the tuple of alphabet-permutation images.
 Searches and subgroups live in the module chain, and so does the one
 set-fixing rule (chain._fixes).  enumerate_full_group and closure
 have no caller in the package; the tests use them as oracles, and the
-benchmark's tracer wraps them.
+benchmark's tracer wraps them.  Each reads DEFAULT_GROUP_CAP at the call.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from operator import itemgetter
 from .errors import FeasibilityError, SchemeMismatchError
 from .hamming_core import HammingScheme, Vertex, _index_of, _places, _vertex_at, check_cap
 
-#: Default bound on the elements a listing builds: the full group's
-#: (q!)^m * m!, a closure's, or a setwise stabilizer's.
+#: Bound on the elements a listing builds, read at each call: the full
+#: group's (q!)^m * m!, a closure's, or a setwise stabilizer's.
 DEFAULT_GROUP_CAP = 10**8
 
 #: Bound on q^ceil(m/2), the larger of an element's two tables (H(32,2) fits).
@@ -168,8 +168,6 @@ class Automorphism:
             raise SchemeMismatchError("composing automorphisms of different schemes")
         return Automorphism._trusted(self.scheme, itemgetter(*self.points)(other.points))
 
-    __mul__ = compose
-
     def inverse(self) -> "Automorphism":
         return Automorphism._trusted(self.scheme, _invert(self.points))
 
@@ -245,13 +243,13 @@ def full_group_generators(scheme: HammingScheme) -> GeneratorSet:
     return GeneratorSet(scheme, tuple(gens))
 
 
-def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_CAP):
+def enumerate_full_group(scheme: HammingScheme):
     """Yield all (q!)^m * m! automorphisms once, in canonical order;
-    FeasibilityError, at the call, when there are over group_cap."""
+    FeasibilityError, at the call, when there are over DEFAULT_GROUP_CAP."""
     check_cap(scheme.m * math.lgamma(scheme.q + 1) + math.lgamma(scheme.m + 1),
-              lambda: group_order(scheme), group_cap,
+              lambda: group_order(scheme), DEFAULT_GROUP_CAP,
               lambda size: f"full group of {scheme} has order {size}, over the group cap "
-                           f"{group_cap}")
+                           f"{DEFAULT_GROUP_CAP}")
     perms = list(itertools.permutations(range(scheme.q)))
 
     def gen():
@@ -262,13 +260,13 @@ def enumerate_full_group(scheme: HammingScheme, group_cap: int = DEFAULT_GROUP_C
     return gen()
 
 
-def closure(gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP) -> list[Automorphism]:
+def closure(gens: GeneratorSet) -> list[Automorphism]:
     """The subgroup generated by gens, as a canonically sorted list.
 
     Breadth-first multiplication closure over the generators and their
-    inverses, deduplicated by normal form.  Exceeding cap raises rather
-    than truncating: a truncated closure would corrupt any transitivity
-    verdict computed from it.
+    inverses, deduplicated by normal form.  Exceeding DEFAULT_GROUP_CAP
+    raises rather than truncating: a truncated closure would corrupt any
+    transitivity verdict computed from it.
     """
     ident = Automorphism.identity(gens.scheme)
     step = []
@@ -284,9 +282,9 @@ def closure(gens: GeneratorSet, cap: int = DEFAULT_GROUP_CAP) -> list[Automorphi
             for s in step:
                 p = e.compose(s)
                 if p not in elements:
-                    if len(elements) >= cap:
-                        raise FeasibilityError(
-                            f"closure exceeded cap {cap} (partial size {len(elements)})")
+                    if len(elements) >= DEFAULT_GROUP_CAP:
+                        raise FeasibilityError(f"closure exceeded cap {DEFAULT_GROUP_CAP} "
+                                               f"(partial size {len(elements)})")
                     elements.add(p)
                     new.append(p)
         frontier = new

@@ -11,7 +11,7 @@ import time
 from hamnt import (CASE2, VERDICT_FIXED, VERDICT_NONFIXING, VIOLATION, Code,
                    HammingScheme, classify_theorem, closure,
                    common_neighbours, distance, enumerate_full_group,
-                   enumerate_triples, pre_codewords, setwise_stabilizer,
+                   enumerate_triples, setwise_stabilizer,
                    translation, verify_family, verify_pre_structure)
 from hamnt.family_codes import build_family
 from helpers import (brute_stabilizer_order, random_automorphism,
@@ -81,8 +81,8 @@ def test_criterion_3_pre_codeword_law():
         for alpha in inst.C.words:
             for u in non_code:
                 y = translation(u)
-                assert len(pre_codewords(inst.C, alpha, y)) == m // 2
                 report = verify_pre_structure(inst.C, alpha, y)
+                assert len(report.pre_set) == m // 2
                 assert report.all_pass
                 pairs += 1
     _report(3, f"|Pre| = m/2 and full structure on all {pairs} (alpha, y) pairs")

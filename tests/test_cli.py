@@ -365,6 +365,8 @@ def test_unknown_command_exits_2():
     # HNT_GROUP_CAP changes nothing
     (["family", "--m", "3"], "abc"),
     (["classify", "--input", b"\xff\xfe"], None),
+    # code files take ASCII digits only, not int()'s other forms
+    (["analyze", "--input", "3 3\n\u0662\u0660\u0661\n000\n".encode()], None),
     # sizes too long to print exactly, over the caps
     (["family", "--m", "20000"], None),
     (["lemmas", "--m", "20000", "--q", "2"], None),

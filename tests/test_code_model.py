@@ -14,7 +14,7 @@ from hamnt import (Automorphism, Code, FeasibilityError,
                    neighbours, parse_code_text, read_code_file, setwise_stabilizer,
                    shell, stabilizer_chain, stabilizes_set, translation,
                    vertex_to_text, write_code_file)
-from hamnt.chain import _first_leaf, _pruning_model, _stabilizer_chain, fixes_entries
+from hamnt.chain import _first_leaf, _fixes, _pruning_model, _stabilizer_chain
 from hamnt.code_model import (_determined_indices, _neighbours_fixed_by,
                               neighbour_stabilizer)
 from hamnt.errors import CodeFormatError
@@ -275,18 +275,18 @@ def test_stabilized_by_tests_every_element():
             stab = setwise_stabilizer(words, scheme)
             xs += rng.sample(stab, min(len(stab), rng.choice((1, 3))))
             rng.shuffle(xs)
-            fixes = fixes_entries([w.entries for w in words], scheme.q)
+            fixes = _fixes([index_of(w.entries, scheme.q) for w in words], scheme)
             want = all(stabilizes_set(words, x) for x in xs)
-            assert all([fixes(x.points) for x in xs]) is want
+            assert all([fixes(x) for x in xs]) is want
             verdicts[want] += 1
             fixing = [x for x in xs if stabilizes_set(words, x)]
-            assert all([fixes(x.points) for x in fixing])
+            assert all([fixes(x) for x in fixing])
             verdicts[True] += 1
     assert verdicts[False] >= 20 and verdicts[True] >= 20
     nbrs = build_family(4).C.neighbour_set
-    fixes = fixes_entries([v.entries for v in nbrs], 2)
+    fixes = _fixes([index_of(v.entries, 2) for v in nbrs], H42)
     ident, moving = Automorphism.identity(H42), translation(H42.vertex([1, 0, 0, 0]))
-    assert [fixes(x.points) for x in (ident, ident, moving, ident)] == [True, True, False, True]
+    assert [fixes(x) for x in (ident, ident, moving, ident)] == [True, True, False, True]
     with pytest.raises(SchemeMismatchError):
         stabilizes_set(nbrs, Automorphism.identity(H33))
 
@@ -428,6 +428,24 @@ def test_code_file_comments_and_errors(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(CodeFormatError, match="not UTF-8"):
         read_code_file(path)
+
+
+@pytest.mark.parametrize("text, message, ascii_text", [
+    # int() reads each refused form; the file format takes ASCII digits only
+    ("3 3\n\u0662\u0660\u0661\n000\n", "line 2: cannot parse vertex '\u0662\u0660\u0661'",
+     "3 3\n201\n000\n"),
+    ("2 11\n1_0,2\n", "line 2: cannot parse vertex '1_0,2'", "2 11\n10,2\n"),
+    ("2 11\n+1,2\n", "line 2: cannot parse vertex '+1,2'", "2 11\n1,2\n"),
+    ("2 11\n1, 2\n", "line 2: cannot parse vertex '1, 2'", "2 11\n1,2\n"),
+    ("+3 2\n000\n", "line 1: bad header '+3 2'", "3 2\n000\n"),
+    ("\u0663 2\n000\n", "line 1: bad header '\u0663 2'", "3 2\n000\n"),
+], ids=["other_script_digits", "underscore", "sign", "space_after_comma", "header_sign",
+        "header_other_script_digit"])
+def test_code_file_numbers_are_ascii_digits(text, message, ascii_text):
+    with pytest.raises(CodeFormatError) as info:
+        parse_code_text(text)
+    assert str(info.value).startswith(message + ": invalid literal for int()")
+    assert len(parse_code_text(ascii_text)) == len(ascii_text.splitlines()) - 1
 
 
 def test_code_file_wide_alphabet():

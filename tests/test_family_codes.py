@@ -157,11 +157,11 @@ def test_classify_family_m4_nonfixing_case2():
 
 def test_pre_codeword_bridge():
     # |Pre(alpha, witness)| = m/2 for every codeword of each family member
-    from hamnt import pre_codewords
+    from hamnt import verify_pre_structure
     for m in (4, 6, 8):
         inst = build_family(m)
         for alpha in inst.C.words:
-            assert len(pre_codewords(inst.C, alpha, inst.witness)) == m // 2
+            assert len(verify_pre_structure(inst.C, alpha, inst.witness).pre_set) == m // 2
 
 
 def test_stab_gens_closure_is_stabilizer_sized_m6():
@@ -190,8 +190,9 @@ def test_stabilizer_clause_fails_on_a_proper_subgroup(m, monkeypatch):
     real = build_family(m)
     scheme = real.scheme
     order = 2**m * math.factorial(m // 2)
+    e0 = translation(scheme.vertex([1] + [0] * (m - 1)))
     for gens, inside in ((real.stab_gens.generators[:-1], True),
-                         (real.stab_gens.generators + (translation(scheme.unit(0)),), False)):
+                         (real.stab_gens.generators + (e0,), False)):
         expected = GeneratorSet(scheme, gens)
         monkeypatch.setattr(hamnt.family_codes, "build_family",
                             lambda m: dataclasses.replace(real, stab_gens=expected))

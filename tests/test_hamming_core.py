@@ -7,7 +7,7 @@ import pytest
 import hamnt.hamming_core
 from hamnt import (FeasibilityError, HammingScheme, SchemeMismatchError,
                    Triple, common_neighbours, distance, enumerate_triples,
-                   neighbours, shell, vertex_from_text, vertex_to_text, weight)
+                   neighbours, shell, vertex_from_text, vertex_to_text)
 from hamnt.hamming_core import (_index_ball, _index_neighbours, _index_of, _index_shell,
                                 _index_steps, _places, _vertex_at)
 from helpers import (ball1, brute_distance, brute_neighbours, brute_triple_count,
@@ -56,20 +56,6 @@ def test_distance_is_a_metric_exhaustive_h33():
         for v in verts:
             for w in verts:
                 assert distance(u, w) <= distance(u, v) + distance(v, w)
-
-
-def test_weight_examples():
-    s3 = HammingScheme(3, 3)
-    assert weight(s3.vertex([0, 0, 0])) == 0
-    assert weight(s3.vertex([2, 0, 1])) == 2
-    assert weight(HammingScheme(4, 2).vertex([1, 1, 1, 1])) == 4
-
-
-def test_weight_equals_distance_from_zero():
-    for scheme in (H42, H33):
-        zero = scheme.zero()
-        for v in scheme.vertices():
-            assert weight(v) == distance(zero, v)
 
 
 def test_neighbours_of_zero_h42():

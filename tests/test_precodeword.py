@@ -6,7 +6,7 @@ import pytest
 import hamnt.precodeword
 from hamnt import (Automorphism, Code, HammingScheme, ImageInCodeError,
                    MinDistanceError, NotACodewordError,
-                   NotNeighbourStabilizerError, pre_codewords, setwise_stabilizer,
+                   NotNeighbourStabilizerError, setwise_stabilizer,
                    shell, translation, vertex_to_text, verify_pre_structure)
 from hamnt.code_model import neighbour_stabilizer
 from hamnt.family_codes import build_family
@@ -29,6 +29,11 @@ NO_BLOCK = Code.from_entries(H62, [[int(c) for c in w] for w in (
 SWAP35 = Automorphism(H62, [[0, 1]] * 6, [0, 1, 2, 5, 4, 3])
 
 
+def pre_set(code, alpha, y):
+    """Pre(alpha, y), sorted, from the one-pair structure check."""
+    return verify_pre_structure(code, alpha, y).pre_set
+
+
 def vset(vertices):
     return {vertex_to_text(v) for v in vertices}
 
@@ -46,7 +51,7 @@ def test_pre_codewords_m4():
     alpha = H42.zero()
     # oracle: the 6 weight-2 vertices, filtered by pi + 0101 in {0000, 1111}
     expected = {pi for pi in shell(alpha, 2) if Y4.apply(pi) in INST4.C}
-    got = pre_codewords(INST4.C, alpha, Y4)
+    got = pre_set(INST4.C, alpha, Y4)
     assert set(got) == expected
     assert vset(got) == {"0101", "1010"}
     assert len(got) == 2  # m(q-1)/2
@@ -56,7 +61,7 @@ def test_pre_codewords_m6():
     scheme = INST6.scheme
     alpha = scheme.zero()
     y = translation(scheme.vertex([1, 0, 0, 1, 0, 0]))
-    got = pre_codewords(INST6.C, alpha, y)
+    got = pre_set(INST6.C, alpha, y)
     assert len(got) == 3  # 6 * 1 / 2
     assert vset(got) == {"100100", "010010", "001001"}
 
@@ -67,23 +72,23 @@ def test_pre_codewords_size_law_all_family_pairs():
         non_code = [u for u in inst.U.words if u not in inst.C]
         for alpha in inst.C.words:
             for u in non_code:
-                got = pre_codewords(inst.C, alpha, translation(u))
+                got = pre_set(inst.C, alpha, translation(u))
                 assert 2 * len(got) == m
 
 
 def test_pre_codewords_hypothesis_errors():
     alpha = H42.zero()
     with pytest.raises(NotACodewordError):
-        pre_codewords(INST4.C, H42.vertex([1, 0, 0, 0]), Y4)
+        pre_set(INST4.C, H42.vertex([1, 0, 0, 0]), Y4)
     with pytest.raises(NotNeighbourStabilizerError):
-        pre_codewords(INST4.C, alpha, translation(H42.vertex([1, 0, 0, 0])))
+        pre_set(INST4.C, alpha, translation(H42.vertex([1, 0, 0, 0])))
     with pytest.raises(ImageInCodeError):
-        pre_codewords(INST4.C, alpha, translation(H42.vertex([1, 1, 1, 1])))
+        pre_set(INST4.C, alpha, translation(H42.vertex([1, 1, 1, 1])))
     with pytest.raises(ImageInCodeError):
-        pre_codewords(INST4.C, alpha, Automorphism.identity(H42))
+        pre_set(INST4.C, alpha, Automorphism.identity(H42))
     short = Code.from_entries(HammingScheme(2, 2), [[0, 0], [1, 1]])
     with pytest.raises(MinDistanceError):
-        pre_codewords(short, short.words[0], Automorphism.identity(short.scheme))
+        pre_set(short, short.words[0], Automorphism.identity(short.scheme))
 
 
 def test_cells_map_each_neighbour_to_its_pre_codeword_m4():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import hamnt.code_model
+import hamnt.transitivity
 from hamnt import (CASE2, VERDICT_FIXED, VERDICT_NONFIXING, VIOLATION,
                    Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, HypothesisError, MinDistanceError,
@@ -82,9 +83,10 @@ def test_stabilizer_canonical_order_and_everyone_stabilizes():
         assert stabilizes_set(nbrs, x)
 
 
-def test_stabilizer_cap():
+def test_stabilizer_cap(monkeypatch):
+    monkeypatch.setattr(hamnt.transitivity, "DEFAULT_GROUP_CAP", 10)
     with pytest.raises(FeasibilityError):
-        setwise_stabilizer([H42.zero()], H42, group_cap=10)
+        setwise_stabilizer([H42.zero()], H42)
 
 
 def test_stabilizer_matches_naive_filter_on_random_sets():

@@ -9,15 +9,16 @@ import hamnt.chain
 import hamnt.code_model
 import hamnt.hamming_core
 import hamnt.transitivity
+import hamnt.wreath_group
 from hamnt import (Automorphism, Code, FeasibilityError, GeneratorSet,
                    HammingScheme, SchemeMismatchError, Vertex,
                    automorphism_to_text, classify_theorem, closure,
                    distance, enumerate_full_group,
-                   enumerate_triples, find_equivalence, fixes_entries,
+                   enumerate_triples, find_equivalence,
                    full_group_generators, group_order, is_code_automorphism,
                    least_outside, orbit, schreier_sims, setwise_stabilizer,
                    stabilizer_chain, stabilizes_set, translation)
-from hamnt.chain import (_block_levels, _canonical_levels, _first_leaf, _grow, _key,
+from hamnt.chain import (_block_levels, _canonical_levels, _first_leaf, _fixes, _grow, _key,
                          _pruning_model, _rebase, _schreier_sims, _Transversal, _walk)
 from hamnt.family_codes import build_family
 from hamnt.hamming_core import check_enumeration_cap
@@ -30,6 +31,12 @@ from helpers import (brute_maps_into, brute_stabilizer_order, conjugated_by,
 H32 = HammingScheme(3, 2)
 H33 = HammingScheme(3, 3)
 H42 = HammingScheme(4, 2)
+
+
+def fixing(scheme, entries):
+    """The test on elements of the scheme that they fix the vertex set entries."""
+    code = Code.from_entries(scheme, entries)
+    return lambda x: is_code_automorphism(code, x)
 
 
 def test_automorphism_validation():
@@ -182,13 +189,14 @@ def test_enumerate_full_group_cap():
 
 
 def test_cap_checks_print_short_sizes_exactly_and_never_build_huge_ones(monkeypatch):
-    with pytest.raises(FeasibilityError, match=r"^full group of H\(10,2\) has order "
-                       r"3715891200, over the group cap 1000$"):
-        enumerate_full_group(HammingScheme(10, 2), 1000)
     with pytest.raises(FeasibilityError, match=r"^full group of H\(3,200000\) has order "
                        r"about 10\^\d+, over the group cap 100000000$") as info:
-        enumerate_full_group(HammingScheme(3, 200000), 10**8)
+        enumerate_full_group(HammingScheme(3, 200000))
     assert info.value.required is None
+    monkeypatch.setattr(hamnt.wreath_group, "DEFAULT_GROUP_CAP", 1000)
+    with pytest.raises(FeasibilityError, match=r"^full group of H\(10,2\) has order "
+                       r"3715891200, over the group cap 1000$"):
+        enumerate_full_group(HammingScheme(10, 2))
     with pytest.raises(FeasibilityError, match=r"^H\(20000,2\) has about 10\^6021 vertices"):
         check_enumeration_cap(HammingScheme(20000, 2))
     # a long size near the cap is decided exactly; the cap is read at call time
@@ -276,7 +284,7 @@ def test_least_outside_matches_brute_force_first():
             source = rng.sample(verts, rng.randint(1, 4))
             target = {v.entries for v in rng.sample(verts, rng.randint(1, 4))}
             chain = stabilizer_chain(source, scheme)
-            got = least_outside(chain, fixes_entries(target, scheme.q))
+            got = least_outside(chain, fixing(scheme, target))
             want = next(((sigma, gs) for sigma, gs in brute_maps_into(scheme, source, source)
                          if {raw_apply(sigma, gs, w) for w in target} != target), None)
             assert (got and (got.coord_perm, got.alphabet_perms)) == want
@@ -299,7 +307,7 @@ def test_least_outside_follows_key_order_not_insertion_order():
     assert list(_rebase(chain)[2][0]) == [(0,), (2,), (1,)]
     # <c> meets Stab({100}) in the identity, so deep = 1 and the answer is
     # the least child of level 0 outside it, c^2 (sigma(0) = 1), not c
-    assert least_outside(chain, fixes_entries({(1, 0, 0)}, 2)) == c.compose(c)
+    assert least_outside(chain, fixing(H32, {(1, 0, 0)})) == c.compose(c)
     # random generated groups against the first element of closure that
     # moves a random set or an orbit (fixed by the whole group)
     rng = random.Random(38)
@@ -315,13 +323,13 @@ def test_least_outside_follows_key_order_not_insertion_order():
                 want = next((x for x in elements
                              if {raw_apply(x.coord_perm, x.alphabet_perms, w)
                                  for w in target} != target), None)
-                assert least_outside(chain, fixes_entries(target, scheme.q)) == want
+                assert least_outside(chain, fixing(scheme, target)) == want
                 kinds["none" if want is None else "some"] += 1
     assert min(kinds.values()) >= 100, kinds
 
 
 def test_entry_action_matches_raw_apply():
-    # apply, orbit, stabilizes_set, is_code_automorphism and fixes_entries
+    # apply, orbit, stabilizes_set, is_code_automorphism and chain._fixes
     # share one action on entry tuples; each is checked against raw_apply
     # on (sigma, gs) drawn here, and the point tuple is built here too
     rng = random.Random(41)
@@ -356,7 +364,7 @@ def test_entry_action_matches_raw_apply():
                 vs = [Vertex(scheme, w) for w in words]
                 assert stabilizes_set(vs, x) == want
                 assert is_code_automorphism(Code(scheme, vs), x) == want
-                assert fixes_entries(words, q)(points) == want
+                assert _fixes([index_of(w, q) for w in words], scheme)(trusted) == want
                 verdicts[want] += 1
         for _ in range(10):
             pairs = [raw() for _ in range(rng.randint(1, 2))]
@@ -420,7 +428,8 @@ def test_action_tables_are_capped():
     with pytest.raises(FeasibilityError, match="needs tables of 1048576 entries"):
         x.apply(big.zero())
     ok = HammingScheme(32, 2)
-    assert Automorphism.identity(ok).apply(ok.unit(3)) == ok.unit(3)
+    e3 = ok.vertex([int(i == 3) for i in range(32)])
+    assert Automorphism.identity(ok).apply(e3) == e3
 
 
 def test_schreier_sims_stops_at_a_known_order(monkeypatch):
@@ -440,8 +449,10 @@ def test_schreier_sims_stops_at_a_known_order(monkeypatch):
     assert math.prod(len(t) for t in known) == chain.order
     # the known order spares the sifts that would prove the chain complete
     assert len(sifts) - to_the_end < to_the_end / 2
+    # re-based onto a known order the group does not reach, it refuses
+    chain.order *= 2
     with pytest.raises(RuntimeError, match="internal error"):
-        _schreier_sims(gens, 16, levels, 2 * chain.order)
+        _rebase(chain)
 
 
 def test_random_phase_matches_closure(monkeypatch):
@@ -521,15 +532,17 @@ def test_search_cap_and_scheme_are_checked_at_the_call(monkeypatch):
 
 def test_closure_empty_and_translations():
     assert closure(GeneratorSet(H42, ())) == [Automorphism.identity(H42)]
-    gens = GeneratorSet(H42, tuple(translation(H42.unit(i)) for i in range(4)))
+    gens = GeneratorSet(H42, tuple(translation(H42.vertex([int(i == j) for j in range(4)]))
+                                   for i in range(4)))
     els = closure(gens)
     assert len(els) == 16
 
 
-def test_closure_cap_is_error_not_truncation():
+def test_closure_cap_is_error_not_truncation(monkeypatch):
     gens = full_group_generators(H42)
+    monkeypatch.setattr(hamnt.wreath_group, "DEFAULT_GROUP_CAP", 100)
     with pytest.raises(FeasibilityError):
-        closure(gens, cap=100)
+        closure(gens)
 
 
 def test_closure_family_generators_orders():

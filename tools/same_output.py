@@ -8,6 +8,10 @@ subprocess per tree:
 
 * `classify` and `stabilizer --format json` on the 1,040 criterion-6 codes
   of the benchmark (perfbench/workloads.py, imported read-only);
+* `classify` and `stabilizer`, text and json, on the family's codes C
+  and U written as code files, for even M = 6..16: C's non-fixing
+  witness lies deep in a group of order 4^(M/2) (M/2)!, and `classify`
+  refuses U (minimum distance 2);
 * `family --m M` for even M = 4..16, plain and `--exhaustive`, and
   `--exhaustive` for even M = 18..24;
 * `lemmas` on H(1..8,2), H(1..6,3), H(1..4,4), H(1..3,5), H(1..2,6),
@@ -23,7 +27,7 @@ tree that still reads the variable admits the runs that a tree without
 the group cap admits (the pinned refusals reach full groups of order
 about 10^640).  It prints the first invocation whose exit code, stdout
 or stderr differ and exits 1, or prints the number of invocations
-compared and exits 0.  Each tree takes about 40 s on a 2-vCPU VM.
+compared and exits 0.  Each tree takes about 50 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -37,6 +41,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def family_code_files(code_dir: Path, m: int) -> list[str]:
+    """The paths of the family's U (every doubled word beta beta of H(m,2))
+    and C (those with beta of even weight), written as code files in code_dir."""
+    halves = [format(b, f"0{m // 2}b") for b in range(2 ** (m // 2))]
+    paths = []
+    for name, words in (("U", halves), ("C", [b for b in halves if b.count("1") % 2 == 0])):
+        paths.append(str(code_dir / f"family_{name}_{m}.txt"))
+        Path(paths[-1]).write_text(f"{m} 2\n" + "".join(b + b + "\n" for b in words))
+    return paths
 
 
 def invocations(code_dir: Path, old_src: Path) -> list[list[str]]:
@@ -53,6 +68,11 @@ def invocations(code_dir: Path, old_src: Path) -> list[list[str]]:
             Path(paths[text]).write_text(text)
         for command in ("classify", "stabilizer"):
             argvs.append([command, "--input", paths[text], "--format", "json"])
+    for m in range(6, 17, 2):
+        for path in family_code_files(code_dir, m):
+            for command in ("classify", "stabilizer"):
+                for fmt in ("text", "json"):
+                    argvs.append([command, "--input", path, "--format", fmt])
     for m in range(4, 17, 2):
         argvs.append(["family", "--m", str(m)])
         argvs.append(["family", "--m", str(m), "--exhaustive"])
